@@ -362,7 +362,7 @@ func BenchmarkE9EventIdx(b *testing.B) {
 			doorbells := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := ns.Burst(32, 128)
+				res, err := ns.Stream(fpgavirtio.StreamConfig{Packets: 32, PayloadSize: 128, Window: 32})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -412,7 +412,7 @@ func BenchmarkE11Throughput(b *testing.B) {
 	var elapsed time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := ns.Burst(64, 256)
+		res, err := ns.Stream(fpgavirtio.StreamConfig{Packets: 64, PayloadSize: 256, Window: 64})
 		if err != nil {
 			b.Fatal(err)
 		}

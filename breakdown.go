@@ -60,23 +60,7 @@ type BreakdownReport struct {
 // with span recording enabled and returns the span-derived attribution
 // alongside the per-round counter-based samples.
 func (ns *NetSession) Breakdown(rounds, payloadBytes int) (BreakdownReport, error) {
-	if rounds <= 0 {
-		return BreakdownReport{}, fmt.Errorf("fpgavirtio: breakdown needs rounds > 0, got %d", rounds)
-	}
-	rec := telemetry.NewRecorder(0)
-	ns.s.SetSpanSink(rec)
-	defer ns.s.SetSpanSink(nil)
-
-	payload := make([]byte, payloadBytes)
-	samples := make([]RTTSample, 0, rounds)
-	for i := 0; i < rounds; i++ {
-		sample, err := ns.PingDetailed(payload)
-		if err != nil {
-			return BreakdownReport{}, err
-		}
-		samples = append(samples, sample)
-	}
-	return foldBreakdown("virtio-net", rounds, payloadBytes, rec, samples), nil
+	return ns.breakdown("virtio-net", rounds, payloadBytes, nil, ns.PingDetailed)
 }
 
 // Breakdown measures rounds write()+read() round trips of the given
@@ -84,24 +68,33 @@ func (ns *NetSession) Breakdown(rounds, payloadBytes int) (BreakdownReport, erro
 // span-derived attribution alongside the per-round counter-based
 // samples.
 func (xs *XDMASession) Breakdown(rounds, nbytes int) (BreakdownReport, error) {
+	return xs.breakdown("xdma", rounds, nbytes, xs.host.RNG().Bytes, xs.RoundTripDetailed)
+}
+
+// breakdown runs rounds detailed round trips of an nbytes buffer under
+// a span recorder and folds the spans into a report. fill (optional)
+// sets the buffer's contents once, after the recorder is installed.
+func (b *baseSession) breakdown(driver string, rounds, nbytes int, fill func([]byte), detailed func([]byte) (RTTSample, error)) (BreakdownReport, error) {
 	if rounds <= 0 {
 		return BreakdownReport{}, fmt.Errorf("fpgavirtio: breakdown needs rounds > 0, got %d", rounds)
 	}
 	rec := telemetry.NewRecorder(0)
-	xs.s.SetSpanSink(rec)
-	defer xs.s.SetSpanSink(nil)
+	b.s.SetSpanSink(rec)
+	defer b.s.SetSpanSink(nil)
 
 	data := make([]byte, nbytes)
-	xs.host.RNG().Bytes(data)
+	if fill != nil {
+		fill(data)
+	}
 	samples := make([]RTTSample, 0, rounds)
 	for i := 0; i < rounds; i++ {
-		sample, err := xs.RoundTripDetailed(data)
+		sample, err := detailed(data)
 		if err != nil {
 			return BreakdownReport{}, err
 		}
 		samples = append(samples, sample)
 	}
-	return foldBreakdown("xdma", rounds, nbytes, rec, samples), nil
+	return foldBreakdown(driver, rounds, nbytes, rec, samples), nil
 }
 
 // foldBreakdown computes the attribution from recorded spans. The

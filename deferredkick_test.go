@@ -62,15 +62,16 @@ func TestDeferredKickDeadlockMiniature(t *testing.T) {
 	}
 }
 
-// TestBurstFlushesBatchedTail pins the Burst fix: a burst smaller than
-// the kick batch leaves every packet unkicked at the end of the send
-// loop, and the drain loop would wait forever without the flush.
+// TestBurstFlushesBatchedTail pins the batched-tail flush: a stream
+// whose window sends the whole burst at once, with the burst smaller
+// than the kick batch, leaves every packet unkicked at the end of the
+// send loop, and the drain loop would wait forever without the flush.
 func TestBurstFlushesBatchedTail(t *testing.T) {
 	ns, err := OpenNet(NetConfig{Config: Config{Seed: 12, Quiet: true}, TxKickBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ns.Burst(3, 128)
+	res, err := ns.Stream(StreamConfig{Packets: 3, PayloadSize: 128, Window: 3})
 	if err != nil {
 		t.Fatalf("burst below the kick batch deadlocked: %v", err)
 	}
@@ -94,7 +95,7 @@ func TestXmitRingFullFlushesAndWakes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ns.Burst(10, 64)
+	res, err := ns.Stream(StreamConfig{Packets: 10, PayloadSize: 64, Window: 10})
 	if err != nil {
 		t.Fatalf("burst past the TX ring size deadlocked: %v", err)
 	}

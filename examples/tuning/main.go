@@ -46,7 +46,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fRes, err := flags.Burst(64, 256)
+	burst := fpgavirtio.StreamConfig{Packets: 64, PayloadSize: 256, Window: 64}
+	fRes, err := flags.Stream(burst)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eRes, err := evidx.Burst(64, 256)
+	eRes, err := evidx.Stream(burst)
 	if err != nil {
 		log.Fatal(err)
 	}

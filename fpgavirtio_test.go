@@ -2,6 +2,7 @@ package fpgavirtio_test
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"time"
 
@@ -170,6 +171,64 @@ func TestBlkSession(t *testing.T) {
 	}
 }
 
+// TestBlkSessionRejectsOutOfRange: reads and writes past the end of the
+// device fail with an error, including a sector so large that
+// sector+count wraps around, and the session keeps working after.
+func TestBlkSessionRejectsOutOfRange(t *testing.T) {
+	bs, err := fpgavirtio.OpenBlk(fpgavirtio.BlkConfig{Config: fpgavirtio.Config{Seed: 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	capacity := bs.CapacitySectors()
+	for _, tc := range []struct {
+		name   string
+		sector uint64
+		count  int
+	}{
+		{"max-uint64", math.MaxUint64, 1},
+		{"capacity", capacity, 1},
+		{"straddles-end", capacity - 1, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, _, err := bs.ReadSectors(tc.sector, tc.count); err == nil {
+				t.Error("ReadSectors succeeded")
+			}
+			if _, err := bs.WriteSectors(tc.sector, make([]byte, tc.count*512)); err == nil {
+				t.Error("WriteSectors succeeded")
+			}
+			if tc.count != 1 {
+				return
+			}
+			if _, _, err := bs.ReadSector(tc.sector); err == nil {
+				t.Error("ReadSector succeeded")
+			}
+			if _, err := bs.WriteSector(tc.sector, make([]byte, 512)); err == nil {
+				t.Error("WriteSector succeeded")
+			}
+		})
+	}
+	if _, _, err := bs.ReadSector(capacity - 1); err != nil {
+		t.Fatalf("last sector unreadable after rejected requests: %v", err)
+	}
+}
+
+// TestBypassCopyRejectsNonPositiveLength: a copy of fewer than one byte
+// is an error, not an allocator panic.
+func TestBypassCopyRejectsNonPositiveLength(t *testing.T) {
+	ns, err := fpgavirtio.OpenNet(fpgavirtio.NetConfig{Config: fpgavirtio.Config{Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{-1, 0} {
+		if _, err := ns.BypassCopy(n); err == nil {
+			t.Errorf("BypassCopy(%d) succeeded", n)
+		}
+	}
+	if _, err := ns.BypassCopy(64); err != nil {
+		t.Fatalf("BypassCopy(64) after rejected calls: %v", err)
+	}
+}
+
 func TestGen3LinkFaster(t *testing.T) {
 	measure := func(link fpgavirtio.Link) time.Duration {
 		ns, err := fpgavirtio.OpenNet(fpgavirtio.NetConfig{Config: fpgavirtio.Config{Seed: 8, Quiet: true, Link: link}})
@@ -210,7 +269,7 @@ func TestEventIdxPingStillWorks(t *testing.T) {
 }
 
 func TestEventIdxReducesBurstSignalling(t *testing.T) {
-	burst := func(eventIdx bool) fpgavirtio.BurstResult {
+	burst := func(eventIdx bool) fpgavirtio.StreamResult {
 		ns, err := fpgavirtio.OpenNet(fpgavirtio.NetConfig{
 			Config:      fpgavirtio.Config{Seed: 10, Quiet: true},
 			UseEventIdx: eventIdx,
@@ -218,7 +277,7 @@ func TestEventIdxReducesBurstSignalling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := ns.Burst(32, 128)
+		res, err := ns.Stream(fpgavirtio.StreamConfig{Packets: 32, PayloadSize: 128, Window: 32})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +314,7 @@ func TestPackedRingEndToEnd(t *testing.T) {
 			t.Fatalf("iteration %d: echo mismatch", i)
 		}
 	}
-	if res, err := ns.Burst(48, 200); err != nil || res.Elapsed <= 0 {
+	if res, err := ns.Stream(fpgavirtio.StreamConfig{Packets: 48, PayloadSize: 200, Window: 48}); err != nil || res.Elapsed <= 0 {
 		t.Fatalf("packed burst: %+v err=%v", res, err)
 	}
 }

@@ -116,6 +116,17 @@ func (d *Device) submit(p *sim.Proc, segs []virtio.BufSeg) error {
 	return nil
 }
 
+// checkRange rejects a request for count sectors starting at sector
+// that does not fit the device. It compares against the sectors left
+// after sector, so a sector near 2^64 cannot wrap the sum past the
+// capacity.
+func (d *Device) checkRange(sector uint64, count int) error {
+	if sector > d.capacity || uint64(count) > d.capacity-sector {
+		return fmt.Errorf("virtioblk: %d sectors at sector %d beyond capacity %d", count, sector, d.capacity)
+	}
+	return nil
+}
+
 // ReadSector reads one 512-byte sector.
 func (d *Device) ReadSector(p *sim.Proc, sector uint64) ([]byte, error) {
 	return d.ReadSectors(p, sector, 1)
@@ -126,8 +137,8 @@ func (d *Device) ReadSectors(p *sim.Proc, sector uint64, count int) ([]byte, err
 	if count <= 0 || count > d.dataBufSectors {
 		return nil, fmt.Errorf("virtioblk: count %d out of range [1,%d]", count, d.dataBufSectors)
 	}
-	if sector+uint64(count) > d.capacity {
-		return nil, fmt.Errorf("virtioblk: sectors [%d,%d) beyond capacity %d", sector, sector+uint64(count), d.capacity)
+	if err := d.checkRange(sector, count); err != nil {
+		return nil, err
 	}
 	n := count * virtio.BlkSectorSize
 	d.host.SyscallEnter(p)
@@ -160,8 +171,8 @@ func (d *Device) WriteSectors(p *sim.Proc, sector uint64, data []byte) error {
 	if count > d.dataBufSectors {
 		return fmt.Errorf("virtioblk: %d sectors exceeds per-request limit %d", count, d.dataBufSectors)
 	}
-	if sector+uint64(count) > d.capacity {
-		return fmt.Errorf("virtioblk: sectors [%d,%d) beyond capacity %d", sector, sector+uint64(count), d.capacity)
+	if err := d.checkRange(sector, count); err != nil {
+		return err
 	}
 	d.host.SyscallEnter(p)
 	defer d.host.SyscallExit(p)

@@ -314,7 +314,7 @@ func RunEventIdx(p Params, burst int) (*EventIdxResult, error) {
 			return 0, 0, 0, err
 		}
 		for i := 0; i < rounds; i++ {
-			r, err := ns.Burst(burst, 128)
+			r, err := ns.Stream(fpgavirtio.StreamConfig{Packets: burst, PayloadSize: 128, Window: burst})
 			if err != nil {
 				return 0, 0, 0, err
 			}
@@ -440,7 +440,7 @@ func RunThroughput(p Params) (*ThroughputResult, error) {
 		}
 		var vElapsed sim.Duration
 		for i := 0; i < rounds; i++ {
-			r, err := ns.Burst(burst, payload)
+			r, err := ns.Stream(fpgavirtio.StreamConfig{Packets: burst, PayloadSize: payload, Window: burst})
 			if err != nil {
 				return nil, err
 			}

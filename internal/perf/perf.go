@@ -187,35 +187,6 @@ func (s *Series) Histogram(buckets int, width int) string {
 	return b.String()
 }
 
-// Breakdown holds the paired software/hardware decomposition the paper
-// plots in Figures 4 and 5: per operation, total = software + hardware
-// (+ excluded response-generation time).
-type Breakdown struct {
-	Total    *Series
-	Software *Series
-	Hardware *Series
-}
-
-// NewBreakdown returns empty paired series.
-func NewBreakdown(name string) *Breakdown {
-	return &Breakdown{
-		Total:    NewSeries(name + ".total"),
-		Software: NewSeries(name + ".sw"),
-		Hardware: NewSeries(name + ".hw"),
-	}
-}
-
-// Add records one operation's decomposition.
-func (b *Breakdown) Add(total, hardware sim.Duration) {
-	b.Total.Add(total)
-	b.Hardware.Add(hardware)
-	sw := total - hardware
-	if sw < 0 {
-		sw = 0
-	}
-	b.Software.Add(sw)
-}
-
 // Table renders rows of labelled values with aligned columns.
 type Table struct {
 	Title   string

@@ -121,24 +121,6 @@ func TestAddAfterPercentile(t *testing.T) {
 	}
 }
 
-func TestBreakdown(t *testing.T) {
-	b := NewBreakdown("x")
-	b.Add(sim.Us(30), sim.Us(12))
-	b.Add(sim.Us(28), sim.Us(11))
-	if b.Software.Count() != 2 || b.Hardware.Count() != 2 {
-		t.Fatal("counts wrong")
-	}
-	if got := b.Software.Samples()[0]; got != sim.Us(18) {
-		t.Fatalf("sw sample = %v", got)
-	}
-	// Hardware exceeding total clamps software to zero rather than
-	// going negative.
-	b.Add(sim.Us(5), sim.Us(7))
-	if got := b.Software.Samples()[2]; got != 0 {
-		t.Fatalf("clamped sw = %v", got)
-	}
-}
-
 func TestHistogramRenders(t *testing.T) {
 	s := NewSeries("h")
 	rng := sim.NewRNG(1)

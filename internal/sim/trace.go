@@ -1,10 +1,5 @@
 package sim
 
-import (
-	"fmt"
-	"io"
-)
-
 // RecordingTracer stores every executed event; useful in tests that
 // assert ordering, and for offline latency attribution. When Max is
 // set and reached, further events are counted as dropped instead of
@@ -35,14 +30,6 @@ func (t *RecordingTracer) Event(at Time, name string) {
 // Dropped reports how many events were discarded because the Max cap
 // was reached. A non-zero value means Records is an incomplete trace.
 func (t *RecordingTracer) Dropped() int { return t.dropped }
-
-// WriterTracer streams events to an io.Writer as they execute.
-type WriterTracer struct{ W io.Writer }
-
-// Event implements Tracer.
-func (t WriterTracer) Event(at Time, name string) {
-	fmt.Fprintf(t.W, "%12.3fus  %s\n", at.Microseconds(), name)
-}
 
 // SpanSink receives begin/end notifications for layer-attributed
 // spans. Unlike Tracer, which sees every scheduled event by name, a

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 )
 
@@ -29,16 +28,12 @@ func WriteMetricsCSV(w io.Writer, snaps []MetricSnapshot) error {
 	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	for _, s := range snaps {
 		switch s.Type {
-		case "histogram", "hdrhistogram":
+		case "hdrhistogram":
 			if err := cw.Write([]string{s.Name, s.Type, "", strconv.FormatInt(s.Count, 10), f(s.Sum), ""}); err != nil {
 				return err
 			}
 			for _, b := range s.Buckets {
-				le := "inf"
-				if !math.IsInf(b.UpperBound, 1) {
-					le = f(b.UpperBound)
-				}
-				if err := cw.Write([]string{s.Name, "bucket", "", strconv.FormatInt(b.Count, 10), "", le}); err != nil {
+				if err := cw.Write([]string{s.Name, "bucket", "", strconv.FormatInt(b.Count, 10), "", f(b.UpperBound)}); err != nil {
 					return err
 				}
 			}

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 )
@@ -16,20 +15,18 @@ import (
 // the same instrument, so layers can share counters without plumbing.
 // Registering one name as two different instrument kinds panics.
 type Registry struct {
-	mu         sync.Mutex //fvlint:lockrank metrics
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
-	hdrs       map[string]*HDRHistogram
+	mu       sync.Mutex //fvlint:lockrank metrics
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	hdrs     map[string]*HDRHistogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
-		hdrs:       make(map[string]*HDRHistogram),
+		counters: make(map[string]*Counter),
+		gauges:   make(map[string]*Gauge),
+		hdrs:     make(map[string]*HDRHistogram),
 	}
 }
 
@@ -70,46 +67,6 @@ func (g *Gauge) Value() float64 { return g.v }
 // Name reports the registered name.
 func (g *Gauge) Name() string { return g.name }
 
-// Histogram counts observations into fixed buckets. bounds are
-// strictly increasing upper bounds; an observation v lands in the
-// first bucket with v <= bound, or the implicit +Inf overflow bucket.
-type Histogram struct {
-	name   string
-	bounds []float64
-	counts []int64 // len(bounds)+1; last is overflow
-	sum    float64
-	count  int64
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	h.sum += v
-	h.count++
-	for i, b := range h.bounds {
-		if v <= b {
-			h.counts[i]++
-			return
-		}
-	}
-	h.counts[len(h.bounds)]++
-}
-
-// Count reports total observations; Sum their total.
-func (h *Histogram) Count() int64 { return h.count }
-
-// Sum reports the running total of observed values.
-func (h *Histogram) Sum() float64 { return h.sum }
-
-// Bounds returns the configured upper bounds (not including +Inf).
-func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
-
-// BucketCounts returns per-bucket (non-cumulative) counts including
-// the trailing overflow bucket.
-func (h *Histogram) BucketCounts() []int64 { return append([]int64(nil), h.counts...) }
-
-// Name reports the registered name.
-func (h *Histogram) Name() string { return h.name }
-
 // Counter returns the counter registered under name, creating it on
 // first use. Safe to call on a nil registry: updates then go to a
 // discarded instrument, so instrumented code never nil-checks.
@@ -145,36 +102,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the histogram registered under name, creating it
-// with the given bucket upper bounds on first use. Later calls ignore
-// bounds. Bounds must be strictly increasing. Nil-registry safe.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("telemetry: histogram %q bounds not strictly increasing", name))
-		}
-	}
-	mk := func() *Histogram {
-		return &Histogram{
-			name:   name,
-			bounds: append([]float64(nil), bounds...),
-			counts: make([]int64, len(bounds)+1),
-		}
-	}
-	if r == nil {
-		return mk()
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok := r.histograms[name]; ok {
-		return h
-	}
-	r.checkFree(name, "histogram")
-	h := mk()
-	r.histograms[name] = h
-	return h
-}
-
 // HDR returns the HDR histogram registered under name, creating it on
 // first use. Nil-registry safe like Counter.
 func (r *Registry) HDR(name string) *HDRHistogram {
@@ -201,35 +128,29 @@ func (r *Registry) checkFree(name, kind string) {
 	if _, ok := r.gauges[name]; ok && kind != "gauge" {
 		panic(fmt.Sprintf("telemetry: %q already registered as gauge", name))
 	}
-	if _, ok := r.histograms[name]; ok && kind != "histogram" {
-		panic(fmt.Sprintf("telemetry: %q already registered as histogram", name))
-	}
 	if _, ok := r.hdrs[name]; ok && kind != "hdrhistogram" {
 		panic(fmt.Sprintf("telemetry: %q already registered as hdrhistogram", name))
 	}
 }
 
-// BucketSnapshot is one histogram bucket in a snapshot.
+// BucketSnapshot is one non-empty HDR histogram bucket in a snapshot.
 type BucketSnapshot struct {
-	// UpperBound is the inclusive upper bound; +Inf for the overflow
-	// bucket (serialized as the string "inf" in JSON/CSV exporters).
+	// UpperBound is the bucket's inclusive upper bound, always finite.
 	UpperBound float64 `json:"le"`
 	Count      int64   `json:"count"`
 }
 
-// MarshalJSON encodes the +Inf overflow bound as the string "inf"
-// (encoding/json rejects non-finite floats).
+// MarshalJSON writes the bound in %g form, so metric dumps keep their
+// established layout (encoding/json would spell large bounds out in
+// full).
 func (b BucketSnapshot) MarshalJSON() ([]byte, error) {
-	if math.IsInf(b.UpperBound, 1) {
-		return []byte(fmt.Sprintf(`{"le":"inf","count":%d}`, b.Count)), nil
-	}
 	return []byte(fmt.Sprintf(`{"le":%g,"count":%d}`, b.UpperBound, b.Count)), nil
 }
 
 // MetricSnapshot is a point-in-time reading of one instrument.
 type MetricSnapshot struct {
 	Name    string           `json:"name"`
-	Type    string           `json:"type"` // "counter" | "gauge" | "histogram" | "hdrhistogram"
+	Type    string           `json:"type"` // "counter" | "gauge" | "hdrhistogram"
 	Value   float64          `json:"value,omitempty"`
 	Count   int64            `json:"count,omitempty"`
 	Sum     float64          `json:"sum,omitempty"`
@@ -250,14 +171,6 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 	}
 	for name, g := range r.gauges {
 		out = append(out, MetricSnapshot{Name: name, Type: "gauge", Value: g.v})
-	}
-	for name, h := range r.histograms {
-		s := MetricSnapshot{Name: name, Type: "histogram", Count: h.count, Sum: h.sum}
-		for i, b := range h.bounds {
-			s.Buckets = append(s.Buckets, BucketSnapshot{UpperBound: b, Count: h.counts[i]})
-		}
-		s.Buckets = append(s.Buckets, BucketSnapshot{UpperBound: math.Inf(1), Count: h.counts[len(h.bounds)]})
-		out = append(out, s)
 	}
 	for name, h := range r.hdrs {
 		// Only the non-empty log buckets are exported: a full HDR table

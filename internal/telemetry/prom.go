@@ -3,7 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"math"
 	"strings"
 )
 
@@ -25,55 +24,39 @@ func promName(name string) string {
 	}, name)
 }
 
-// promFloat renders a float the way Prometheus expects (+Inf for the
-// overflow bound).
-func promFloat(v float64) string {
-	if math.IsInf(v, 1) {
-		return "+Inf"
-	}
-	return fmt.Sprintf("%g", v)
-}
-
 // WritePrometheus renders the snapshots in Prometheus text exposition
-// format. Counters and gauges become single samples; histograms (both
-// fixed-bucket and HDR) become cumulative `_bucket{le=...}` series
-// with the standard `_sum` and `_count` children. Snapshot order is
-// preserved (Registry.Snapshot already sorts by name).
+// format. Counters and gauges become single samples; HDR histograms
+// become cumulative `_bucket{le=...}` series over their non-empty
+// buckets, closed by the mandatory +Inf bucket, with the standard
+// `_sum` and `_count` children. Snapshot order is preserved
+// (Registry.Snapshot already sorts by name).
 func WritePrometheus(w io.Writer, snaps []MetricSnapshot) error {
 	for _, s := range snaps {
 		name := promName(s.Name)
 		switch s.Type {
 		case "counter":
-			if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %s\n", name, name, promFloat(s.Value)); err != nil {
+			if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %g\n", name, name, s.Value); err != nil {
 				return err
 			}
 		case "gauge":
-			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", name, name, promFloat(s.Value)); err != nil {
+			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %g\n", name, name, s.Value); err != nil {
 				return err
 			}
-		case "histogram", "hdrhistogram":
+		case "hdrhistogram":
 			if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
 				return err
 			}
 			var cum int64
-			sawInf := false
 			for _, b := range s.Buckets {
 				cum += b.Count
-				if math.IsInf(b.UpperBound, 1) {
-					sawInf = true
-				}
-				if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, promFloat(b.UpperBound), cum); err != nil {
+				if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, b.UpperBound, cum); err != nil {
 					return err
 				}
 			}
-			// HDR snapshots carry only their non-empty finite buckets;
-			// close the series with the mandatory +Inf bucket.
-			if !sawInf {
-				if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, s.Count); err != nil {
-					return err
-				}
+			if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, s.Count); err != nil {
+				return err
 			}
-			if _, err := fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n", name, promFloat(s.Sum), name, s.Count); err != nil {
+			if _, err := fmt.Fprintf(w, "%s_sum %g\n%s_count %d\n", name, s.Sum, name, s.Count); err != nil {
 				return err
 			}
 		}

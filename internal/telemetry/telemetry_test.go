@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -116,28 +117,6 @@ func TestAttribution(t *testing.T) {
 	}
 }
 
-func TestHistogramBucketBoundaries(t *testing.T) {
-	h := (*Registry)(nil).Histogram("t", []float64{10, 20, 40})
-	// Upper bounds are inclusive: 10 lands in the first bucket,
-	// 10.5 in the second, 40 in the third, 40.1 overflows.
-	for _, v := range []float64{-1, 10, 10.5, 20, 40, 40.1, 1e9} {
-		h.Observe(v)
-	}
-	want := []int64{2, 2, 1, 2}
-	got := h.BucketCounts()
-	if len(got) != len(want) {
-		t.Fatalf("bucket count = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("bucket[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-	if h.Count() != 7 {
-		t.Errorf("Count = %d, want 7", h.Count())
-	}
-}
-
 func TestRegistryGetOrCreate(t *testing.T) {
 	r := NewRegistry()
 	c1 := r.Counter("x")
@@ -162,7 +141,7 @@ func TestNilRegistryDiscards(t *testing.T) {
 	var r *Registry
 	r.Counter("a").Inc()
 	r.Gauge("b").Set(3)
-	r.Histogram("c", []float64{1}).Observe(2)
+	r.HDR("c").Observe(2)
 	if snaps := r.Snapshot(); snaps != nil {
 		t.Fatalf("nil registry snapshot = %v, want nil", snaps)
 	}
@@ -172,34 +151,36 @@ func TestSnapshotSortedAndSerializable(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("z.count").Add(7)
 	r.Gauge("a.gauge").Set(1.5)
-	r.Histogram("m.hist", []float64{1, 2}).Observe(3) // overflow bucket
+	h := r.HDR("m.hdr")
+	h.Observe(5)
+	h.Observe(3000000) // a bound large enough for %g to use an exponent
 
 	snaps := r.Snapshot()
 	names := []string{snaps[0].Name, snaps[1].Name, snaps[2].Name}
-	if names[0] != "a.gauge" || names[1] != "m.hist" || names[2] != "z.count" {
+	if names[0] != "a.gauge" || names[1] != "m.hdr" || names[2] != "z.count" {
 		t.Fatalf("snapshot order = %v", names)
 	}
-	// The +Inf overflow bound must serialize as "inf", not break
-	// encoding/json.
+	// Every bucket bound is finite, so the JSON dump round-trips.
 	var buf bytes.Buffer
 	if err := WriteMetricsJSON(&buf, snaps); err != nil {
 		t.Fatalf("WriteMetricsJSON: %v", err)
 	}
-	if !strings.Contains(buf.String(), `"le": "inf"`) {
-		t.Errorf("overflow bucket not serialized as inf:\n%s", buf.String())
+	if !strings.Contains(buf.String(), `e+06`) {
+		t.Errorf("large bucket bound not written in %%g form:\n%s", buf.String())
 	}
 	var back []MetricSnapshot
-	if err := json.Unmarshal(buf.Bytes(), &back); err == nil {
-		// "inf" is a string; round-tripping into float64 is expected to
-		// fail — the assertion is only that marshalling succeeded.
-		_ = back
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+		t.Fatalf("JSON dump does not parse back: %v", err)
+	}
+	if !reflect.DeepEqual(back, snaps) {
+		t.Errorf("JSON round trip = %+v, want %+v", back, snaps)
 	}
 
 	buf.Reset()
 	if err := WriteMetricsCSV(&buf, snaps); err != nil {
 		t.Fatalf("WriteMetricsCSV: %v", err)
 	}
-	if !strings.Contains(buf.String(), "m.hist,bucket") || !strings.Contains(buf.String(), ",inf") {
+	if !strings.Contains(buf.String(), "m.hdr,bucket,,1,,5\n") {
 		t.Errorf("CSV missing histogram bucket rows:\n%s", buf.String())
 	}
 }

@@ -76,6 +76,18 @@ func (d *BlkDevice) ConfigBytes() []byte {
 	return b
 }
 
+// span returns the card-memory offset of n bytes starting at sector,
+// and whether they fit. The sector comes from a header the host wrote,
+// so it is range-checked before it is converted to an offset.
+func (d *BlkDevice) span(sector uint64, n int) (int, bool) {
+	size := d.storage.Size()
+	if sector > uint64(size/virtio.BlkSectorSize) {
+		return 0, false
+	}
+	off := int(sector) * virtio.BlkSectorSize
+	return off, n <= size-off
+}
+
 // HandleDriverChain implements Personality: parse the request header,
 // perform the sector operation against card memory, and return the
 // device-writable bytes ([data +] status).
@@ -91,8 +103,8 @@ func (d *BlkDevice) HandleDriverChain(p *sim.Proc, q int, data []byte, writable 
 		// Read: the request length is the chain's writable capacity
 		// minus the trailing status byte (virtio-blk §5.2.6).
 		n := writable - 1
-		off := int(hdr.Sector) * virtio.BlkSectorSize
-		if n <= 0 || n%virtio.BlkSectorSize != 0 || off+n > d.storage.Size() {
+		off, ok := d.span(hdr.Sector, n)
+		if !ok || n <= 0 || n%virtio.BlkSectorSize != 0 {
 			return []byte{virtio.BlkStatusIOErr}
 		}
 		p.Sleep(clk.Cycles(clk.CyclesFor(n, 16)))
@@ -100,8 +112,8 @@ func (d *BlkDevice) HandleDriverChain(p *sim.Proc, q int, data []byte, writable 
 		d.reads++
 		return append(out, virtio.BlkStatusOK)
 	case virtio.BlkTOut:
-		off := int(hdr.Sector) * virtio.BlkSectorSize
-		if off+len(payload) > d.storage.Size() || len(payload)%virtio.BlkSectorSize != 0 {
+		off, ok := d.span(hdr.Sector, len(payload))
+		if !ok || len(payload)%virtio.BlkSectorSize != 0 {
 			return []byte{virtio.BlkStatusIOErr}
 		}
 		p.Sleep(clk.Cycles(clk.CyclesFor(len(payload), 16)))

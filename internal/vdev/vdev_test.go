@@ -2,6 +2,7 @@ package vdev_test
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"fpgavirtio/internal/drivers/virtioblk"
@@ -368,6 +369,41 @@ func TestBlkReadWriteFlush(t *testing.T) {
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBlkDeviceRejectsOutOfRangeSector feeds the device request
+// headers no driver check stands in front of: a sector so large that
+// converting it to a byte offset would wrap negative, the first sector
+// past the end, and a two-sector request straddling the end. Each must
+// complete with an I/O error status and leave card memory untouched.
+func TestBlkDeviceRejectsOutOfRangeSector(t *testing.T) {
+	s, h := quietHost(11)
+	const capacity = 128
+	bdev := vdev.NewBlk(s, h.RC, "vblk0", vdev.BlkOptions{Link: pcie.DefaultGen2x2(), CapacitySectors: capacity})
+	for _, tc := range []struct {
+		name   string
+		sector uint64
+		count  int
+	}{
+		{"max-uint64", math.MaxUint64, 1},
+		{"capacity", capacity, 1},
+		{"straddles-end", capacity - 1, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.count * virtio.BlkSectorSize
+			read := virtio.BlkReqHdr{Type: virtio.BlkTIn, Sector: tc.sector}.Encode()
+			if got := bdev.HandleDriverChain(nil, 0, read, n+1); !bytes.Equal(got, []byte{virtio.BlkStatusIOErr}) {
+				t.Errorf("read = %d bytes, status %v; want a lone I/O error status", len(got), got[len(got)-1])
+			}
+			write := append(virtio.BlkReqHdr{Type: virtio.BlkTOut, Sector: tc.sector}.Encode(), make([]byte, n)...)
+			if got := bdev.HandleDriverChain(nil, 0, write, 1); !bytes.Equal(got, []byte{virtio.BlkStatusIOErr}) {
+				t.Errorf("write status = %v, want I/O error", got)
+			}
+		})
+	}
+	if reads, writes := bdev.Stats(); reads != 0 || writes != 0 {
+		t.Errorf("device completed r=%d w=%d out-of-range requests", reads, writes)
 	}
 }
 

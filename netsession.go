@@ -5,10 +5,10 @@ import (
 	"time"
 
 	"fpgavirtio/internal/drivers/virtionet"
-	"fpgavirtio/internal/faults"
 	"fpgavirtio/internal/fvassert"
 	"fpgavirtio/internal/hostos"
 	"fpgavirtio/internal/netstack"
+	"fpgavirtio/internal/pcie"
 	"fpgavirtio/internal/sim"
 	"fpgavirtio/internal/telemetry"
 	"fpgavirtio/internal/vdev"
@@ -79,14 +79,11 @@ const (
 // with echo user logic, bound driver, configured routes/ARP, and an
 // open UDP socket.
 type NetSession struct {
-	s      *sim.Sim
-	host   *hostos.Host
-	stack  *netstack.Stack
-	dev    *vdev.NetDevice
-	drv    *virtionet.Device
-	sock   *netstack.UDPSocket
-	faults *faults.Injector
-	flight *flightWatch
+	baseSession
+	stack *netstack.Stack
+	dev   *vdev.NetDevice
+	drv   *virtionet.Device
+	sock  *netstack.UDPSocket
 	// pollFn is the busy-poll hook bound once at boot in poll mode
 	// (nil otherwise): it spins the driver's RX path under the poll
 	// policy until the socket has a deliverable datagram. Binding at
@@ -98,45 +95,23 @@ type NetSession struct {
 // probe the virtio-net driver, add the route and ARP entries the paper
 // describes, and bind the test socket.
 func OpenNet(cfg NetConfig) (*NetSession, error) {
-	plan, err := faults.Parse(cfg.Faults)
-	if err != nil {
-		return nil, err
+	ns := &NetSession{}
+	ns.exchange = ns.pingRecycled
+	attach := func(s *sim.Sim, h *hostos.Host) {
+		ns.dev = vdev.NewNet(s, h.RC, "fpga-vnet", vdev.NetOptions{
+			Link:             cfg.Link.config(),
+			MAC:              fpgaMAC,
+			OfferCsum:        !cfg.DisableCsumOffload,
+			OfferCtrlVQ:      !cfg.DisableCtrlVQ,
+			OfferEventIdx:    cfg.UseEventIdx,
+			OfferPacked:      cfg.UsePackedRing,
+			QueuePairs:       cfg.QueuePairs,
+			IRQCoalescePkts:  cfg.IRQCoalescePkts,
+			IRQCoalesceTimer: sim.Ns(cfg.IRQCoalesceTimer.Nanoseconds()),
+		})
+		ns.stack = netstack.New(h, netstack.DefaultCosts())
 	}
-	s := sim.New()
-	h := hostos.New(s, hostMemBytes, cfg.hostConfig(), cfg.Seed)
-	// Arm fault injection before the device attaches so the endpoint
-	// sees the injector from its first TLP. The injector draws from its
-	// own fork of the seed, leaving the host-noise stream untouched.
-	inj := faults.NewInjector(plan, sim.NewRNG(cfg.Seed).Fork("faults"), h.Metrics())
-	h.RC.SetFaults(inj)
-	dev := vdev.NewNet(s, h.RC, "fpga-vnet", vdev.NetOptions{
-		Link:             cfg.Link.config(),
-		MAC:              fpgaMAC,
-		OfferCsum:        !cfg.DisableCsumOffload,
-		OfferCtrlVQ:      !cfg.DisableCtrlVQ,
-		OfferEventIdx:    cfg.UseEventIdx,
-		OfferPacked:      cfg.UsePackedRing,
-		QueuePairs:       cfg.QueuePairs,
-		IRQCoalescePkts:  cfg.IRQCoalescePkts,
-		IRQCoalesceTimer: sim.Ns(cfg.IRQCoalesceTimer.Nanoseconds()),
-	})
-	st := netstack.New(h, netstack.DefaultCosts())
-	ns := &NetSession{s: s, host: h, stack: st, dev: dev, faults: inj}
-	// Always-on flight recorder: installed before boot so the ring
-	// already holds context when the first trigger fires. Rides the
-	// FlightSink channel, so TracingSpans() stays false and the
-	// 0-alloc hot path is unaffected.
-	ns.flight = newFlightWatch(s, inj, h.Metrics())
-
-	var bootErr error
-	booted := false
-	s.Go("boot", func(p *sim.Proc) {
-		defer s.Stop()
-		infos := h.RC.Enumerate(p)
-		if len(infos) != 1 {
-			bootErr = fmt.Errorf("fpgavirtio: enumerated %d devices, want 1", len(infos))
-			return
-		}
+	bind := func(p *sim.Proc, info *pcie.DeviceInfo) error {
 		opt := virtionet.DefaultOptions("eth-fpga")
 		opt.WantCsum = !cfg.DisableCsumOffload
 		opt.WantCtrlVQ = !cfg.DisableCtrlVQ
@@ -149,19 +124,17 @@ func OpenNet(cfg NetConfig) (*NetSession, error) {
 		opt.TxKickBatch = cfg.TxKickBatch
 		opt.ForceKicks = cfg.ForceKicks
 		opt.PollMode = cfg.PollMode
-		drv, err := virtionet.Probe(p, h, st, infos[0], opt)
+		drv, err := virtionet.Probe(p, ns.host, ns.stack, info, opt)
 		if err != nil {
-			bootErr = err
-			return
+			return err
 		}
 		ns.drv = drv
-		st.AddInterface(drv, hostIP)
-		st.AddRoute(netstack.IP(10, 0, 0, 0), netstack.IP(255, 255, 255, 0), "eth-fpga")
-		st.AddARP(fpgaIP, fpgaMAC)
-		sock, err := st.Bind(appPort)
+		ns.stack.AddInterface(drv, hostIP)
+		ns.stack.AddRoute(netstack.IP(10, 0, 0, 0), netstack.IP(255, 255, 255, 0), "eth-fpga")
+		ns.stack.AddARP(fpgaIP, fpgaMAC)
+		sock, err := ns.stack.Bind(appPort)
 		if err != nil {
-			bootErr = err
-			return
+			return err
 		}
 		ns.sock = sock
 		if cfg.PollMode {
@@ -178,39 +151,12 @@ func OpenNet(cfg NetConfig) (*NetSession, error) {
 			yield := drv.PollYield
 			ns.pollFn = func(p *sim.Proc) { spinner.Spin(p, ready, yield) }
 		}
-		booted = true
-	})
-	if err := s.Run(); err != nil {
+		return nil
+	}
+	if err := ns.boot(cfg.Config, attach, bind); err != nil {
 		return nil, err
 	}
-	if bootErr != nil {
-		return nil, bootErr
-	}
-	if !booted {
-		return nil, fmt.Errorf("fpgavirtio: net session did not boot")
-	}
 	return ns, nil
-}
-
-// run executes fn as an application process and drives the simulation
-// until it finishes.
-func (ns *NetSession) run(fn func(p *sim.Proc) error) error {
-	var opErr error
-	done := false
-	ns.s.Go("app", func(p *sim.Proc) {
-		defer ns.s.Stop()
-		opErr = fn(p)
-		done = true
-	})
-	err := ns.s.Run()
-	publishSimStats(ns.s, ns.host.Metrics())
-	if err != nil {
-		return err
-	}
-	if !done {
-		return fmt.Errorf("fpgavirtio: operation did not complete")
-	}
-	return opErr
 }
 
 // Ping sends one UDP packet with the given payload to the FPGA's echo
@@ -249,17 +195,28 @@ func (ns *NetSession) pingDetailed(payload []byte) ([]byte, RTTSample, error) {
 func (ns *NetSession) PingSeries(payload []byte, n int, sample func(i int, s RTTSample)) error {
 	return ns.run(func(p *sim.Proc) error {
 		for i := 0; i < n; i++ {
-			echo, s, err := ns.pingOnce(p, payload)
+			s, err := ns.pingRecycled(p, payload, nil)
 			if err != nil {
 				return fmt.Errorf("fpgavirtio: ping %d: %w", i, err)
 			}
-			ns.sock.Recycle(echo)
 			if sample != nil {
 				sample(i, s)
 			}
 		}
 		return nil
 	})
+}
+
+// pingRecycled is pingOnce with the echoed payload handed back to the
+// socket's buffer pool, the session's round-trip step for series and
+// replays. back is unused: the echo lands in a pooled buffer.
+func (ns *NetSession) pingRecycled(p *sim.Proc, payload, _ []byte) (RTTSample, error) {
+	echo, s, err := ns.pingOnce(p, payload)
+	if err != nil {
+		return RTTSample{}, err
+	}
+	ns.sock.Recycle(echo)
+	return s, nil
 }
 
 // pingOnce runs one timed echo exchange inside an application process.
@@ -323,55 +280,6 @@ func (ns *NetSession) recv(p *sim.Proc) ([]byte, error) {
 	return got, err
 }
 
-// BurstResult summarizes one Burst call's signalling costs.
-type BurstResult struct {
-	Elapsed    time.Duration
-	Doorbells  int // notify MMIO writes during the burst
-	Interrupts int // MSI-X messages during the burst
-}
-
-// Burst sends count packets back-to-back and then drains all the
-// echoes, returning the wall time and the signalling traffic the burst
-// generated — the workload where EVENT_IDX-style suppression pays off.
-func (ns *NetSession) Burst(count, payloadSize int) (BurstResult, error) {
-	var res BurstResult
-	payload := make([]byte, payloadSize)
-	before := ns.BusStats()
-	beforeNotify := ns.dev.Controller().NotifyCount()
-	err := ns.run(func(p *sim.Proc) error {
-		t0 := ns.host.ClockGettime(p)
-		for i := 0; i < count; i++ {
-			if err := ns.sock.SendTo(p, fpgaIP, echoPort, payload); err != nil {
-				return err
-			}
-		}
-		// Under TxKickBatch a tail of count%batch packets is still
-		// unkicked here; the device would never see them and the drain
-		// loop below would park forever. Same flush the single-packet
-		// path does in pingOnce.
-		ns.drv.FlushTx(p)
-		if fvassert.Enabled && ns.drv.UnkickedTx() > 0 {
-			fvassert.Failf("burst drain starting with %d batched chains unkicked", ns.drv.UnkickedTx())
-		}
-		for i := 0; i < count; i++ {
-			if _, err := ns.recv(p); err != nil {
-				return err
-			}
-		}
-		res.Elapsed = toStd(ns.host.ClockGettime(p).Sub(t0))
-		// Drain the hardware counters so later PingDetailed calls pair
-		// samples correctly.
-		ns.dev.Controller().QueueCounter(vdev.NetQueueTX).Reset()
-		ns.dev.Controller().QueueCounter(vdev.NetQueueRX).Reset()
-		ns.dev.RespGenCounter().Reset()
-		return nil
-	})
-	after := ns.BusStats()
-	res.Interrupts = after.Interrupts - before.Interrupts
-	res.Doorbells = ns.dev.Controller().NotifyCount() - beforeNotify
-	return res, err
-}
-
 // SetPromiscuous issues the control-queue promiscuous command.
 func (ns *NetSession) SetPromiscuous(on bool) error {
 	return ns.run(func(p *sim.Proc) error { return ns.drv.SetPromiscuous(p, on) })
@@ -394,104 +302,13 @@ func (ns *NetSession) ChecksumOffloaded() bool {
 // negotiated and activated.
 func (ns *NetSession) QueuePairs() int { return ns.drv.QueuePairs() }
 
-// Registry returns the session's telemetry metrics registry, holding
-// the per-layer instruments every subsystem registered at boot.
-func (ns *NetSession) Registry() *telemetry.Registry { return ns.host.Metrics() }
-
-// FaultPlan reports the armed fault plan's canonical string (empty when
-// no injection is armed).
-func (ns *NetSession) FaultPlan() string {
-	if ns.faults == nil {
-		return ""
-	}
-	return ns.faults.Plan().String()
-}
-
-// FaultEvents reports the total number of faults injected so far.
-func (ns *NetSession) FaultEvents() int64 { return ns.faults.Total() }
-
-// FaultSummary reports per-class injected-fault counts (nil when no
-// injection is armed).
-func (ns *NetSession) FaultSummary() map[string]int64 { return ns.faults.Summary() }
-
-// FlightDumps returns the post-mortem snapshots the always-on flight
-// recorder has taken so far (fault recoveries, new worst-case round
-// trips), oldest trigger first.
-func (ns *NetSession) FlightDumps() []telemetry.FlightDump { return ns.flight.dumps() }
-
-// CaptureCriticalPaths replays the deterministic ping series up to the
-// largest target index and returns the critical-path analysis of each
-// targeted round trip. It must be called on a freshly opened session
-// with the same config as the measured run: sessions are pure
-// functions of their seed, so round trip i here is the same round
-// trip i the measurement saw. The span recorder is installed only
-// around targeted indices — span emission is a pure recording hook,
-// so the replayed timing is identical either way.
-func (ns *NetSession) CaptureCriticalPaths(payload []byte, targets []int) ([]CapturedPath, error) {
-	if len(targets) == 0 {
-		return nil, nil
-	}
-	want := make(map[int]bool, len(targets))
-	maxT := 0
-	for _, t := range targets {
-		if t < 0 {
-			return nil, fmt.Errorf("fpgavirtio: negative capture target %d", t)
-		}
-		want[t] = true
-		if t > maxT {
-			maxT = t
-		}
-	}
-	rec := telemetry.NewRecorder(0)
-	out := make([]CapturedPath, 0, len(targets))
-	err := ns.run(func(p *sim.Proc) error {
-		for i := 0; i <= maxT; i++ {
-			capture := want[i]
-			if capture {
-				rec.Reset()
-				ns.s.SetSpanSink(rec)
-			}
-			echo, s, err := ns.pingOnce(p, payload)
-			if capture {
-				ns.s.SetSpanSink(nil)
-			}
-			if err != nil {
-				return fmt.Errorf("fpgavirtio: replay ping %d: %w", i, err)
-			}
-			ns.sock.Recycle(echo)
-			if capture {
-				cp, err := telemetry.AnalyzeCriticalPath(rec.Spans())
-				if err != nil {
-					return fmt.Errorf("fpgavirtio: replay ping %d: %w", i, err)
-				}
-				out = append(out, CapturedPath{Index: i, RTT: sim.Ns(s.Total.Nanoseconds()), Path: cp})
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// BusStats returns the FPGA endpoint's accumulated bus counters.
-func (ns *NetSession) BusStats() BusStats {
-	st := ns.dev.Controller().EP().Stats()
-	out := BusStats{DownBytes: st.DownBytes, UpBytes: st.UpBytes, Interrupts: st.Interrupts}
-	for _, n := range st.DownTLPs {
-		out.DownTLPs += n
-	}
-	for _, n := range st.UpTLPs {
-		out.UpTLPs += n
-	}
-	return out
-}
-
 // BypassCopy exercises the controller's host-bypass interface: user
 // logic copies n bytes from one host buffer to another with no driver
 // involvement, returning the fabric-observed duration.
 func (ns *NetSession) BypassCopy(n int) (time.Duration, error) {
+	if n < 1 {
+		return 0, fmt.Errorf("fpgavirtio: bypass copy needs n >= 1 byte, got %d", n)
+	}
 	src := ns.host.Alloc.Alloc(n, 64)
 	dst := ns.host.Alloc.Alloc(n, 64)
 	buf := make([]byte, n)

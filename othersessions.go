@@ -15,9 +15,8 @@ import (
 // ConsoleSession is a booted VirtIO console testbed (the device type of
 // the prior work the paper extends).
 type ConsoleSession struct {
-	s    *sim.Sim
-	host *hostos.Host
-	drv  *virtioconsole.Device
+	baseSession
+	drv *virtioconsole.Device
 }
 
 // OpenConsole boots a console session with echo user logic.
@@ -25,18 +24,16 @@ func OpenConsole(cfg Config) (*ConsoleSession, error) {
 	if cfg.Faults != "" {
 		return nil, fmt.Errorf("fpgavirtio: fault injection is not supported by console sessions")
 	}
-	s := sim.New()
-	h := hostos.New(s, hostMemBytes, cfg.hostConfig(), cfg.Seed)
-	vdev.NewConsole(s, h.RC, "fpga-vcon", vdev.ConsoleOptions{Link: cfg.Link.config()})
-	cs := &ConsoleSession{s: s, host: h}
-	if err := bootSession(s, h, func(p *sim.Proc, infos []*pcie.DeviceInfo) error {
-		drv, err := virtioconsole.Probe(p, h, infos[0])
-		if err != nil {
-			return err
-		}
+	cs := &ConsoleSession{}
+	attach := func(s *sim.Sim, h *hostos.Host) {
+		vdev.NewConsole(s, h.RC, "fpga-vcon", vdev.ConsoleOptions{Link: cfg.Link.config()})
+	}
+	bind := func(p *sim.Proc, info *pcie.DeviceInfo) error {
+		drv, err := virtioconsole.Probe(p, cs.host, info)
 		cs.drv = drv
-		return nil
-	}); err != nil {
+		return err
+	}
+	if err := cs.boot(cfg, attach, bind); err != nil {
 		return nil, err
 	}
 	return cs, nil
@@ -47,7 +44,7 @@ func OpenConsole(cfg Config) (*ConsoleSession, error) {
 func (cs *ConsoleSession) WriteRead(data []byte) ([]byte, time.Duration, error) {
 	var out []byte
 	var rtt sim.Duration
-	err := runApp(cs.s, cs.host, func(p *sim.Proc) error {
+	err := cs.run(func(p *sim.Proc) error {
 		t0 := cs.host.ClockGettime(p)
 		if err := cs.drv.Write(p, data); err != nil {
 			return err
@@ -67,10 +64,8 @@ func (cs *ConsoleSession) WriteRead(data []byte) ([]byte, time.Duration, error) 
 // BlkSession is a booted VirtIO block-device testbed (the storage-
 // accelerator use case).
 type BlkSession struct {
-	s    *sim.Sim
-	host *hostos.Host
-	dev  *vdev.BlkDevice
-	drv  *virtioblk.Device
+	baseSession
+	drv *virtioblk.Device
 }
 
 // BlkConfig configures a block session.
@@ -85,21 +80,19 @@ func OpenBlk(cfg BlkConfig) (*BlkSession, error) {
 	if cfg.Faults != "" {
 		return nil, fmt.Errorf("fpgavirtio: fault injection is not supported by block sessions")
 	}
-	s := sim.New()
-	h := hostos.New(s, hostMemBytes, cfg.hostConfig(), cfg.Seed)
-	dev := vdev.NewBlk(s, h.RC, "fpga-vblk", vdev.BlkOptions{
-		Link:            cfg.Link.config(),
-		CapacitySectors: cfg.CapacitySectors,
-	})
-	bs := &BlkSession{s: s, host: h, dev: dev}
-	if err := bootSession(s, h, func(p *sim.Proc, infos []*pcie.DeviceInfo) error {
-		drv, err := virtioblk.Probe(p, h, infos[0])
-		if err != nil {
-			return err
-		}
+	bs := &BlkSession{}
+	attach := func(s *sim.Sim, h *hostos.Host) {
+		vdev.NewBlk(s, h.RC, "fpga-vblk", vdev.BlkOptions{
+			Link:            cfg.Link.config(),
+			CapacitySectors: cfg.CapacitySectors,
+		})
+	}
+	bind := func(p *sim.Proc, info *pcie.DeviceInfo) error {
+		drv, err := virtioblk.Probe(p, bs.host, info)
 		bs.drv = drv
-		return nil
-	}); err != nil {
+		return err
+	}
+	if err := bs.boot(cfg.Config, attach, bind); err != nil {
 		return nil, err
 	}
 	return bs, nil
@@ -111,7 +104,7 @@ func (bs *BlkSession) CapacitySectors() uint64 { return bs.drv.CapacitySectors()
 // WriteSector writes one 512-byte sector and returns the operation time.
 func (bs *BlkSession) WriteSector(sector uint64, data []byte) (time.Duration, error) {
 	var rtt sim.Duration
-	err := runApp(bs.s, bs.host, func(p *sim.Proc) error {
+	err := bs.run(func(p *sim.Proc) error {
 		t0 := bs.host.ClockGettime(p)
 		if err := bs.drv.WriteSector(p, sector, data); err != nil {
 			return err
@@ -127,7 +120,7 @@ func (bs *BlkSession) WriteSector(sector uint64, data []byte) (time.Duration, er
 func (bs *BlkSession) ReadSector(sector uint64) ([]byte, time.Duration, error) {
 	var out []byte
 	var rtt sim.Duration
-	err := runApp(bs.s, bs.host, func(p *sim.Proc) error {
+	err := bs.run(func(p *sim.Proc) error {
 		t0 := bs.host.ClockGettime(p)
 		data, err := bs.drv.ReadSector(p, sector)
 		if err != nil {
@@ -143,7 +136,7 @@ func (bs *BlkSession) ReadSector(sector uint64) ([]byte, time.Duration, error) {
 // WriteSectors writes len(data)/512 consecutive sectors in one request.
 func (bs *BlkSession) WriteSectors(sector uint64, data []byte) (time.Duration, error) {
 	var rtt sim.Duration
-	err := runApp(bs.s, bs.host, func(p *sim.Proc) error {
+	err := bs.run(func(p *sim.Proc) error {
 		t0 := bs.host.ClockGettime(p)
 		if err := bs.drv.WriteSectors(p, sector, data); err != nil {
 			return err
@@ -158,7 +151,7 @@ func (bs *BlkSession) WriteSectors(sector uint64, data []byte) (time.Duration, e
 func (bs *BlkSession) ReadSectors(sector uint64, count int) ([]byte, time.Duration, error) {
 	var out []byte
 	var rtt sim.Duration
-	err := runApp(bs.s, bs.host, func(p *sim.Proc) error {
+	err := bs.run(func(p *sim.Proc) error {
 		t0 := bs.host.ClockGettime(p)
 		data, err := bs.drv.ReadSectors(p, sector, count)
 		if err != nil {
@@ -173,51 +166,5 @@ func (bs *BlkSession) ReadSectors(sector uint64, count int) ([]byte, time.Durati
 
 // Flush issues a flush barrier.
 func (bs *BlkSession) Flush() error {
-	return runApp(bs.s, bs.host, func(p *sim.Proc) error { return bs.drv.Flush(p) })
-}
-
-// ---- shared session plumbing -------------------------------------------
-
-func bootSession(s *sim.Sim, h *hostos.Host, bind func(p *sim.Proc, infos []*pcie.DeviceInfo) error) error {
-	var bootErr error
-	booted := false
-	s.Go("boot", func(p *sim.Proc) {
-		defer s.Stop()
-		infos := h.RC.Enumerate(p)
-		if len(infos) == 0 {
-			bootErr = fmt.Errorf("fpgavirtio: no devices enumerated")
-			return
-		}
-		bootErr = bind(p, infos)
-		booted = bootErr == nil
-	})
-	if err := s.Run(); err != nil {
-		return err
-	}
-	if bootErr != nil {
-		return bootErr
-	}
-	if !booted {
-		return fmt.Errorf("fpgavirtio: session did not boot")
-	}
-	return nil
-}
-
-func runApp(s *sim.Sim, h *hostos.Host, fn func(p *sim.Proc) error) error {
-	var opErr error
-	done := false
-	s.Go("app", func(p *sim.Proc) {
-		defer s.Stop()
-		opErr = fn(p)
-		done = true
-	})
-	err := s.Run()
-	publishSimStats(s, h.Metrics())
-	if err != nil {
-		return err
-	}
-	if !done {
-		return fmt.Errorf("fpgavirtio: operation did not complete")
-	}
-	return opErr
+	return bs.run(func(p *sim.Proc) error { return bs.drv.Flush(p) })
 }

@@ -219,7 +219,7 @@ func TestNetPollModeBurstAndStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ns.Burst(32, 200)
+	res, err := ns.Stream(fpgavirtio.StreamConfig{Packets: 32, PayloadSize: 200, Window: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

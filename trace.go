@@ -1,7 +1,6 @@
 package fpgavirtio
 
 import (
-	"fmt"
 	"io"
 
 	"fpgavirtio/internal/sim"
@@ -144,17 +143,10 @@ func TraceNet(cfg NetConfig, payload int) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr := &sim.RecordingTracer{Max: maxTraceEvents}
-	rec := telemetry.NewRecorder(0)
-	ns.s.SetTracer(tr)
-	ns.s.SetSpanSink(rec)
-	_, _, err = ns.Ping(make([]byte, payload))
-	ns.s.SetTracer(nil)
-	ns.s.SetSpanSink(nil)
-	if err != nil {
-		return nil, err
-	}
-	return buildTrace(tr, rec), nil
+	return ns.trace(func() error {
+		_, _, err := ns.Ping(make([]byte, payload))
+		return err
+	})
 }
 
 // TraceXDMA boots a vendor-path session and captures every simulation
@@ -164,43 +156,24 @@ func TraceXDMA(cfg XDMAConfig, nbytes int) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
+	return xs.trace(func() error {
+		_, err := xs.RoundTrip(make([]byte, nbytes))
+		return err
+	})
+}
+
+// trace runs op with an event tracer and a span recorder installed and
+// returns what they captured.
+func (b *baseSession) trace(op func() error) (*Trace, error) {
 	tr := &sim.RecordingTracer{Max: maxTraceEvents}
 	rec := telemetry.NewRecorder(0)
-	xs.s.SetTracer(tr)
-	xs.s.SetSpanSink(rec)
-	_, err = xs.RoundTrip(make([]byte, nbytes))
-	xs.s.SetTracer(nil)
-	xs.s.SetSpanSink(nil)
+	b.s.SetTracer(tr)
+	b.s.SetSpanSink(rec)
+	err := op()
+	b.s.SetTracer(nil)
+	b.s.SetSpanSink(nil)
 	if err != nil {
 		return nil, err
 	}
 	return buildTrace(tr, rec), nil
-}
-
-// TraceNetPing boots a VirtIO-net session and records every simulation
-// event of a single echo round trip. It returns an error if the
-// capture was truncated by the tracer's event cap.
-func TraceNetPing(cfg NetConfig, payload int) ([]TraceEvent, error) {
-	t, err := TraceNet(cfg, payload)
-	if err != nil {
-		return nil, err
-	}
-	if t.DroppedEvents > 0 {
-		return t.Events, fmt.Errorf("fpgavirtio: trace truncated: %d events dropped", t.DroppedEvents)
-	}
-	return t.Events, nil
-}
-
-// TraceXDMARoundTrip boots a vendor-path session and records every
-// simulation event of a single write()+read() round trip. It returns
-// an error if the capture was truncated by the tracer's event cap.
-func TraceXDMARoundTrip(cfg XDMAConfig, bytes int) ([]TraceEvent, error) {
-	t, err := TraceXDMA(cfg, bytes)
-	if err != nil {
-		return nil, err
-	}
-	if t.DroppedEvents > 0 {
-		return t.Events, fmt.Errorf("fpgavirtio: trace truncated: %d events dropped", t.DroppedEvents)
-	}
-	return t.Events, nil
 }
