@@ -60,13 +60,14 @@ flake:
 	$(GO) test -race -tags fvinvariants ./...
 
 # bench runs the sweep and series benchmarks with allocation accounting
-# (allocs/op on the steady-state series benchmarks must read 0), then
-# times the paper's full 50k-packet Fig-3 matrix serially and through
-# the parallel engine. The committed baseline is NOT rewritten here —
-# use benchbase for that — so a routine bench run cannot silently move
-# the gate.
+# (allocs/op on the steady-state series benchmarks must read 0) and the
+# sim kernel's dispatch micro-benchmarks (a wake that switches processes
+# and one that does not), then times the paper's full 50k-packet Fig-3
+# matrix serially and through the parallel engine. The committed
+# baseline is NOT rewritten here — use benchbase for that — so a routine
+# bench run cannot silently move the gate.
 bench:
-	$(GO) test -run '^$$' -bench 'SweepGrid|SeriesSteadyState' -benchmem ./internal/experiments .
+	$(GO) test -run '^$$' -bench 'SweepGrid|SeriesSteadyState|ProcHandoff|ProcSelfWake' -benchmem ./internal/experiments ./internal/sim .
 	$(GO) run ./cmd/fvsweepbench -n 50000 -json $${TMPDIR:-/tmp}/fvsweepbench-full.json
 
 # benchbase deliberately re-records BENCH_sweep.json at the full grid.

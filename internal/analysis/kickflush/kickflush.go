@@ -102,7 +102,7 @@ func runModule(mp *analysis.ModulePass) {
 	for _, n := range g.Functions() {
 		sums[n] = &summary{}
 		// Skip packages (the simulator kernel) contribute no summaries:
-		// their channel operations are cooperative-scheduler handoffs
+		// their control transfers are cooperative-scheduler handoffs
 		// that always complete once the scheduler runs, not waits on
 		// device progress. The genuinely blocking primitives they export
 		// (Wait, RecvFrom) are matched by name at the call site instead.

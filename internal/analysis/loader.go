@@ -3,12 +3,15 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/build/constraint"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -36,9 +39,8 @@ type Loader struct {
 	// IncludeTests adds _test.go files of the package under test (the
 	// in-package test files; external _test packages are not loaded).
 	IncludeTests bool
-	// BuildTags are additional build tags considered satisfied (the
-	// loader understands only simple `//go:build tag` / `//go:build
-	// !tag` lines over these tags).
+	// BuildTags are additional build tags considered satisfied when
+	// evaluating //go:build lines (see keepFile).
 	BuildTags []string
 
 	Fset   *token.FileSet
@@ -106,37 +108,28 @@ func (l *Loader) Load(importPath string) (*Package, error) {
 	return l.LoadDir(filepath.Join(l.ModuleRoot, filepath.FromSlash(rel)), importPath)
 }
 
-// keepFile applies the loader's minimal build-constraint handling: a
-// file is kept unless a //go:build line references a tag this loader
-// does not satisfy (only single-tag `tag` / `!tag` lines are
-// understood, which covers the fvinvariants toggle).
+// keepFile evaluates the file's //go:build line, if any: release tags
+// (go1.N) hold up to the running Go version, the loader's BuildTags
+// hold, and every other tag — GOOS, GOARCH, experiments, cgo — is
+// false. A line that does not parse drops the file.
 func (l *Loader) keepFile(f *ast.File) bool {
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			expr, ok := strings.CutPrefix(c.Text, "//go:build ")
-			if !ok {
+			if !constraint.IsGoBuild(c.Text) {
 				continue
 			}
-			expr = strings.TrimSpace(expr)
-			if neg, ok := strings.CutPrefix(expr, "!"); ok {
-				return !l.hasTag(neg)
+			expr, err := constraint.Parse(c.Text)
+			if err != nil {
+				return false
 			}
-			if strings.ContainsAny(expr, " &|(") {
-				return true // complex constraint: keep, let types sort it out
-			}
-			return l.hasTag(expr)
+			return expr.Eval(l.hasTag)
 		}
 	}
 	return true
 }
 
 func (l *Loader) hasTag(tag string) bool {
-	for _, t := range l.BuildTags {
-		if t == tag {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(build.Default.ReleaseTags, tag) || slices.Contains(l.BuildTags, tag)
 }
 
 func (l *Loader) load(dir, importPath string) (*Package, error) {

@@ -1,40 +1,51 @@
+//go:build go1.23
+
 //fvlint:hotpath
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter" // go1.23, hence the build line; go.mod stays at go 1.22
+)
 
 // Proc is a simulated sequential process (a software thread, a hardware
-// finite-state machine, ...). A Proc runs on its own goroutine but with
-// strict hand-off: exactly one goroutine — either the scheduler or one
-// process — is ever runnable, so execution is fully deterministic.
+// finite-state machine, ...). A Proc body runs as a runtime coroutine
+// (iter.Pull) under strict hand-off: exactly one coroutine — or the
+// goroutine that called Run/Step — runs at any instant, so execution is
+// fully deterministic.
 //
 // Inside the process function, the Proc methods Sleep, Wait and Park
 // block in *simulated* time by yielding back to the scheduler.
 //
-// Under Run/RunUntil the hand-off is *chained*: a parking or finishing
-// process drains the event queue from its own goroutine (see chainNext)
-// instead of bouncing through the scheduler goroutine. Callback events
+// Under Run/RunUntil a parking or finishing process keeps dispatching:
+// it drains the event queue itself (see chainNext). Callback events
 // execute inline, a wake of the same process coalesces into
-// straight-line execution with zero channel operations, and a wake of a
-// different process is one direct channel rendezvous instead of two
-// plus a Go-scheduler round trip. The event execution order is exactly
-// the (at, seq) order either way — only which OS-level goroutine drives
+// straight-line execution with zero switches, and a wake of a different
+// process costs two coroutine switches — out to the trampoline in
+// Sim.dispatch and into the woken process. The event execution order is
+// exactly the (at, seq) order either way; only which coroutine drives
 // the dispatch changes, which no simulated observable depends on.
 //
-// Finished processes are pooled: the goroutine and its hand-off channel
-// are reused by the next Go/GoAfter, so per-operation process spawns
-// (one per ping, one per interrupt) do not allocate in steady state.
-// The spawn generation counter catches the one hazard pooling
-// introduces — a stale wake event resuming a recycled process — by
-// panicking instead of silently corrupting the schedule.
+// A panic or runtime.Goexit in a process body (a bus error, an
+// unhandled IRQ, t.FailNow in a test process) travels through the
+// coroutine switch to the caller of Run/RunUntil/Step with its original
+// value. The simulation is unusable afterwards.
+//
+// Finished processes are pooled: the coroutine is reused by the next
+// Go/GoAfter, so per-operation process spawns (one per ping, one per
+// interrupt) do not allocate in steady state. The spawn generation
+// counter catches the one hazard pooling introduces — a stale wake
+// event resuming a recycled process — by panicking instead of silently
+// corrupting the schedule.
 type Proc struct {
 	sim     *Sim
 	name    string
-	resume  chan struct{}
 	fn      func(p *Proc)
-	gen     uint32 // spawn generation; bumped when returned to the pool
-	why     string // park reason, read by deadlock detection
-	parkIdx int    // index in sim.parked while parked
+	next    func() (struct{}, bool) // switches into the coroutine
+	yield   func(struct{}) bool     // switches out of it, set by loop
+	gen     uint32                  // spawn generation; bumped when returned to the pool
+	why     string                  // park reason, read by deadlock detection
+	parkIdx int                     // index in sim.parked while parked
 }
 
 // Go spawns a process that starts executing at the current simulation
@@ -52,12 +63,8 @@ func (s *Sim) GoAfter(d Duration, name string, fn func(p *Proc)) *Proc {
 		s.procPool = s.procPool[:n-1]
 		p.name = name
 	} else {
-		p = &Proc{
-			sim:    s,
-			name:   name,
-			resume: make(chan struct{}),
-		}
-		go p.loop()
+		p = &Proc{sim: s, name: name}
+		p.next, _ = iter.Pull(p.loop)
 	}
 	p.fn = fn
 	s.procs++
@@ -65,36 +72,12 @@ func (s *Sim) GoAfter(d Duration, name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// loop is the pooled process goroutine: it runs one body per spawn and
-// then blocks on resume until the scheduler hands it a new body.
-func (p *Proc) loop() {
-	for {
-		<-p.resume
-		if !p.runBody() {
-			// The body (or dispatch chained from it) panicked and the
-			// panic was forwarded to the scheduler goroutine; this
-			// goroutine's state is gone, so it dies here.
-			return
-		}
-	}
-}
-
-// runBody executes one spawned body to completion, then chains through
-// the event queue (see chainNext). Model panics — a bus error, an
-// unhandled IRQ, a stale resume — must surface from Run/Step on the
-// scheduler goroutine no matter which goroutine dispatch happened to be
-// running on, so a panic here is captured, parked in sim.trap, and
-// control is handed back for the scheduler to re-throw; runBody then
-// reports false and the goroutine exits.
-func (p *Proc) runBody() (ok bool) {
+// loop is the pooled coroutine body: it runs one spawned body per
+// resume, returns the process to the pool and suspends until the next
+// spawn starts it again.
+func (p *Proc) loop(yield func(struct{}) bool) {
+	p.yield = yield
 	s := p.sim
-	defer func() {
-		if r := recover(); r != nil {
-			s.trap = r
-			s.stopped = true
-			s.yield <- struct{}{}
-		}
-	}()
 	for {
 		fn := p.fn
 		p.fn = nil
@@ -102,38 +85,35 @@ func (p *Proc) runBody() (ok bool) {
 		s.procs--
 		p.gen++
 		s.procPool = append(s.procPool, p)
-		// Snapshot the dispatch regime while control is still held:
-		// once chainNext hands control away on a channel, the scheduler
-		// may exit Run and rewrite s.chained concurrently.
-		chained := s.chained
-		if chained && p.chainNext() {
-			// The finished process chained straight into an event
-			// that resumes this same goroutine: a callback it ran
-			// inline respawned it (LIFO pool reuse) and the start
-			// event fired. Run the fresh body without a hand-off.
-			continue
-		}
-		if !chained {
-			s.yield <- struct{}{}
-		}
-		return true
+		// A self-wake here means a callback run by the drain respawned
+		// this process (LIFO pool reuse) and its start event fired.
+		p.suspend()
 	}
 }
 
-// chainNext continues the dispatch loop from this process's goroutine
+// suspend gives up control until an event resumes p. Under Run and
+// RunUntil it first drains the queue from this coroutine (chainNext)
+// and returns at once on a self-wake; otherwise it yields to the
+// trampoline in Sim.dispatch.
+func (p *Proc) suspend() {
+	if p.sim.chained && p.chainNext() {
+		return
+	}
+	p.yield(struct{}{})
+}
+
+// chainNext continues the dispatch loop from this process's coroutine
 // after it parks or finishes. It pops and fires events until one of:
 //
 //   - the next event resumes this very process (the coalesced self-wake
 //     fast path): report true, the caller keeps running with zero
-//     channel operations;
-//   - the next event resumes another process: hand control to it with a
-//     single channel send and report false;
-//   - nothing runnable remains (or Stop was called): return control to
-//     the scheduler goroutine and report false.
+//     switches;
+//   - the next event resumes another process: name it in s.handoff for
+//     the trampoline to switch to, and report false;
+//   - nothing runnable remains (or Stop was called): report false with
+//     no handoff, so control returns to the scheduler loop.
 //
-// Callback events execute inline in the loop. After the first send on
-// any channel, this goroutine touches no Sim state — every mutation is
-// ordered by the strict hand-off's happens-before edges.
+// Callback events execute inline in the loop.
 func (p *Proc) chainNext() bool {
 	s := p.sim
 	for !s.stopped {
@@ -141,18 +121,24 @@ func (p *Proc) chainNext() bool {
 		if e == nil {
 			break
 		}
-		q := s.take(e)
-		if q == nil {
-			continue
+		if q := s.take(e); q != nil {
+			if q != p {
+				s.handoff = q
+			}
+			return q == p
 		}
-		if q == p {
-			return true
-		}
-		q.resume <- struct{}{}
-		return false
 	}
-	s.yield <- struct{}{}
 	return false
+}
+
+// dispatch is the trampoline: it switches into p and then into every
+// process a yielding one names as its successor, until one yields with
+// none. Under Step no process names a successor, so it runs p once.
+func (s *Sim) dispatch(p *Proc) {
+	for p != nil {
+		p.next()
+		p, s.handoff = s.handoff, nil
+	}
 }
 
 // park suspends the process until some event resumes it. why should be
@@ -164,17 +150,8 @@ func (p *Proc) park(why string) {
 	p.why = why
 	p.parkIdx = len(s.parked)
 	s.parked = append(s.parked, p)
-	woke := false
-	if s.chained {
-		woke = p.chainNext()
-	} else {
-		s.yield <- struct{}{}
-	}
-	if !woke {
-		<-p.resume
-	}
-	// Swap-remove from the parked set; runs with control held either
-	// way (self-wake kept it, resume receive regained it).
+	p.suspend()
+	// Swap-remove from the parked set.
 	n := len(s.parked) - 1
 	last := s.parked[n]
 	s.parked[p.parkIdx] = last

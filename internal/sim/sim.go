@@ -79,11 +79,11 @@ type QueueStats struct {
 }
 
 // Sim is a discrete-event scheduler. It is not safe for concurrent use;
-// all model code runs under a strict control hand-off: exactly one
-// goroutine — the scheduler or a single process — is runnable at any
-// instant. Distinct Sim instances are fully independent and may run on
-// concurrent goroutines — the parallel sweep engine relies on this
-// isolation.
+// all model code runs under a strict control hand-off: exactly one of
+// the goroutine that called Run/Step and the process coroutines runs
+// at any instant. Distinct Sim instances are fully independent and may
+// run on concurrent goroutines — the parallel sweep engine relies on
+// this isolation.
 type Sim struct {
 	now      Time
 	q        equeue
@@ -93,23 +93,21 @@ type Sim struct {
 	deadline Time // dispatch limit (RunUntil); maxTime under Run/Step
 	// chained enables the run-to-completion fast path: inside Run and
 	// RunUntil, a parking process drains the event queue from its own
-	// goroutine — callbacks run inline, consecutive wakes of the same
+	// coroutine — callbacks run inline, consecutive wakes of the same
 	// process coalesce to straight-line execution, and a wake of
-	// another process is a direct goroutine-to-goroutine hand-off that
-	// skips the scheduler round trip entirely. Under Step (and before
-	// Run is entered) it is false and every event returns control to
-	// the scheduler goroutine, which is what gives Step its one-event
-	// granularity.
+	// another process goes through handoff to the trampoline without
+	// returning to the scheduler loop. Under Step (and before Run is
+	// entered) it is false and every process yields straight back,
+	// which is what gives Step its one-event granularity.
 	chained  bool
-	yield    chan struct{} // control returns to the scheduler goroutine
-	trap     any           // panic forwarded from a process goroutine
+	handoff  *Proc // process a yielding coroutine passes control to
 	tracer   Tracer
 	spans    SpanSink
 	flight   FlightSink
 	procs    int     // live (not yet finished) processes
 	parked   []*Proc // processes currently suspended (unordered)
 	free     []*event
-	procPool []*Proc // finished processes whose goroutines idle for reuse
+	procPool []*Proc // finished processes whose coroutines idle for reuse
 	stats    QueueStats
 	arena    *mem.Arena         // backs interned trace/park name strings
 	names    map[nameKey]string // (label, sub) -> interned "label+sub"
@@ -120,7 +118,6 @@ type nameKey struct{ label, sub string }
 // New returns an empty simulation positioned at time zero.
 func New() *Sim {
 	s := &Sim{
-		yield: make(chan struct{}),
 		arena: mem.NewArena(0),
 		names: make(map[nameKey]string),
 	}
@@ -290,32 +287,18 @@ func (s *Sim) Step() bool {
 		return false
 	}
 	if p := s.take(e); p != nil {
-		p.resume <- struct{}{}
-		<-s.yield
-		s.repanic()
+		s.dispatch(p)
 	}
 	return true
 }
 
-// repanic re-throws a panic forwarded from a process goroutine (see
-// Proc.runBody) so that model panics always surface to the caller of
-// Run/RunUntil/Step regardless of which goroutine was dispatching when
-// they fired. The simulation is unusable afterwards.
-func (s *Sim) repanic() {
-	if r := s.trap; r != nil {
-		s.trap = nil
-		panic(r)
-	}
-}
-
 // runLoop is the scheduler side of the chained dispatch regime: it
 // pops and fires events until the queue drains (within deadline) or
-// Stop is called. Firing a process event hands control to that
-// process's goroutine; from there processes chain through the queue
-// themselves (see Proc.chainNext) and control only returns here — one
-// receive on s.yield — when nothing more is runnable from a process
-// context. Callback-only stretches run inline in this loop with no
-// hand-offs at all.
+// Stop is called. Firing a process event switches into that process's
+// coroutine; from there processes chain through the queue themselves
+// (see Proc.chainNext) and control only returns here when nothing more
+// is runnable from a process context. Callback-only stretches run
+// inline in this loop with no switches at all.
 func (s *Sim) runLoop() {
 	for !s.stopped {
 		e := s.popLive(s.deadline)
@@ -323,8 +306,7 @@ func (s *Sim) runLoop() {
 			return
 		}
 		if p := s.take(e); p != nil {
-			p.resume <- struct{}{}
-			<-s.yield
+			s.dispatch(p)
 		}
 	}
 }
@@ -338,7 +320,6 @@ func (s *Sim) Run() error {
 	s.chained = true
 	s.runLoop()
 	s.chained = false
-	s.repanic()
 	if !s.stopped && len(s.parked) > 0 {
 		return fmt.Errorf("sim: deadlock at %v: %d process(es) parked: %v", s.now, len(s.parked), s.parkedNames())
 	}
@@ -354,7 +335,6 @@ func (s *Sim) RunUntil(deadline Time) {
 	s.chained = true
 	s.runLoop()
 	s.chained = false
-	s.repanic()
 	if s.now < deadline {
 		// A Stop may have left same-timestamp events in the fast lane;
 		// migrate them before the clock jumps so queue invariants hold.
