@@ -2,6 +2,9 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -196,5 +199,166 @@ func TestAllocatorRemaining(t *testing.T) {
 	al.Alloc(28, 1)
 	if al.Remaining() != 100 {
 		t.Fatalf("remaining = %d, want 100", al.Remaining())
+	}
+}
+
+// TestPagedMatchesFlatReference drives random operations against a
+// flat []byte model of the memory. The size is not a multiple of the
+// page size, and addresses cluster around page boundaries so that most
+// accesses straddle two pages or end on the last byte.
+func TestPagedMatchesFlatReference(t *testing.T) {
+	const size = 5*pageSize + 123
+	m := New(size)
+	ref := make([]byte, size)
+	rng := rand.New(rand.NewSource(7))
+	addr := func(n int) Addr {
+		// A page boundary (or the end of memory) plus a small offset
+		// either side, clamped so [a, a+n) stays in range.
+		b := rng.Intn(size/pageSize+1) * pageSize
+		a := b + rng.Intn(2*16+1) - 16 - rng.Intn(n+1)
+		return Addr(max(0, min(a, size-n)))
+	}
+	for i := 0; i < 20000; i++ {
+		switch op := rng.Intn(9); op {
+		case 0, 1: // Read / ReadInto
+			n := rng.Intn(2*pageSize + 64)
+			a := addr(n)
+			var got []byte
+			if op == 0 {
+				got = m.Read(a, n)
+			} else {
+				got = make([]byte, n)
+				for j := range got {
+					got[j] = 0xee // ReadInto must overwrite every byte
+				}
+				m.ReadInto(a, got)
+			}
+			if !bytes.Equal(got, ref[a:int(a)+n]) {
+				t.Fatalf("op %d: read [%#x, +%d) differs from reference", i, uint64(a), n)
+			}
+		case 2: // Write
+			n := rng.Intn(2*pageSize + 64)
+			a := addr(n)
+			src := make([]byte, n)
+			rng.Read(src)
+			m.Write(a, src)
+			copy(ref[a:], src)
+		case 3: // Fill, zero or not
+			n := rng.Intn(2*pageSize + 64)
+			a := addr(n)
+			v := byte(0)
+			if rng.Intn(2) == 0 {
+				v = byte(rng.Intn(256))
+			}
+			m.Fill(a, n, v)
+			for j := 0; j < n; j++ {
+				ref[int(a)+j] = v
+			}
+		case 4: // PutU8 / U8
+			a := addr(1)
+			v := byte(rng.Intn(256))
+			m.PutU8(a, v)
+			ref[a] = v
+			if m.U8(a) != v {
+				t.Fatalf("op %d: U8(%#x) = %#x, want %#x", i, uint64(a), m.U8(a), v)
+			}
+		case 5: // PutU16
+			a := addr(2)
+			v := uint16(rng.Uint32())
+			m.PutU16(a, v)
+			binary.LittleEndian.PutUint16(ref[a:], v)
+		case 6: // PutU32
+			a := addr(4)
+			v := rng.Uint32()
+			m.PutU32(a, v)
+			binary.LittleEndian.PutUint32(ref[a:], v)
+		case 7: // PutU64
+			a := addr(8)
+			v := rng.Uint64()
+			m.PutU64(a, v)
+			binary.LittleEndian.PutUint64(ref[a:], v)
+		case 8: // scalar reads
+			a2, a4, a8 := addr(2), addr(4), addr(8)
+			if got, want := m.U16(a2), binary.LittleEndian.Uint16(ref[a2:]); got != want {
+				t.Fatalf("op %d: U16(%#x) = %#x, want %#x", i, uint64(a2), got, want)
+			}
+			if got, want := m.U32(a4), binary.LittleEndian.Uint32(ref[a4:]); got != want {
+				t.Fatalf("op %d: U32(%#x) = %#x, want %#x", i, uint64(a4), got, want)
+			}
+			if got, want := m.U64(a8), binary.LittleEndian.Uint64(ref[a8:]); got != want {
+				t.Fatalf("op %d: U64(%#x) = %#x, want %#x", i, uint64(a8), got, want)
+			}
+		}
+	}
+	if got := m.Read(0, size); !bytes.Equal(got, ref) {
+		t.Fatal("final contents differ from reference")
+	}
+}
+
+// TestAllocAndReadTouchNoPages pins the demand-paging contract that
+// keeps session boot cheap: carving a zeroed region and reading it back
+// allocates nothing and creates no page.
+func TestAllocAndReadTouchNoPages(t *testing.T) {
+	const region = 1 << 20
+	m := New(64 << 20)
+	al := NewAllocator(m, 0x10000, m.Size()-0x10000)
+	dst := make([]byte, region)
+	allocs := testing.AllocsPerRun(10, func() {
+		a := al.Alloc(region, pageSize)
+		m.ReadInto(a, dst)
+	})
+	if allocs != 0 {
+		t.Fatalf("Alloc+ReadInto allocs/op = %v, want 0", allocs)
+	}
+	for i, pg := range m.pages {
+		if pg != nil {
+			t.Fatalf("page %d was created by a zero fill or a read", i)
+		}
+	}
+}
+
+// TestLastByteBoundary checks the range check at the final byte of a
+// size that does not end on a page boundary: the last byte is
+// addressable by every accessor, one past it panics.
+func TestLastByteBoundary(t *testing.T) {
+	const size = 2*pageSize + 3
+	m := New(size)
+	last := Addr(size - 1)
+	m.PutU8(last, 0x5a)
+	m.Write(last, []byte{0xa5})
+	m.Fill(last, 1, 0x11)
+	if m.U8(last) != 0x11 || m.Read(last, 1)[0] != 0x11 {
+		t.Fatal("last byte not addressable")
+	}
+	m.PutU16(last-1, 0xbeef)
+	m.PutU32(last-3, 0xdeadbeef)
+	m.PutU64(last-7, 1)
+	_ = m.Read(size, 0) // an empty access at the end is in range
+	cases := map[string]func(){
+		"Read":     func() { m.Read(last, 2) },
+		"ReadInto": func() { m.ReadInto(last, make([]byte, 2)) },
+		"Write":    func() { m.Write(size, []byte{1}) },
+		"Fill":     func() { m.Fill(last, 2, 0) },
+		"U8":       func() { m.U8(size) },
+		"PutU8":    func() { m.PutU8(size, 0) },
+		"U16":      func() { m.U16(last) },
+		"PutU16":   func() { m.PutU16(last, 0) },
+		"U32":      func() { m.U32(last - 2) },
+		"PutU32":   func() { m.PutU32(last-2, 0) },
+		"U64":      func() { m.U64(last - 6) },
+		"PutU64":   func() { m.PutU64(last-6, 0) },
+	}
+	for name, fn := range cases {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Errorf("%s one past the last byte: expected panic", name)
+				} else if s, _ := r.(string); !strings.Contains(s, "out of range") {
+					t.Errorf("%s: panic %v, want an out-of-range panic", name, r)
+				}
+			}()
+			fn()
+		}()
 	}
 }

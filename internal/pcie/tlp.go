@@ -23,6 +23,8 @@ const (
 	TLPConfigRead
 	TLPConfigWrite
 	TLPMessage // MSI/MSI-X are memory writes, but counted separately
+
+	numTLPKinds // sizes the per-kind counter arrays in Stats
 )
 
 // String names the TLP kind.
@@ -78,19 +80,19 @@ func SplitPayload(n, max int) []int {
 	return chunks
 }
 
-// Stats counts bus traffic on one endpoint, split by direction.
+// Stats counts bus traffic on one endpoint, split by direction. The
+// per-kind counts are arrays indexed by TLPKind because every TLP bumps
+// one on the hot path.
 type Stats struct {
-	DownTLPs   map[TLPKind]int // host -> device
-	UpTLPs     map[TLPKind]int // device -> host
-	DownBytes  int64           // payload bytes host -> device
-	UpBytes    int64           // payload bytes device -> host
+	DownTLPs   [numTLPKinds]int // host -> device
+	UpTLPs     [numTLPKinds]int // device -> host
+	DownBytes  int64            // payload bytes host -> device
+	UpBytes    int64            // payload bytes device -> host
 	Interrupts int
 }
 
 // NewStats returns zeroed counters.
-func NewStats() *Stats {
-	return &Stats{DownTLPs: make(map[TLPKind]int), UpTLPs: make(map[TLPKind]int)}
-}
+func NewStats() *Stats { return &Stats{} }
 
 func (s *Stats) countDown(k TLPKind, payload int) {
 	s.DownTLPs[k]++

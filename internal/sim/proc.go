@@ -175,7 +175,11 @@ func (p *Proc) Sim() *Sim { return p.sim }
 // Now reports the current simulation time.
 func (p *Proc) Now() Time { return p.sim.now }
 
-// Sleep suspends the process for d of simulated time.
+// Sleep suspends the process for d of simulated time. Under Run and
+// RunUntil, when no queued event (live or cancelled) is due by the wake
+// time and the wake is within the deadline, the wake is the next event
+// the drain would fire: Sleep then advances the clock in place (see
+// Sim.runAhead) instead of queueing, parking and popping its own wake.
 func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: %s: negative sleep %v", p.name, d))
@@ -183,7 +187,13 @@ func (p *Proc) Sleep(d Duration) {
 	if d == 0 {
 		return
 	}
-	p.sim.atProc(p.sim.now.Add(d), "wake", p)
+	s := p.sim
+	at := s.now.Add(d)
+	if s.canRunAhead(at) {
+		s.runAhead(at, p)
+		return
+	}
+	s.atProc(at, "wake", p)
 	p.park("sleeping")
 }
 

@@ -122,6 +122,20 @@ func (q *equeue) pop(now, limit Time) *event {
 	}
 }
 
+// dueBy reports whether any queued event, live or cancelled, has a
+// timestamp <= t, for t no earlier than now. The soonest event is the
+// curr head (at == now), else the near tail, else the far root: near
+// strictly precedes far.
+func (q *equeue) dueBy(t Time) bool {
+	if q.currHead < len(q.curr) {
+		return true
+	}
+	if n := len(q.near); n > 0 {
+		return q.near[n-1].at <= t
+	}
+	return len(q.far) > 0 && q.far[0].at <= t
+}
+
 // refill advances the horizon to cover the far tier's minimum and
 // migrates everything inside the new window into near. Only reached
 // with curr and near empty, so invariant (3) is preserved.

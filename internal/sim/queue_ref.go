@@ -27,6 +27,8 @@ func (q *equeue) pop(now, limit Time) *event {
 	return heap.Pop(&q.h).(*event)
 }
 
+func (q *equeue) dueBy(t Time) bool { return len(q.h) > 0 && q.h[0].at <= t }
+
 func (q *equeue) flushCurr() {}
 
 type refHeap []*event

@@ -156,3 +156,47 @@ func TestQueueFlushCurr(t *testing.T) {
 		}
 	}
 }
+
+// TestQueueDueByVsHeap checks dueBy against the model heap on
+// randomized schedules and, where nothing is due, jumps the clock
+// without a pop the way Sleep run-ahead does — past the calendar
+// horizon too — after which pops must still agree with the model.
+func TestQueueDueByVsHeap(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h := &queueHarness{}
+		h.q.init()
+		jumps := 0
+		for step := 0; step < 2000; step++ {
+			switch r := rng.Intn(10); {
+			case r < 2:
+				h.push(h.now, rng.Intn(8) == 0)
+			case r < 5:
+				h.push(h.now+Time(rng.Int63n(int64(calendarWindow))), rng.Intn(8) == 0)
+			case r < 6:
+				h.push(h.now+calendarWindow+Time(rng.Int63n(int64(100*Millisecond))), rng.Intn(8) == 0)
+			case r < 8:
+				at := h.now + 1 + Time(rng.Int63n(int64(4*calendarWindow)))
+				want := len(h.model) > 0 && h.model[0].at <= at
+				if got := h.q.dueBy(at); got != want {
+					t.Fatalf("seed %d: dueBy(%v) at now=%v = %v, model says %v", seed, at, h.now, got, want)
+				}
+				if !want {
+					h.now = at
+					jumps++
+				}
+			default:
+				for i := 0; i < rng.Intn(6)+1; i++ {
+					if !h.popBoth(t, maxTime) {
+						break
+					}
+				}
+			}
+		}
+		for h.popBoth(t, maxTime) {
+		}
+		if jumps == 0 {
+			t.Fatalf("seed %d: no clock jump exercised", seed)
+		}
+	}
+}

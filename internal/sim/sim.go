@@ -276,6 +276,34 @@ func (s *Sim) take(e *event) *Proc {
 	return p
 }
 
+// canRunAhead reports whether a wake of the running process at `at`
+// would be the next event the chained drain fires: dispatch is chained
+// and not stopped, at is within the deadline, and nothing queued, live
+// or cancelled, is due by at.
+func (s *Sim) canRunAhead(at Time) bool {
+	return s.chained && !s.stopped && at <= s.deadline && !s.q.dueBy(at)
+}
+
+// runAhead does for a sleeping p what queueing its wake at `at` and
+// firing it straight back would do, minus the queue: the same seq,
+// Scheduled, Fired and DepthMax counts (the wake would have been the
+// only extra live event), the clock move, and the tracer record. The
+// caller has checked that nothing queued is due by at, so no other
+// event could have run in between and the execution order is exactly
+// the queue path's.
+func (s *Sim) runAhead(at Time, p *Proc) {
+	s.seq++
+	s.stats.Scheduled++
+	s.stats.Fired++
+	if s.live+1 > s.stats.DepthMax {
+		s.stats.DepthMax = s.live + 1
+	}
+	s.now = at
+	if s.tracer != nil {
+		s.tracer.Event(at, s.internName("wake:", p.name))
+	}
+}
+
 // Step executes the next pending event, advancing time to it.
 // It reports whether an event was executed. Step always returns after
 // exactly one event: the chained fast path stays off, so a resumed

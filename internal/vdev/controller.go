@@ -126,6 +126,10 @@ type queue struct {
 	// interrupt, and whether a flush timer is pending.
 	coalesced  int
 	flushArmed bool
+	// flushName and flushFn are the coalesce-timer process, built once
+	// per queue so arming it does not format or allocate a closure.
+	flushName string
+	flushFn   func(p *sim.Proc)
 
 	// Precomputed span names so the engine hot path does not format.
 	serviceSpan string
@@ -252,6 +256,11 @@ func NewController(s *sim.Sim, rc *pcie.RootComplex, name string, pers Personali
 			hw:          fpga.NewPerfCounter(clk, fmt.Sprintf("%s.q%d.hw", name, i)),
 			serviceSpan: fmt.Sprintf("q%d.service", i),
 			deliverSpan: fmt.Sprintf("q%d.deliver", i),
+			flushName:   fmt.Sprintf("%s.q%d.coalesce", ep.Name(), i),
+		}
+		q.flushFn = func(p *sim.Proc) {
+			q.flushArmed = false
+			c.flushCoalesced(p, q)
 		}
 		c.queues = append(c.queues, q)
 		if q.dir == DriverToDevice {
@@ -595,11 +604,7 @@ func (c *Controller) armFlush(q *queue) {
 		return
 	}
 	q.flushArmed = true
-	c.sim.GoAfter(c.opt.IRQCoalesceTimer, fmt.Sprintf("%s.q%d.coalesce", c.ep.Name(), q.idx),
-		func(p *sim.Proc) {
-			q.flushArmed = false
-			c.flushCoalesced(p, q)
-		})
+	c.sim.GoAfter(c.opt.IRQCoalesceTimer, q.flushName, q.flushFn)
 }
 
 // flushCoalesced raises the interrupt for any completions a queue is

@@ -181,7 +181,7 @@ func (ns *NetSession) Stream(cfg StreamConfig) (StreamResult, error) {
 			t0 := ns.host.ClockGettime(p)
 			for i := 0; i < cfg.Packets; i++ {
 				pc.wait(ns.host, p, i)
-				_, s, err := ns.pingOnce(p, payload)
+				s, err := ns.pingRecycled(p, payload, nil)
 				if err != nil {
 					return err
 				}
@@ -225,9 +225,11 @@ func (ns *NetSession) Stream(cfg StreamConfig) (StreamResult, error) {
 				// behind a deferred TxKickBatch doorbell before blocking.
 				ns.drv.FlushTx(p)
 			}
-			if _, err := ns.recv(p); err != nil {
+			echo, err := ns.recv(p)
+			if err != nil {
 				return err
 			}
+			ns.sock.Recycle(echo)
 			// Windowed streaming has no per-packet RTTSample, so the
 			// flight recorder's fault trigger is checked per completion.
 			ns.flight.noteFaults()
