@@ -67,7 +67,7 @@ flake:
 # baseline is NOT rewritten here — use benchbase for that — so a routine
 # bench run cannot silently move the gate.
 bench:
-	$(GO) test -run '^$$' -bench 'SweepGrid|SeriesSteadyState|ProcHandoff|ProcSelfWake' -benchmem ./internal/experiments ./internal/sim .
+	$(GO) test -run '^$$' -bench 'SweepGrid|SeriesSteadyState|ProcHandoff|ProcRing3|ProcSelfWake' -benchmem ./internal/experiments ./internal/sim .
 	$(GO) run ./cmd/fvsweepbench -n 50000 -json $${TMPDIR:-/tmp}/fvsweepbench-full.json
 
 # benchbase deliberately re-records BENCH_sweep.json at the full grid.

@@ -186,6 +186,10 @@ type Device struct {
 	TxPackets, RxPackets, RxIRQs int
 
 	txPkts, rxPkts, rxIRQs *telemetry.Counter
+	// rxLenErrs counts RX completions dropped for a used length outside
+	// the posted buffer. It is registered on the first such drop, so a
+	// well-behaved device leaves the metric snapshot unchanged.
+	rxLenErrs *telemetry.Counter
 
 	// spinner executes PollMode's busy loops under the host's poll
 	// cost model; nil outside poll mode.
@@ -612,23 +616,17 @@ func (d *Device) drainRx(p *sim.Proc, pq *pairQueues) int {
 	for _, u := range used {
 		tok := u.Token.(rxToken)
 		d.host.CPUWork(p, napiPerPktCost)
-		if cap(pq.rxBuf) < u.Written {
-			pq.rxBuf = make([]byte, u.Written)
-		}
-		raw := pq.rxBuf[:u.Written]
-		d.host.Mem.ReadInto(tok.addr, raw)
-		hdr, err := virtio.DecodeNetHdr(raw)
-		if err == nil {
-			frame := raw[virtio.NetHdrSize:]
-			rx := netstack.RxPacket{
-				Frame:     frame,
-				CsumValid: hdr.Flags&virtio.NetHdrFDataValid != 0,
+		// The used length is device-written: one past the posted buffer
+		// would copy neighbouring host memory into the frame, and a huge
+		// one would allocate it. Drop the frame and repost the buffer,
+		// as the kernel's receive_buf length check does.
+		if u.Written < virtio.NetHdrSize || u.Written > d.rxBufSize {
+			if d.rxLenErrs == nil {
+				d.rxLenErrs = d.host.Metrics().Counter(telemetry.MetricVirtionetRxLenErrors)
 			}
-			d.RxPackets++
-			d.rxPkts.Inc()
-			// Delivery errors (stray ports, bad checksums) drop the
-			// packet, as the stack does.
-			_ = d.stack.Input(p, rx)
+			d.rxLenErrs.Inc()
+		} else {
+			d.deliverRx(p, pq, tok.addr, u.Written)
 		}
 		// A reset that began at one of the yields above owns the
 		// buffers now: recoverReset reposts the full RX set itself.
@@ -647,6 +645,26 @@ func (d *Device) drainRx(p *sim.Proc, pq *pairQueues) int {
 		pq.rx.KickIfNeeded(p) // tell the device buffers were returned
 	}
 	return len(used)
+}
+
+// deliverRx copies one received buffer of n bytes, n at least
+// NetHdrSize, out of host memory and hands its frame to the stack.
+func (d *Device) deliverRx(p *sim.Proc, pq *pairQueues, addr mem.Addr, n int) {
+	if cap(pq.rxBuf) < n {
+		pq.rxBuf = make([]byte, n)
+	}
+	raw := pq.rxBuf[:n]
+	d.host.Mem.ReadInto(addr, raw)
+	hdr, _ := virtio.DecodeNetHdr(raw) // fails only on a short buffer
+	rx := netstack.RxPacket{
+		Frame:     raw[virtio.NetHdrSize:],
+		CsumValid: hdr.Flags&virtio.NetHdrFDataValid != 0,
+	}
+	d.RxPackets++
+	d.rxPkts.Inc()
+	// Delivery errors (stray ports, bad checksums) drop the packet, as
+	// the stack does.
+	_ = d.stack.Input(p, rx)
 }
 
 // BusyPoll drains pending RX completions inline from the calling

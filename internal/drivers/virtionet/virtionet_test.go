@@ -6,9 +6,11 @@ import (
 
 	"fpgavirtio/internal/drivers/virtionet"
 	"fpgavirtio/internal/hostos"
+	"fpgavirtio/internal/mem"
 	"fpgavirtio/internal/netstack"
 	"fpgavirtio/internal/pcie"
 	"fpgavirtio/internal/sim"
+	"fpgavirtio/internal/telemetry"
 	"fpgavirtio/internal/vdev"
 	"fpgavirtio/internal/virtio"
 )
@@ -222,6 +224,116 @@ func TestWantEventIdxAndPackedNegotiation(t *testing.T) {
 			if err != nil || !bytes.Equal(got, []byte("pk")) {
 				t.Fatalf("packed echo %d failed: %q %v", i, got, err)
 			}
+		}
+	})
+}
+
+// rxUsedRing reads the first RX queue's used-ring address and size back
+// from the device's common configuration window, found by walking the
+// capability list as the transport does.
+func rxUsedRing(t *testing.T, p *sim.Proc, h *hostos.Host) (mem.Addr, int) {
+	t.Helper()
+	ep := h.RC.Endpoints()[0]
+	var common uint64
+	for ptr := int(h.RC.ConfigRead32(p, ep, pcie.CfgCapPtr) & 0xff); ptr != 0; {
+		hdr := h.RC.ConfigRead32(p, ep, ptr)
+		if byte(hdr) == pcie.CapIDVendor {
+			var body []byte
+			for i := 0; i < 5; i++ {
+				w := h.RC.ConfigRead32(p, ep, ptr+4*i)
+				body = append(body, byte(w), byte(w>>8), byte(w>>16), byte(w>>24))
+			}
+			c, err := virtio.DecodePCICap(body[2:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.CfgType == virtio.CfgTypeCommon {
+				bar := h.RC.ConfigRead32(p, ep, pcie.CfgBAR0+4*int(c.Bar)) &^ 0xf
+				common = uint64(bar) + uint64(c.Offset)
+			}
+		}
+		ptr = int(hdr >> 8 & 0xff)
+	}
+	if common == 0 {
+		t.Fatal("no common configuration capability")
+	}
+	h.RC.MMIOWrite(p, common+virtio.CommonQueueSelect, 2, uint64(virtio.NetRXQueue(0)))
+	size := int(h.RC.MMIORead(p, common+virtio.CommonQueueSize, 2))
+	lo := h.RC.MMIORead(p, common+virtio.CommonQueueDevice, 4)
+	hi := h.RC.MMIORead(p, common+virtio.CommonQueueDevice+4, 4)
+	return mem.Addr(hi<<32 | lo), size
+}
+
+// TestRxRejectsUsedLenOutsideBuffer overwrites the device-written
+// used-ring length of an echoed frame before the driver harvests it.
+// A length past the posted buffer must not be copied or delivered: the
+// driver drops the frame, counts it, and reposts the buffer, so later
+// frames still arrive. The drop counter only exists once a drop happens.
+func TestRxRejectsUsedLenOutsideBuffer(t *testing.T) {
+	s, h, st, _ := testbed(t, nil)
+	run(t, s, func(p *sim.Proc) {
+		opt := virtionet.DefaultOptions("eth0")
+		opt.PollMode = true
+		d := probe(t, p, h, st, opt)
+		used, qsize := rxUsedRing(t, p, h)
+		sock, err := st.Bind(9400)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lenErrs := func() (int64, bool) {
+			for _, m := range h.Metrics().Snapshot() {
+				if m.Name == telemetry.MetricVirtionetRxLenErrors {
+					return int64(m.Value), true
+				}
+			}
+			return 0, false
+		}
+		// echo sends one datagram and waits until the device has
+		// published the echoed frame's used entry; it returns the
+		// address of that entry's len word.
+		echo := func() mem.Addr {
+			idx := h.Mem.U16(used + 2)
+			if err := sock.SendTo(p, netstack.IP(10, 0, 0, 2), 9000, []byte("len")); err != nil {
+				t.Fatal(err)
+			}
+			for h.Mem.U16(used+2) == idx {
+				p.Sleep(sim.Us(1))
+			}
+			return used + 4 + mem.Addr(idx%uint16(qsize))*8 + 4
+		}
+		harvest := func(wantPending int) {
+			t.Helper()
+			if n := d.BusyPoll(p); n != 1 {
+				t.Fatalf("BusyPoll harvested %d completions, want 1", n)
+			}
+			if got := sock.Pending(); got != wantPending {
+				t.Fatalf("socket holds %d datagrams, want %d", got, wantPending)
+			}
+		}
+
+		echo()
+		harvest(1)
+		if _, ok := lenErrs(); ok {
+			t.Fatal("length-error counter registered before any bad length")
+		}
+		rxBufSize := virtio.NetHdrSize + netstack.EthHdrSize + int(d.MTU()) + 64
+		for i, bad := range []uint32{uint32(rxBufSize) + 1, 1 << 31} {
+			h.Mem.PutU32(echo(), bad)
+			harvest(1)
+			if n, _ := lenErrs(); n != int64(i+1) {
+				t.Fatalf("after used len %d: %d length errors counted, want %d", bad, n, i+1)
+			}
+		}
+		// The reposted buffers keep the ring usable.
+		for i := 0; i < 2*qsize; i++ {
+			echo()
+			harvest(2)
+			if _, _, _, err := sock.RecvFrom(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if d.RxPackets != 1+2*qsize {
+			t.Fatalf("driver delivered %d frames, want %d", d.RxPackets, 1+2*qsize)
 		}
 	})
 }

@@ -132,6 +132,12 @@ type Host struct {
 	rng *sim.RNG
 	met hostMetrics
 
+	// preemptD/preemptP memoize CPUWork's preemption hazard for the
+	// last charged duration: busy-poll loops charge the same SpinCost
+	// on every iteration, and the hazard is a pure function of it.
+	preemptD sim.Duration
+	preemptP float64
+
 	metrics     *telemetry.Registry
 	irqHandlers map[irqKey]*irqAction
 	chardevs    map[string]CharDev
@@ -225,8 +231,10 @@ func (h *Host) CPUWork(p *sim.Proc, d sim.Duration) {
 	h.met.jitterNs.Add(int64((jittered - d) / sim.Nanosecond))
 	p.Sleep(jittered)
 	if h.cfg.PreemptMeanGap > 0 {
-		pHit := 1 - math.Exp(-float64(d)/float64(h.cfg.PreemptMeanGap))
-		if h.rng.Bool(pHit) {
+		if d != h.preemptD {
+			h.preemptD, h.preemptP = d, 1-math.Exp(-float64(d)/float64(h.cfg.PreemptMeanGap))
+		}
+		if h.rng.Bool(h.preemptP) {
 			cost := h.cfg.PreemptBase + sim.NsF(h.rng.Exp(h.cfg.PreemptExpMean.Nanoseconds()))
 			h.met.preemptions.Inc()
 			h.met.preemptNs.Add(int64(cost / sim.Nanosecond))

@@ -98,6 +98,107 @@ func TestPreemptionHazard(t *testing.T) {
 	}
 }
 
+// cpuWorkRef is CPUWork without the preemption-hazard memo: it
+// recomputes math.Exp on every call.
+func cpuWorkRef(h *Host, p *sim.Proc, d sim.Duration) {
+	if d <= 0 {
+		return
+	}
+	jittered := h.rng.Jitter(d, h.cfg.JitterSigma)
+	h.met.jitterNs.Add(int64((jittered - d) / sim.Nanosecond))
+	p.Sleep(jittered)
+	if h.cfg.PreemptMeanGap > 0 {
+		pHit := 1 - math.Exp(-float64(d)/float64(h.cfg.PreemptMeanGap))
+		if h.rng.Bool(pHit) {
+			cost := h.cfg.PreemptBase + sim.NsF(h.rng.Exp(h.cfg.PreemptExpMean.Nanoseconds()))
+			h.met.preemptions.Inc()
+			h.met.preemptNs.Add(int64(cost / sim.Nanosecond))
+			p.Sleep(cost)
+		}
+	}
+}
+
+// TestCPUWorkPreemptMemoExact drives two identically seeded hosts with
+// the same interleaved durations — busy-poll spins with a yield every
+// 64, syscall and copy costs, repeats and changes of d — one through
+// CPUWork and one through the memo-free reference. The slept sequence,
+// the RNG state and the noise counters must be identical.
+func TestCPUWorkPreemptMemoExact(t *testing.T) {
+	hazard := DefaultConfig()
+	hazard.PreemptMeanGap = sim.Us(20) // a hit every few hundred spins
+	cases := []struct {
+		name     string
+		cfg      Config
+		wantHits bool
+	}{
+		{"default", DefaultConfig(), false},
+		{"hazard", hazard, true},
+		{"quiet", quiet(), false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			durs := func(h *Host) []sim.Duration {
+				pol := DefaultPollPolicy()
+				var ds []sim.Duration
+				for i := 1; i <= 20000; i++ {
+					ds = append(ds, pol.SpinCost)
+					if i%pol.SpinBudget == 0 {
+						ds = append(ds, pol.YieldCost)
+					}
+					switch i % 997 {
+					case 0:
+						ds = append(ds, c.cfg.SyscallEntry, h.CopyCost(i%1500), h.CopyCost(i%1500), c.cfg.SyscallExit)
+					case 500:
+						ds = append(ds, 0, c.cfg.WakeLatency, c.cfg.WakeLatency)
+					}
+				}
+				return ds
+			}
+			type run struct {
+				trace                         []sim.TraceRecord
+				host                          *Host
+				preempts, preemptNs, jitterNs int64
+			}
+			drive := func(work func(h *Host, p *sim.Proc, d sim.Duration)) run {
+				s := sim.New()
+				tr := &sim.RecordingTracer{}
+				s.SetTracer(tr)
+				h := New(s, 1<<20, c.cfg, 9)
+				ds := durs(h)
+				s.Go("p", func(p *sim.Proc) {
+					for _, d := range ds {
+						work(h, p, d)
+					}
+				})
+				if err := s.Run(); err != nil {
+					t.Fatal(err)
+				}
+				return run{tr.Records, h, h.met.preemptions.Value(), h.met.preemptNs.Value(), h.met.jitterNs.Value()}
+			}
+			got := drive(func(h *Host, p *sim.Proc, d sim.Duration) { h.CPUWork(p, d) })
+			want := drive(cpuWorkRef)
+			if len(got.trace) != len(want.trace) {
+				t.Fatalf("CPUWork slept %d times, reference %d", len(got.trace), len(want.trace))
+			}
+			for i := range got.trace {
+				if got.trace[i] != want.trace[i] {
+					t.Fatalf("sleep %d: CPUWork %+v, reference %+v", i, got.trace[i], want.trace[i])
+				}
+			}
+			if *got.host.rng != *want.host.rng {
+				t.Fatal("RNG state differs from the reference")
+			}
+			if got.preempts != want.preempts || got.preemptNs != want.preemptNs || got.jitterNs != want.jitterNs {
+				t.Fatalf("counters (preemptions, preempt ns, jitter ns) = (%d, %d, %d), reference (%d, %d, %d)",
+					got.preempts, got.preemptNs, got.jitterNs, want.preempts, want.preemptNs, want.jitterNs)
+			}
+			if c.wantHits && got.preempts == 0 {
+				t.Fatal("no preemption hit; the hazard draw is unexercised")
+			}
+		})
+	}
+}
+
 func TestClockGettime(t *testing.T) {
 	s, h := newHost(t, quiet(), 4)
 	var r1, r2 sim.Time

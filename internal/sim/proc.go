@@ -6,6 +6,8 @@ package sim
 import (
 	"fmt"
 	"iter" // go1.23, hence the build line; go.mod stays at go 1.22
+
+	"fpgavirtio/internal/fvassert"
 )
 
 // Proc is a simulated sequential process (a software thread, a hardware
@@ -19,10 +21,15 @@ import (
 //
 // Under Run/RunUntil a parking or finishing process keeps dispatching:
 // it drains the event queue itself (see chainNext). Callback events
-// execute inline, a wake of the same process coalesces into
-// straight-line execution with zero switches, and a wake of a different
-// process costs two coroutine switches — out to the trampoline in
-// Sim.dispatch and into the woken process. The event execution order is
+// execute inline and a wake of the same process coalesces into
+// straight-line execution with zero switches. A process the scheduler
+// switched into is the trampoline for wakes of other processes: it
+// switches into the woken process from its own coroutine, and that
+// process, when it parks, yields back to it. A wake back to the
+// trampoline process therefore costs one coroutine switch, and a wake
+// of a third process costs two — back to the trampoline, which
+// forwards into the woken one. Only when nothing is runnable does
+// control return to the scheduler. The event execution order is
 // exactly the (at, seq) order either way; only which coroutine drives
 // the dispatch changes, which no simulated observable depends on.
 //
@@ -93,13 +100,37 @@ func (p *Proc) loop(yield func(struct{}) bool) {
 
 // suspend gives up control until an event resumes p. Under Run and
 // RunUntil it first drains the queue from this coroutine (chainNext)
-// and returns at once on a self-wake; otherwise it yields to the
-// trampoline in Sim.dispatch.
+// and returns at once on a self-wake. A process running under another
+// process's trampoline then yields back to it; a process the scheduler
+// switched into runs the trampoline itself: it switches into each
+// process a parking one names in s.handoff, returns when the handoff
+// names p, and yields to the scheduler when it names nobody. Since a
+// process entered by the trampoline never becomes one, at most one
+// process runs nested below the scheduler's.
 func (p *Proc) suspend() {
-	if p.sim.chained && p.chainNext() {
+	s := p.sim
+	if s.chained && p.chainNext() {
 		return
 	}
-	p.yield(struct{}{})
+	if s.handoff == nil || s.tramp != nil {
+		p.yield(struct{}{})
+		return
+	}
+	s.tramp = p
+	for q := s.handoff; q != p; q = s.handoff {
+		if q == nil {
+			s.tramp = nil
+			p.yield(struct{}{})
+			return
+		}
+		s.handoff = nil
+		q.next()
+		if fvassert.Enabled && s.tramp != p {
+			fvassert.Failf("sim: %s, switched into by trampoline %s, dispatched other processes itself", q.name, p.name)
+		}
+	}
+	s.handoff = nil
+	s.tramp = nil
 }
 
 // chainNext continues the dispatch loop from this process's coroutine
@@ -129,16 +160,6 @@ func (p *Proc) chainNext() bool {
 		}
 	}
 	return false
-}
-
-// dispatch is the trampoline: it switches into p and then into every
-// process a yielding one names as its successor, until one yields with
-// none. Under Step no process names a successor, so it runs p once.
-func (s *Sim) dispatch(p *Proc) {
-	for p != nil {
-		p.next()
-		p, s.handoff = s.handoff, nil
-	}
 }
 
 // park suspends the process until some event resumes it. why should be

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -82,6 +83,166 @@ func TestProcGoexitPropagates(t *testing.T) {
 	}
 }
 
+// spawnWoken starts process A and process B so that A wakes B: A
+// sleeps, fires a trigger B waits on and parks. Under Run and RunUntil
+// A is the process the scheduler switched into, so B's body after the
+// wait runs inside A's suspend. B then calls body; nested reports
+// whether it ran below A's trampoline.
+func spawnWoken(s *Sim, body func(b *Proc)) (nested *bool) {
+	nested = new(bool)
+	t := NewTrigger(s, "wake")
+	never := NewCond(s, "never")
+	a := s.Go("A", func(p *Proc) {
+		p.Sleep(Us(1))
+		t.Fire()
+		never.Wait(p)
+	})
+	s.Go("B", func(p *Proc) {
+		t.Wait(p)
+		*nested = s.tramp == a
+		body(p)
+	})
+	return nested
+}
+
+// chainedMode reports whether a run mode chains dispatch through
+// process coroutines (Run, RunUntil) rather than stepping (Step).
+func chainedMode(name string) bool { return name != "Step" }
+
+func TestNestedDispatchPanicPropagates(t *testing.T) {
+	for _, d := range runModes {
+		t.Run(d.name, func(t *testing.T) {
+			s := New()
+			want := &procPanic{code: 9}
+			nested := spawnWoken(s, func(*Proc) { panic(want) })
+			got := func() (r any) {
+				defer func() { r = recover() }()
+				d.run(s)
+				return nil
+			}()
+			if got != want {
+				t.Fatalf("%s recovered %#v, want the body's panic value %#v", d.name, got, want)
+			}
+			if *nested != chainedMode(d.name) {
+				t.Fatalf("%s: B ran nested below A = %v", d.name, *nested)
+			}
+		})
+	}
+}
+
+func TestNestedDispatchGoexitPropagates(t *testing.T) {
+	for _, d := range runModes {
+		t.Run(d.name, func(t *testing.T) {
+			s := New()
+			nested := spawnWoken(s, func(*Proc) { runtime.Goexit() })
+			done := make(chan bool)
+			go func() {
+				returned := false
+				defer func() { done <- returned }()
+				d.run(s)
+				returned = true
+			}()
+			select {
+			case returned := <-done:
+				if returned {
+					t.Fatalf("%s returned normally after the body called runtime.Goexit", d.name)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s still blocked 5s after the body called runtime.Goexit", d.name)
+			}
+			if *nested != chainedMode(d.name) {
+				t.Fatalf("%s: B ran nested below A = %v", d.name, *nested)
+			}
+		})
+	}
+}
+
+// TestNestedDispatchStop: a Stop inside a process running below
+// another's trampoline returns control to Run at the Stop's time, and
+// the next Run resumes where it left off.
+func TestNestedDispatchStop(t *testing.T) {
+	s := New()
+	done := false
+	var stopAt Time
+	nested := spawnWoken(s, func(p *Proc) {
+		stopAt = s.Now()
+		s.Stop()
+		p.Sleep(Us(1))
+		done = true
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !*nested {
+		t.Fatal("B did not run below A's trampoline")
+	}
+	if done || s.Now() != stopAt || s.Pending() != 1 {
+		t.Fatalf("after Stop: done=%v now=%v (Stop at %v) pending=%d, want false, the Stop's time, 1",
+			done, s.Now(), stopAt, s.Pending())
+	}
+	err := s.Run()
+	if !done || s.Now() != stopAt.Add(Us(1)) {
+		t.Fatalf("second Run: done=%v now=%v, want true, %v", done, s.Now(), stopAt.Add(Us(1)))
+	}
+	// A still waits on "never": the second Run reports it.
+	if err == nil || !strings.Contains(err.Error(), "A: wait:never") {
+		t.Fatalf("second Run error %v, want a deadlock naming A", err)
+	}
+}
+
+// TestNestedDispatchDeadlock: deadlock detection names every parked
+// process, including the trampoline process and the one that parked
+// below it.
+func TestNestedDispatchDeadlock(t *testing.T) {
+	s := New()
+	c := NewCond(s, "idle")
+	nested := spawnWoken(s, func(p *Proc) { c.Wait(p) })
+	s.Go("C", func(p *Proc) { c.Wait(p) })
+	err := s.Run()
+	if !*nested {
+		t.Fatal("B did not run below A's trampoline")
+	}
+	want := "3 process(es) parked: [A: wait:never B: wait:idle C: wait:idle]"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Run error %v, want one containing %q", err, want)
+	}
+}
+
+// TestNestedDispatchDepth runs randomized process programs under Run,
+// RunUntil slices and Stops, and checks through progRun.observe that no
+// process ever runs more than one level below the scheduler. Built with
+// -tags fvinvariants, Proc.suspend asserts the same bound at every
+// trampoline switch.
+func TestNestedDispatchDepth(t *testing.T) {
+	nestedRan := 0
+	for seed := int64(1); seed <= 60; seed++ {
+		for _, until := range []bool{false, true} {
+			s := New()
+			r := &progRun{stops: !until}
+			for i, prog := range genPrograms(seed, 2+int(seed%4), 40) {
+				s.GoAfter(Duration(i)*Nanosecond, fmt.Sprintf("p%d", i), func(p *Proc) { runProgram(p, prog, r) })
+			}
+			for s.Pending() > 0 {
+				if until {
+					s.RunUntil(s.Now().Add(Ns(53)))
+				} else if err := s.Run(); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				if s.tramp != nil || s.handoff != nil {
+					t.Fatalf("seed %d: control back at the scheduler with tramp %v, handoff %v", seed, s.tramp, s.handoff)
+				}
+			}
+			if r.depthErr != nil {
+				t.Fatalf("seed %d (RunUntil %v): %v", seed, until, r.depthErr)
+			}
+			nestedRan += r.nestedRan
+		}
+	}
+	if nestedRan == 0 {
+		t.Fatal("no process ran below a trampoline; the test exercises nothing")
+	}
+}
+
 // progOp is one step of a randomized process program.
 type progOp struct {
 	kind int      // see runProgram
@@ -118,6 +279,33 @@ type progRun struct {
 	stops    bool // whether step kind 7 calls Stop
 	stopAt   Time // clock at the latest Stop, -1 when none since Run began
 	eligible int  // Sleeps that could skip the queue
+
+	// Trampoline bookkeeping, see observe.
+	nested    map[*Proc]bool // whether each process last ran nested
+	nestedRan int            // observations made inside a trampoline
+	depthErr  error          // first nesting violation observed
+}
+
+// observe records whether p runs nested below a trampoline process and
+// checks the nesting bound. Programs observe before every step that
+// may park and before finishing, so a process's last observation tells
+// whether it was nested when it last gave up control. A running process
+// is never the registered trampoline, and a trampoline must itself run
+// directly below the scheduler: one that was nested when it parked
+// would put the running process two levels down.
+func (r *progRun) observe(p *Proc) {
+	t := p.sim.tramp
+	if r.nested == nil {
+		r.nested = map[*Proc]bool{}
+	}
+	r.nested[p] = t != nil
+	if t == nil {
+		return
+	}
+	r.nestedRan++
+	if r.depthErr == nil && (t == p || r.nested[t]) {
+		r.depthErr = fmt.Errorf("%s runs below trampoline %s, which runs nested itself or is %s", p.name, t.name, p.name)
+	}
 }
 
 // runProgram executes one process program. Each step kind exercises a
@@ -133,7 +321,9 @@ func runProgram(p *Proc, prog []progOp, r *progRun) {
 		}
 		p.Sleep(d)
 	}
+	defer r.observe(p)
 	for i, op := range prog {
+		r.observe(p)
 		switch op.kind {
 		case 0, 1:
 			sleep(op.d)
@@ -154,7 +344,9 @@ func runProgram(p *Proc, prog []progOp, r *progRun) {
 			t := NewTrigger(s, "child")
 			d := op.d2
 			s.GoAfter(op.d, p.name+".child", func(c *Proc) {
+				r.observe(c)
 				c.Sleep(d)
+				r.observe(c)
 				t.Fire()
 			})
 			t.Wait(p)
@@ -167,7 +359,9 @@ func runProgram(p *Proc, prog []progOp, r *progRun) {
 			done := false
 			d := op.d2
 			s.GoAfter(op.d, p.name+".signaller", func(q *Proc) {
+				r.observe(q)
 				q.Sleep(d)
+				r.observe(q)
 				done = true
 				c.Signal()
 			})
@@ -282,6 +476,29 @@ func BenchmarkProcHandoff(b *testing.B) {
 	}
 	s.Go("a", body((b.N+1)/2))
 	s.GoAfter(Ns(1), "b", body(b.N/2))
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkProcRing3 measures wakes that rotate through three
+// processes: each sleeps in lockstep, offset by 1 ns from the one
+// before, so every wake resumes the process after the one that ran
+// last and the trampoline forwards instead of returning.
+func BenchmarkProcRing3(b *testing.B) {
+	s := New()
+	body := func(n int) func(p *Proc) {
+		return func(p *Proc) {
+			for i := 0; i < n; i++ {
+				p.Sleep(Ns(3))
+			}
+		}
+	}
+	for i, name := range []string{"a", "b", "c"} {
+		s.GoAfter(Duration(i)*Nanosecond, name, body((b.N+2-i)/3))
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	if err := s.Run(); err != nil {

@@ -100,7 +100,8 @@ type Sim struct {
 	// entered) it is false and every process yields straight back,
 	// which is what gives Step its one-event granularity.
 	chained  bool
-	handoff  *Proc // process a yielding coroutine passes control to
+	handoff  *Proc // process a parking coroutine passes control to
+	tramp    *Proc // process running the trampoline (see Proc.suspend), or nil
 	tracer   Tracer
 	spans    SpanSink
 	flight   FlightSink
@@ -315,7 +316,7 @@ func (s *Sim) Step() bool {
 		return false
 	}
 	if p := s.take(e); p != nil {
-		s.dispatch(p)
+		p.next()
 	}
 	return true
 }
@@ -334,7 +335,7 @@ func (s *Sim) runLoop() {
 			return
 		}
 		if p := s.take(e); p != nil {
-			s.dispatch(p)
+			p.next()
 		}
 	}
 }

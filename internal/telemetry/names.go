@@ -68,6 +68,9 @@ const (
 	MetricVirtionetTxPackets = "driver.virtionet.tx.packets"
 	MetricVirtionetRxPackets = "driver.virtionet.rx.packets"
 	MetricVirtionetRxIRQs    = "driver.virtionet.rx.irqs"
+	// rx.len_errors counts RX completions whose device-written used
+	// length does not fit the posted buffer (registered on first use).
+	MetricVirtionetRxLenErrors = "driver.virtionet.rx.len_errors"
 
 	// virtio-console driver (internal/drivers/virtioconsole).
 	MetricVirtioconsoleTxBytes = "driver.virtioconsole.tx.bytes"
