@@ -102,8 +102,9 @@ benchsmoke:
 
 # simref re-runs the determinism-sensitive suites with the event queue
 # swapped for the container/heap reference shim (-tags simrefqueue).
-# The root-package replay fingerprint golden must match under both
-# builds, proving the calendar queue changes nothing observable.
+# The root-package replay fingerprint and flight-dump goldens must
+# match under both builds, proving the calendar queue changes nothing
+# observable.
 simref:
 	$(GO) test -tags simrefqueue ./internal/sim .
 
