@@ -62,12 +62,13 @@ flake:
 # bench runs the sweep and series benchmarks with allocation accounting
 # (allocs/op on the steady-state series benchmarks must read 0) and the
 # sim kernel's dispatch micro-benchmarks (a wake that switches processes
-# and one that does not), then times the paper's full 50k-packet Fig-3
-# matrix serially and through the parallel engine. The committed
+# and one that does not) and the flight recorder's per-span path (0
+# allocs/op), then times the paper's full 50k-packet Fig-3 matrix
+# serially and through the parallel engine. The committed
 # baseline is NOT rewritten here — use benchbase for that — so a routine
 # bench run cannot silently move the gate.
 bench:
-	$(GO) test -run '^$$' -bench 'SweepGrid|SeriesSteadyState|ProcHandoff|ProcRing3|ProcSelfWake' -benchmem ./internal/experiments ./internal/sim .
+	$(GO) test -run '^$$' -bench 'SweepGrid|SeriesSteadyState|ProcHandoff|ProcRing3|ProcSelfWake|FlightSpan' -benchmem ./internal/experiments ./internal/sim ./internal/telemetry .
 	$(GO) run ./cmd/fvsweepbench -n 50000 -json $${TMPDIR:-/tmp}/fvsweepbench-full.json
 
 # benchbase deliberately re-records BENCH_sweep.json at the full grid.

@@ -78,7 +78,7 @@ func (b *baseSession) breakdown(driver string, rounds, nbytes int, fill func([]b
 	if rounds <= 0 {
 		return BreakdownReport{}, fmt.Errorf("fpgavirtio: breakdown needs rounds > 0, got %d", rounds)
 	}
-	rec := telemetry.NewRecorder(0)
+	rec := telemetry.NewRecorder(b.s.SpanKinds(), 0)
 	b.s.SetSpanSink(rec)
 	defer b.s.SetSpanSink(nil)
 

@@ -41,7 +41,7 @@ const reasonWorstRTT = "worst-rtt"
 // one for the worst-case trigger, so no trigger ever finds the slots
 // exhausted.
 func newFlightWatch(s *sim.Sim, inj *faults.Injector, reg *telemetry.Registry) *flightWatch {
-	fr := telemetry.NewFlightRecorder(0, len(faults.Classes)+1, reg)
+	fr := telemetry.NewFlightRecorder(s.SpanKinds(), 0, len(faults.Classes)+1, reg)
 	s.SetFlightSink(fr)
 	fw := &flightWatch{
 		fr:        fr,

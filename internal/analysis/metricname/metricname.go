@@ -2,11 +2,10 @@
 // Registry instrument (Counter / Gauge / Histogram / HDR) must be named
 // by a constant from internal/telemetry/names.go or built by one of its
 // Metric* helper functions — including the tail.* and recorder.*
-// families the tail-attribution work added — every span must open under
-// one of the
-// telemetry Layer* constants, and a span opened in a function must
-// have its End reachable before every return (or be closed by a
-// defer). Ad-hoc name literals drift from the replay baselines and
+// families the tail-attribution work added — every span kind must be
+// registered (Sim.SpanKind) under one of the telemetry Layer*
+// constants, and a span opened in a function must have its End
+// reachable before every return (or be closed by a defer). Ad-hoc name literals drift from the replay baselines and
 // dashboards; a leaked span corrupts per-layer latency attribution for
 // the rest of the run.
 package metricname
@@ -25,7 +24,7 @@ const telemetryPkg = "fpgavirtio/internal/telemetry"
 var Analyzer = &analysis.Analyzer{
 	Name: "metricname",
 	Doc: "registry instruments must be named via internal/telemetry constants " +
-		"or Metric* helpers; spans must use telemetry Layer* constants and reach End on all paths",
+		"or Metric* helpers; span kinds must use telemetry Layer* constants and spans must reach End on all paths",
 	Skip: []string{
 		// telemetry owns the name table; its own tests exercise ad-hoc
 		// names on purpose. sim defines the raw span plumbing.
@@ -53,7 +52,9 @@ func run(pass *analysis.Pass) {
 	}
 }
 
-// checkNames validates instrument-name and span-layer arguments.
+// checkNames validates instrument-name and span-layer arguments. The
+// layer is checked where a span kind is registered, the only place a
+// span's layer string appears: BeginSpan carries just the kind id.
 func checkNames(pass *analysis.Pass, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -74,7 +75,7 @@ func checkNames(pass *analysis.Pass, body *ast.BlockStmt) {
 				pass.Reportf(arg.Pos(),
 					"metric name must be a telemetry constant or Metric* helper from %s, not an ad-hoc expression", telemetryPkg)
 			}
-		case sel.Sel.Name == "BeginSpan" && len(call.Args) >= 2:
+		case sel.Sel.Name == "SpanKind" && len(call.Args) >= 1 && !isConversion(pass, call):
 			if !isLayerConst(pass, call.Args[0]) {
 				pass.Reportf(call.Args[0].Pos(),
 					"span layer must be one of the telemetry Layer* constants")
@@ -82,6 +83,16 @@ func checkNames(pass *analysis.Pass, body *ast.BlockStmt) {
 		}
 		return true
 	})
+}
+
+// isConversion reports whether call converts to a type (sim.SpanKind(n))
+// rather than calling a function.
+func isConversion(pass *analysis.Pass, call *ast.CallExpr) bool {
+	if pass.Info == nil {
+		return false
+	}
+	tv, ok := pass.Info.Types[call.Fun]
+	return ok && tv.IsType()
 }
 
 func isStringExpr(pass *analysis.Pass, e ast.Expr) bool {

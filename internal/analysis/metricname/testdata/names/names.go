@@ -3,6 +3,7 @@
 package fixture
 
 import (
+	"fpgavirtio/internal/sim"
 	"fpgavirtio/internal/telemetry"
 )
 
@@ -11,10 +12,15 @@ type Span struct{}
 
 func (Span) End() {}
 
-// Tracer mimes the simulator's span surface.
+// Kind mimes sim.SpanKind.
+type Kind uint32
+
+// Tracer mimes the simulator's span surface: kinds are registered with
+// their layer once, and spans open by kind.
 type Tracer struct{}
 
-func (Tracer) BeginSpan(layer, name string) Span { return Span{} }
+func (Tracer) SpanKind(layer, dir, name string) Kind { return 0 }
+func (Tracer) BeginSpan(k Kind) Span                 { return Span{} }
 
 // Plot has a non-string Histogram method, like the benchmark
 // reporter's renderer: not a registry instrument, not flagged.
@@ -58,18 +64,29 @@ func notAnInstrument(p Plot) string {
 	return p.Histogram(16, 50)
 }
 
-func goodLayer(tr Tracer) {
-	sp := tr.BeginSpan(telemetry.LayerDriver, "xmit")
+func goodLayer(tr Tracer) Kind {
+	return tr.SpanKind(telemetry.LayerDriver, "", "xmit")
+}
+
+func goodWireLayer(tr Tracer, dir string) Kind {
+	return tr.SpanKind(telemetry.LayerWire, dir, "MWr")
+}
+
+func badLayer(tr Tracer) Kind {
+	return tr.SpanKind("driver", "", "xmit") // want "span layer must be one of the telemetry Layer"
+}
+
+func kindConversion(n int) sim.SpanKind {
+	return sim.SpanKind(n) // a conversion, not a registration: not checked
+}
+
+func goodSpan(tr Tracer, k Kind) {
+	sp := tr.BeginSpan(k)
 	sp.End()
 }
 
-func badLayer(tr Tracer) {
-	sp := tr.BeginSpan("driver", "xmit") // want "span layer must be one of the telemetry Layer"
-	sp.End()
-}
-
-func badLeak(tr Tracer, fail bool) error {
-	sp := tr.BeginSpan(telemetry.LayerDriver, "xmit")
+func badLeak(tr Tracer, k Kind, fail bool) error {
+	sp := tr.BeginSpan(k)
 	if fail {
 		return errFailed // want "return may leak span \"sp\""
 	}
@@ -77,8 +94,8 @@ func badLeak(tr Tracer, fail bool) error {
 	return nil
 }
 
-func goodDeferClose(tr Tracer) error {
-	sp := tr.BeginSpan(telemetry.LayerDriver, "xmit")
+func goodDeferClose(tr Tracer, k Kind) error {
+	sp := tr.BeginSpan(k)
 	defer sp.End()
 	if sp == (Span{}) {
 		return errFailed
@@ -86,8 +103,8 @@ func goodDeferClose(tr Tracer) error {
 	return nil
 }
 
-func goodDeferClosure(tr Tracer) error {
-	sp := tr.BeginSpan(telemetry.LayerDriver, "xmit")
+func goodDeferClosure(tr Tracer, k Kind) error {
+	sp := tr.BeginSpan(k)
 	defer func() { sp.End() }()
 	return nil
 }

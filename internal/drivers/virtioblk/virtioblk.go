@@ -36,7 +36,8 @@ type Device struct {
 
 	Requests int
 
-	requests *telemetry.Counter
+	requests   *telemetry.Counter
+	submitSpan sim.SpanKind
 }
 
 // MaxSectorsPerRequest bounds one request's data segment.
@@ -61,6 +62,8 @@ func Probe(p *sim.Proc, h *hostos.Host, info *pcie.DeviceInfo) (*Device, error) 
 		wq:       h.NewWaitQueue("vblk"),
 		indirect: feats.Has(virtio.FRingIndirectDesc),
 		requests: h.Metrics().Counter(telemetry.MetricVirtioblkRequests),
+
+		submitSpan: h.Sim.SpanKind(telemetry.LayerDriver, "", "virtioblk.submit"),
 	}
 	cfg := tr.ReadDeviceConfig(p, virtio.BlkCfgCapacity, 8)
 	for i := 7; i >= 0; i-- {
@@ -93,7 +96,7 @@ func (d *Device) onIRQ(p *sim.Proc) {
 // submit issues one request chain and blocks for its completion, using
 // an indirect table when negotiated (one ring slot, one device fetch).
 func (d *Device) submit(p *sim.Proc, segs []virtio.BufSeg) error {
-	sp := p.Sim().BeginSpan(telemetry.LayerDriver, "virtioblk.submit")
+	sp := p.Sim().BeginSpan(d.submitSpan)
 	defer sp.End()
 	if d.indirect {
 		d.host.CPUWork(p, 150*sim.Nanosecond) // table setup

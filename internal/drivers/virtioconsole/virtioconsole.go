@@ -38,6 +38,7 @@ type Device struct {
 	pending [][]byte
 
 	txBytes, rxBytes *telemetry.Counter
+	writeSpan        sim.SpanKind
 }
 
 type rxTok struct{ addr mem.Addr }
@@ -61,6 +62,8 @@ func Probe(p *sim.Proc, h *hostos.Host, info *pcie.DeviceInfo) (*Device, error) 
 		txWQ:    h.NewWaitQueue("console.tx"),
 		txBytes: h.Metrics().Counter(telemetry.MetricVirtioconsoleTxBytes),
 		rxBytes: h.Metrics().Counter(telemetry.MetricVirtioconsoleRxBytes),
+
+		writeSpan: h.Sim.SpanKind(telemetry.LayerDriver, "", "console.write"),
 	}
 	if d.rxq, err = tr.SetupQueue(p, queueRX, 64); err != nil {
 		return nil, err
@@ -108,7 +111,7 @@ func (d *Device) Write(p *sim.Proc, data []byte) error {
 	if len(data) > rxBufSize {
 		return fmt.Errorf("virtioconsole: write too large: %d", len(data))
 	}
-	sp := p.Sim().BeginSpan(telemetry.LayerDriver, "console.write")
+	sp := p.Sim().BeginSpan(d.writeSpan)
 	defer sp.End()
 	d.host.SyscallEnter(p)
 	d.host.Copy(p, len(data))

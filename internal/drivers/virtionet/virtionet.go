@@ -186,6 +186,7 @@ type Device struct {
 	TxPackets, RxPackets, RxIRQs int
 
 	txPkts, rxPkts, rxIRQs *telemetry.Counter
+	spans                  struct{ xmit, napi, busypoll, reset sim.SpanKind }
 	// rxLenErrs counts RX completions dropped for a used length outside
 	// the posted buffer. It is registered on the first such drop, so a
 	// well-behaved device leaves the metric snapshot unchanged.
@@ -252,6 +253,10 @@ func Probe(p *sim.Proc, h *hostos.Host, stack *netstack.Stack, info *pcie.Device
 		rxPkts: reg.Counter(telemetry.MetricVirtionetRxPackets),
 		rxIRQs: reg.Counter(telemetry.MetricVirtionetRxIRQs),
 	}
+	d.spans.xmit = h.Sim.SpanKind(telemetry.LayerDriver, "", "virtionet.xmit")
+	d.spans.napi = h.Sim.SpanKind(telemetry.LayerDriver, "", "virtionet.napi")
+	d.spans.busypoll = h.Sim.SpanKind(telemetry.LayerDriver, "", "virtionet.busypoll")
+	d.spans.reset = h.Sim.SpanKind(telemetry.LayerDriver, "", "virtionet.reset")
 	if opt.PollMode {
 		d.spinner = h.NewSpinner(opt.Poll)
 	}
@@ -436,7 +441,7 @@ func (d *Device) txQueue() *pairQueues {
 // transmissions are reclaimed here rather than by interrupt, matching
 // the suppressed-TX-interrupt configuration.
 func (d *Device) Xmit(p *sim.Proc, pkt netstack.TxPacket) error {
-	sp := p.Sim().BeginSpan(telemetry.LayerDriver, "virtionet.xmit")
+	sp := p.Sim().BeginSpan(d.spans.xmit)
 	defer sp.End()
 	d.host.CPUWork(p, xmitPathCost)
 	pq := d.txQueue()
@@ -587,7 +592,7 @@ func (d *Device) napiPoll(p *sim.Proc, pq *pairQueues) {
 		return
 	}
 	pq.polling = true
-	sp := p.Sim().BeginSpan(telemetry.LayerDriver, "virtionet.napi")
+	sp := p.Sim().BeginSpan(d.spans.napi)
 	defer sp.End()
 	for {
 		if d.resetting || d.drainRx(p, pq) < 0 {
@@ -679,7 +684,7 @@ func (d *Device) BusyPoll(p *sim.Proc) int {
 			continue
 		}
 		pq.polling = true
-		sp := p.Sim().BeginSpan(telemetry.LayerDriver, "virtionet.busypoll")
+		sp := p.Sim().BeginSpan(d.spans.busypoll)
 		n := d.drainRx(p, pq)
 		sp.End()
 		pq.polling = false
@@ -798,7 +803,7 @@ func (d *Device) recoverReset(p *sim.Proc) {
 		return
 	}
 	d.resetting = true
-	sp := p.Sim().BeginSpan(telemetry.LayerDriver, "virtionet.reset")
+	sp := p.Sim().BeginSpan(d.spans.reset)
 	d.recResets.Inc()
 
 	// Harvest completions that landed before the device stopped, so

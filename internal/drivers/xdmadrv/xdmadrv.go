@@ -121,7 +121,7 @@ type channelState struct {
 
 	Transfers int
 
-	spanName               string
+	span                   sim.SpanKind
 	transfers, bytes, irqs *telemetry.Counter
 }
 
@@ -183,7 +183,7 @@ func (d *Driver) newChannel(p *sim.Proc, name string, h2c bool, chanBase, sgdma 
 		descSlot:  d.host.Alloc.Alloc(xdmaip.DescSize, 32),
 		descList:  d.host.Alloc.Alloc(MaxBatchDescs*xdmaip.DescSize, 32),
 		wq:        d.host.NewWaitQueue(name),
-		spanName:  "xdma." + dir,
+		span:      d.host.Sim.SpanKind(telemetry.LayerDriver, "", "xdma."+dir),
 		transfers: reg.Counter(telemetry.MetricXDMATransfers(dir)),
 		bytes:     reg.Counter(telemetry.MetricXDMABytes(dir)),
 		irqs:      reg.Counter(telemetry.MetricXDMAIRQs(dir)),
@@ -248,7 +248,7 @@ func (ch *channelState) transfer(p *sim.Proc, n int) error {
 	ch.busy = true
 	defer func() { ch.busy = false }()
 	d := ch.drv
-	sp := d.host.Sim.BeginSpan(telemetry.LayerDriver, ch.spanName)
+	sp := d.host.Sim.BeginSpan(ch.span)
 	defer sp.End()
 
 	// Build the descriptor in host memory.
@@ -479,7 +479,7 @@ func (ch *channelState) transferList(p *sim.Proc, segs []xferSeg) error {
 	ch.busy = true
 	defer func() { ch.busy = false }()
 	d := ch.drv
-	sp := d.host.Sim.BeginSpan(telemetry.LayerDriver, ch.spanName)
+	sp := d.host.Sim.BeginSpan(ch.span)
 	defer sp.End()
 
 	// Build the chained list in host memory; extra descriptors amortize

@@ -141,6 +141,8 @@ type Host struct {
 	metrics     *telemetry.Registry
 	irqHandlers map[irqKey]*irqAction
 	chardevs    map[string]CharDev
+
+	spanEnter, spanExit sim.SpanKind
 }
 
 // irqAction is the dispatch record built once at RegisterIRQ time: the
@@ -200,6 +202,8 @@ func New(s *sim.Sim, memBytes int, cfg Config, seed uint64) *Host {
 		// lumping them into +Inf.
 		wakeLatNs: h.metrics.HDR(telemetry.MetricHostWakeLatencyNs),
 	}
+	h.spanEnter = s.SpanKind(telemetry.LayerSyscall, "", "enter")
+	h.spanExit = s.SpanKind(telemetry.LayerSyscall, "", "exit")
 	h.RC = pcie.NewRootComplex(s, m, pcie.DefaultCosts())
 	h.RC.SetMetrics(h.metrics)
 	h.RC.SetIRQSink(h.deliverIRQ)
@@ -246,14 +250,14 @@ func (h *Host) CPUWork(p *sim.Proc, d sim.Duration) {
 // SyscallEnter charges the user-to-kernel transition.
 func (h *Host) SyscallEnter(p *sim.Proc) {
 	h.met.syscalls.Inc()
-	sp := h.Sim.BeginSpan(telemetry.LayerSyscall, "enter")
+	sp := h.Sim.BeginSpan(h.spanEnter)
 	h.CPUWork(p, h.cfg.SyscallEntry)
 	sp.End()
 }
 
 // SyscallExit charges the kernel-to-user return.
 func (h *Host) SyscallExit(p *sim.Proc) {
-	sp := h.Sim.BeginSpan(telemetry.LayerSyscall, "exit")
+	sp := h.Sim.BeginSpan(h.spanExit)
 	h.CPUWork(p, h.cfg.SyscallExit)
 	sp.End()
 }
@@ -291,10 +295,11 @@ func (h *Host) ClockGettime(p *sim.Proc) sim.Time {
 // process after the platform's dispatch latency.
 func (h *Host) RegisterIRQ(ep *pcie.Endpoint, vector int, handler func(p *sim.Proc)) {
 	act := &irqAction{name: fmt.Sprintf("isr:%s:%d", ep.Name(), vector)}
+	span := h.Sim.SpanKind(telemetry.LayerIRQ, "", act.name)
 	act.fn = func(p *sim.Proc) {
 		// IRQ-layer span: handler entry to return, including any NAPI
 		// poll the handler runs in its interrupt-context process.
-		sp := h.Sim.BeginSpan(telemetry.LayerIRQ, act.name)
+		sp := h.Sim.BeginSpan(span)
 		handler(p)
 		sp.End()
 	}

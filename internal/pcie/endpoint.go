@@ -43,6 +43,8 @@ type Endpoint struct {
 
 	readOps  []*dmaReadOp
 	writeOps []*dmaWriteOp
+
+	spans struct{ dmaRead, dmaWrite, msix sim.SpanKind }
 }
 
 // Name reports the endpoint's name.
@@ -72,7 +74,7 @@ func (ep *Endpoint) ConfigureMSIX(vectors int) {
 	ep.msixMasked = make([]bool, vectors)
 	ep.msixOps = make([]*msixOp, vectors)
 	for v := 0; v < vectors; v++ {
-		op := &msixOp{ep: ep, vector: v, name: "MSIX:" + strconv.Itoa(v)}
+		op := &msixOp{ep: ep, vector: v, label: ep.link.Label("MSIX:" + strconv.Itoa(v))}
 		op.dispatch = func() {
 			if op.ep.rc.irqSink != nil {
 				op.ep.rc.irqSink(op.ep, op.vector)
@@ -176,7 +178,7 @@ func (ep *Endpoint) getReadOp() *dmaReadOp {
 				c = mps
 			}
 			op.ep.countDown(TLPCompletion, c)
-			op.ep.link.Down(c, "CplD", op.onCplD)
+			op.ep.link.Down(c, op.ep.link.cpld, op.onCplD)
 		}
 	}
 	op.onCplD = func() {
@@ -204,7 +206,7 @@ func (ep *Endpoint) DMAReadInto(p *sim.Proc, a mem.Addr, dst []byte) {
 	if n == 0 {
 		return
 	}
-	sp := ep.sim.BeginSpan(telemetry.LayerPCIe, "dma-read")
+	sp := ep.sim.BeginSpan(ep.spans.dmaRead)
 	op := ep.getReadOp()
 	op.dst = dst
 	mrrs := ep.link.cfg.MRRS
@@ -216,7 +218,7 @@ func (ep *Endpoint) DMAReadInto(p *sim.Proc, a mem.Addr, dst []byte) {
 		op.addr = a + mem.Addr(off)
 		op.reqOff, op.reqLen, op.chunkOff = off, req, 0
 		ep.countUp(TLPMemRead, 0)
-		ep.link.Up(0, "MRd", op.onMRd)
+		ep.link.Up(0, ep.link.mrd, op.onMRd)
 		op.done.Wait(p)
 		op.done.Reset()
 	}
@@ -296,7 +298,7 @@ func (ep *Endpoint) DMAWrite(p *sim.Proc, a mem.Addr, data []byte) {
 	}
 	op := ep.getWriteOp()
 	//fvlint:ignore metricname span ends in the pooled op's final MWr arrival callback
-	op.sp = ep.sim.BeginSpan(telemetry.LayerPCIe, "dma-write")
+	op.sp = ep.sim.BeginSpan(ep.spans.dmaWrite)
 	op.buf = growBytes(op.buf, len(data))
 	copy(op.buf, data)
 	op.addr = a
@@ -309,7 +311,7 @@ func (ep *Endpoint) DMAWrite(p *sim.Proc, a mem.Addr, data []byte) {
 			c = mps
 		}
 		ep.countUp(TLPMemWrite, c)
-		lastSer = ep.link.Up(c, "MWr", op.onMWr)
+		lastSer = ep.link.Up(c, ep.link.mwr, op.onMWr)
 	}
 	if d := lastSer.Sub(p.Now()); d > 0 {
 		p.Sleep(d)
@@ -321,7 +323,7 @@ func (ep *Endpoint) DMAWrite(p *sim.Proc, a mem.Addr, data []byte) {
 type msixOp struct {
 	ep        *Endpoint
 	vector    int
-	name      string // "MSIX:<v>"
+	label     *WireLabel // "MSIX:<v>"
 	afterLink func()
 	dispatch  func()
 }
@@ -362,8 +364,8 @@ func (ep *Endpoint) raiseMSIX(v int) {
 	if ep.sim.TracingSpans() {
 		// Tracing path: allocate per-raise closures so overlapping
 		// raises of the same vector each carry their own span.
-		sp := ep.sim.BeginSpan(telemetry.LayerPCIe, "msix")
-		ep.link.Up(4, op.name, func() {
+		sp := ep.sim.BeginSpan(ep.spans.msix)
+		ep.link.Up(4, op.label, func() {
 			ep.sim.After(ep.rc.costs.APICDelay, "rc:apic", func() {
 				sp.End()
 				if ep.rc.irqSink != nil {
@@ -374,5 +376,5 @@ func (ep *Endpoint) raiseMSIX(v int) {
 		//fvlint:ignore metricname span ends in the APIC-dispatch callback above
 		return
 	}
-	ep.link.Up(4, op.name, op.afterLink)
+	ep.link.Up(4, op.label, op.afterLink)
 }

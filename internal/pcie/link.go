@@ -75,10 +75,21 @@ func (c LinkConfig) String() string {
 }
 
 // direction is one simplex half of the link. TLPs serialize in FIFO
-// order; busyUntil tracks when the wire frees up.
+// order; busyUntil tracks when the wire frees up. idx selects the
+// direction's span kind in a WireLabel.
 type direction struct {
 	name      string
+	idx       int
 	busyUntil sim.Time
+}
+
+// WireLabel is a TLP label ("MWr", "CplD", "MSIX:0", ...) prepared for
+// one link: its wire span kind in each direction, registered once so
+// that transmitting a TLP carries only the kind id. Build labels with
+// Link.Label when a component is constructed, not per TLP.
+type WireLabel struct {
+	what string
+	kind [2]sim.SpanKind // indexed by direction.idx
 }
 
 // Link is a point-to-point PCIe link between the root complex and one
@@ -89,17 +100,36 @@ type Link struct {
 	cfg  LinkConfig
 	down direction // RC -> EP
 	up   direction // EP -> RC
+
+	// Labels of the TLPs the root complex and the endpoint exchange.
+	mrd, mwr, cpld, cpl, cfgRd, cfgWr *WireLabel
 }
 
 // NewLink returns a link driven by s with configuration cfg.
 func NewLink(s *sim.Sim, cfg LinkConfig) *Link {
 	cfg.validate()
-	return &Link{
+	l := &Link{
 		sim:  s,
 		cfg:  cfg,
 		down: direction{name: "down"},
-		up:   direction{name: "up"},
+		up:   direction{name: "up", idx: 1},
 	}
+	l.mrd = l.Label(TLPMemRead.String())
+	l.mwr = l.Label(TLPMemWrite.String())
+	l.cpld = l.Label(TLPCompletion.String())
+	l.cpl = l.Label("Cpl")
+	l.cfgRd = l.Label(TLPConfigRead.String())
+	l.cfgWr = l.Label(TLPConfigWrite.String())
+	return l
+}
+
+// Label registers the wire span kinds of TLP label what, one per
+// direction, and returns them.
+func (l *Link) Label(what string) *WireLabel {
+	return &WireLabel{what: what, kind: [2]sim.SpanKind{
+		l.sim.SpanKind(telemetry.LayerWire, l.down.name, what),
+		l.sim.SpanKind(telemetry.LayerWire, l.up.name, what),
+	}}
 }
 
 // Config returns the link configuration.
@@ -116,7 +146,7 @@ func (l *Link) serTime(payload int) sim.Duration {
 // When neither spans nor the event tracer are active, the arrival event
 // carries deliver directly — no wrapper closure and no composed name —
 // so a TLP costs zero heap allocations on the steady-state path.
-func (l *Link) transmit(dir *direction, payload int, what string, deliver func()) sim.Time {
+func (l *Link) transmit(dir *direction, payload int, lb *WireLabel, deliver func()) sim.Time {
 	now := l.sim.Now()
 	start := now
 	if dir.busyUntil > start {
@@ -126,16 +156,14 @@ func (l *Link) transmit(dir *direction, payload int, what string, deliver func()
 	dir.busyUntil = serEnd
 	arrive := serEnd.Add(l.cfg.Prop)
 	// Flight recorder: the endpoints are already known here, so the
-	// TLP is logged as a closed interval without touching the span
-	// machinery (and without composing a name — dir and kind travel as
-	// separate static strings). Stays on with zero allocations.
-	if l.sim.FlightRecording() {
-		l.sim.FlightClosed(telemetry.LayerWire, dir.name, what, now, arrive)
-	}
+	// TLP is logged as a closed interval without touching the open-span
+	// machinery. Stays on with zero allocations.
+	k := lb.kind[dir.idx]
+	l.sim.FlightClosed(k, now, arrive)
 	if l.sim.TracingSpans() || l.sim.Traced() {
 		// Wire-layer span: queue + serialization + flight of this TLP.
-		sp := l.sim.BeginSpan(telemetry.LayerWire, dir.name+":"+what)
-		l.sim.At(arrive, "pcie:"+dir.name+":"+what, func() {
+		sp := l.sim.BeginSpan(k)
+		l.sim.At(arrive, "pcie:"+dir.name+":"+lb.what, func() {
 			sp.End()
 			deliver()
 		})
@@ -146,12 +174,12 @@ func (l *Link) transmit(dir *direction, payload int, what string, deliver func()
 	return serEnd
 }
 
-// Down sends a TLP from root complex to endpoint.
-func (l *Link) Down(payload int, what string, deliver func()) sim.Time {
-	return l.transmit(&l.down, payload, what, deliver)
+// Down sends a TLP labelled lb from root complex to endpoint.
+func (l *Link) Down(payload int, lb *WireLabel, deliver func()) sim.Time {
+	return l.transmit(&l.down, payload, lb, deliver)
 }
 
-// Up sends a TLP from endpoint to root complex.
-func (l *Link) Up(payload int, what string, deliver func()) sim.Time {
-	return l.transmit(&l.up, payload, what, deliver)
+// Up sends a TLP labelled lb from endpoint to root complex.
+func (l *Link) Up(payload int, lb *WireLabel, deliver func()) sim.Time {
+	return l.transmit(&l.up, payload, lb, deliver)
 }

@@ -72,8 +72,8 @@ func TestLinkSerializationAndOrdering(t *testing.T) {
 	var arrivals []sim.Time
 	var order []int
 	// Two TLPs queued back-to-back: the second serializes after the first.
-	l.Down(104, "a", func() { arrivals = append(arrivals, s.Now()); order = append(order, 1) })
-	l.Down(104, "b", func() { arrivals = append(arrivals, s.Now()); order = append(order, 2) })
+	l.Down(104, l.Label("a"), func() { arrivals = append(arrivals, s.Now()); order = append(order, 1) })
+	l.Down(104, l.Label("b"), func() { arrivals = append(arrivals, s.Now()); order = append(order, 2) })
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +92,8 @@ func TestLinkDirectionsIndependent(t *testing.T) {
 	s := sim.New()
 	l := NewLink(s, DefaultGen2x2())
 	var down, up sim.Time
-	l.Down(1000, "d", func() { down = s.Now() })
-	l.Up(0, "u", func() { up = s.Now() })
+	l.Down(1000, l.Label("d"), func() { down = s.Now() })
+	l.Up(0, l.Label("u"), func() { up = s.Now() })
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}

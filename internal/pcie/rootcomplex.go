@@ -58,6 +58,8 @@ type RootComplex struct {
 
 	mmioWriteOps []*mmioWriteOp
 	mmioReadOps  []*mmioReadOp
+
+	spans struct{ cfgRead, cfgWrite, mmioWrite, mmioRead sim.SpanKind }
 }
 
 type barRoute struct {
@@ -69,7 +71,12 @@ type barRoute struct {
 
 // NewRootComplex returns a root complex over host memory m.
 func NewRootComplex(s *sim.Sim, m *mem.Memory, costs Costs) *RootComplex {
-	return &RootComplex{sim: s, Mem: m, costs: costs, nextBAR: mmioWindowBase}
+	rc := &RootComplex{sim: s, Mem: m, costs: costs, nextBAR: mmioWindowBase}
+	rc.spans.cfgRead = s.SpanKind(telemetry.LayerPCIe, "", "cfg-read")
+	rc.spans.cfgWrite = s.SpanKind(telemetry.LayerPCIe, "", "cfg-write")
+	rc.spans.mmioWrite = s.SpanKind(telemetry.LayerPCIe, "", "mmio-write")
+	rc.spans.mmioRead = s.SpanKind(telemetry.LayerPCIe, "", "mmio-read")
+	return rc
 }
 
 // Costs returns the platform latency constants.
@@ -91,6 +98,9 @@ func (rc *RootComplex) Attach(name string, cfg *ConfigSpace, link LinkConfig) *E
 		rc:    rc,
 		stats: NewStats(),
 	}
+	ep.spans.dmaRead = rc.sim.SpanKind(telemetry.LayerPCIe, "", "dma-read")
+	ep.spans.dmaWrite = rc.sim.SpanKind(telemetry.LayerPCIe, "", "dma-write")
+	ep.spans.msix = rc.sim.SpanKind(telemetry.LayerPCIe, "", "msix")
 	if rc.metrics != nil {
 		ep.met = newEPMetrics(rc.metrics)
 	}
@@ -115,13 +125,13 @@ func (rc *RootComplex) route(addr uint64) (ep *Endpoint, bar int, off uint64) {
 func (rc *RootComplex) ConfigRead32(p *sim.Proc, ep *Endpoint, off int) uint32 {
 	var v uint32
 	done := sim.NewTrigger(rc.sim, "cfgrd")
-	sp := rc.sim.BeginSpan(telemetry.LayerPCIe, "cfg-read")
+	sp := rc.sim.BeginSpan(rc.spans.cfgRead)
 	ep.countDown(TLPConfigRead, 0)
-	ep.link.Down(0, "CfgRd", func() {
+	ep.link.Down(0, ep.link.cfgRd, func() {
 		rc.sim.After(rc.costs.CfgService, "ep:cfg", func() {
 			v = ep.cfg.Read32(off)
 			ep.countUp(TLPCompletion, 4)
-			ep.link.Up(4, "CplD", done.Fire)
+			ep.link.Up(4, ep.link.cpld, done.Fire)
 		})
 	})
 	done.Wait(p)
@@ -133,13 +143,13 @@ func (rc *RootComplex) ConfigRead32(p *sim.Proc, ep *Endpoint, off int) uint32 {
 // host process until the completion for the non-posted write returns.
 func (rc *RootComplex) ConfigWrite32(p *sim.Proc, ep *Endpoint, off int, v uint32) {
 	done := sim.NewTrigger(rc.sim, "cfgwr")
-	sp := rc.sim.BeginSpan(telemetry.LayerPCIe, "cfg-write")
+	sp := rc.sim.BeginSpan(rc.spans.cfgWrite)
 	ep.countDown(TLPConfigWrite, 4)
-	ep.link.Down(4, "CfgWr", func() {
+	ep.link.Down(4, ep.link.cfgWr, func() {
 		rc.sim.After(rc.costs.CfgService, "ep:cfg", func() {
 			ep.cfg.Write32(off, v)
 			ep.countUp(TLPCompletion, 0)
-			ep.link.Up(0, "Cpl", done.Fire)
+			ep.link.Up(0, ep.link.cpl, done.Fire)
 		})
 	})
 	done.Wait(p)
@@ -229,13 +239,13 @@ func (rc *RootComplex) getMMIORead() *mmioReadOp {
 				op.v = allOnes(op.size)
 				op.ep.cplError()
 				op.ep.countUp(TLPCompletion, op.size)
-				op.ep.link.Up(op.size, "CplD", op.fire)
+				op.ep.link.Up(op.size, op.ep.link.cpld, op.fire)
 				return
 			}
 		}
 		op.v = op.ep.barRead(op.bar, op.off, op.size)
 		op.ep.countUp(TLPCompletion, op.size)
-		op.ep.link.Up(op.size, "CplD", op.fire)
+		op.ep.link.Up(op.size, op.ep.link.cpld, op.fire)
 	}
 	return op
 }
@@ -253,9 +263,9 @@ func (rc *RootComplex) MMIOWrite(p *sim.Proc, addr uint64, size int, v uint64) {
 	// Posted write: the span covers CPU post through device-side decode
 	// and ends in the pooled op's arrival callback.
 	//fvlint:ignore metricname span ends in the pooled op's delivery callback
-	op.sp = rc.sim.BeginSpan(telemetry.LayerPCIe, "mmio-write")
+	op.sp = rc.sim.BeginSpan(rc.spans.mmioWrite)
 	ep.countDown(TLPMemWrite, size)
-	ep.link.Down(size, "MWr", op.deliver)
+	ep.link.Down(size, ep.link.mwr, op.deliver)
 }
 
 // MMIORead performs a non-posted read of size bytes from a BAR address,
@@ -264,7 +274,7 @@ func (rc *RootComplex) MMIORead(p *sim.Proc, addr uint64, size int) uint64 {
 	ep, bar, off := rc.route(addr)
 	op := rc.getMMIORead()
 	op.ep, op.bar, op.off, op.size = ep, bar, off, size
-	sp := rc.sim.BeginSpan(telemetry.LayerPCIe, "mmio-read")
+	sp := rc.sim.BeginSpan(rc.spans.mmioRead)
 	ep.countDown(TLPMemRead, 0)
 	if rc.faults.Fire(faults.CplTimeout) {
 		// The read request vanishes in the fabric; the completion
@@ -273,7 +283,7 @@ func (rc *RootComplex) MMIORead(p *sim.Proc, addr uint64, size int) uint64 {
 		ep.cplError()
 		rc.sim.After(cplTimeoutDelay, "pcie:cpl-timeout", op.fire)
 	} else {
-		ep.link.Down(0, "MRd", op.onMRd)
+		ep.link.Down(0, ep.link.mrd, op.onMRd)
 	}
 	op.done.Wait(p)
 	op.done.Reset()

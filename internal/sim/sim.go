@@ -103,8 +103,9 @@ type Sim struct {
 	handoff  *Proc // process a parking coroutine passes control to
 	tramp    *Proc // process running the trampoline (see Proc.suspend), or nil
 	tracer   Tracer
-	spans    SpanSink
-	flight   FlightSink
+	spans    SpanSink // verbose sink; flips TracingSpans
+	flight   SpanSink // always-on sink
+	kinds    SpanKinds
 	procs    int     // live (not yet finished) processes
 	parked   []*Proc // processes currently suspended (unordered)
 	free     []*event

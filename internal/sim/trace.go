@@ -1,5 +1,7 @@
 package sim
 
+import "fmt"
+
 // RecordingTracer stores every executed event; useful in tests that
 // assert ordering, and for offline latency attribution. When Max is
 // set and reached, further events are counted as dropped instead of
@@ -31,61 +33,110 @@ func (t *RecordingTracer) Event(at Time, name string) {
 // was reached. A non-zero value means Records is an incomplete trace.
 func (t *RecordingTracer) Dropped() int { return t.dropped }
 
-// SpanSink receives begin/end notifications for layer-attributed
-// spans. Unlike Tracer, which sees every scheduled event by name, a
-// SpanSink sees intervals: model code brackets meaningful work
-// (a syscall, an ISR, a DMA engine run) with BeginSpan/End so a
-// breakdown falls out of a fold over spans rather than string parsing.
+// SpanKind is the interned identity of a span's (layer, dir, name)
+// triple. Components register their kinds once per Sim, at
+// construction (Sim.SpanKind); from then on the span channel carries
+// only this small id, so a sink can keep fixed-size, pointer-free
+// records and resolve the strings only when it renders them. The zero
+// SpanKind is never handed out.
+type SpanKind uint32
+
+// SpanKindInfo is the triple a SpanKind stands for. Dir is a direction
+// qualifier ("down"/"up" for wire spans) and empty elsewhere.
+type SpanKindInfo struct {
+	Layer, Dir, Name string
+}
+
+// Label is the span's display name: Name, prefixed "Dir:" when the
+// kind has a direction.
+func (i SpanKindInfo) Label() string {
+	if i.Dir == "" {
+		return i.Name
+	}
+	return i.Dir + ":" + i.Name
+}
+
+// SpanKinds is a Sim's span-kind table. It only grows, so every id it
+// hands out stays valid for the Sim's life.
+type SpanKinds struct {
+	infos []SpanKindInfo // infos[k-1] describes kind k
+	ids   map[SpanKindInfo]SpanKind
+}
+
+// Info returns the triple registered under k. An id the table never
+// handed out panics: it can only come from another Sim.
+func (t *SpanKinds) Info(k SpanKind) SpanKindInfo {
+	if k == 0 || int(k) > len(t.infos) {
+		panic(fmt.Sprintf("sim: unregistered span kind %d", k))
+	}
+	return t.infos[k-1]
+}
+
+// SpanKind registers the (layer, dir, name) triple and returns its id;
+// registering the same triple again returns the same id. Call it when
+// a component is built, not per span: the first registration of a
+// triple allocates.
+func (s *Sim) SpanKind(layer, dir, name string) SpanKind {
+	t := &s.kinds
+	info := SpanKindInfo{Layer: layer, Dir: dir, Name: name}
+	if k, ok := t.ids[info]; ok {
+		return k
+	}
+	if t.ids == nil {
+		t.ids = make(map[SpanKindInfo]SpanKind)
+	}
+	t.infos = append(t.infos, info)
+	k := SpanKind(len(t.infos))
+	t.ids[info] = k
+	return k
+}
+
+// SpanKinds returns the Sim's kind table, which span sinks use to
+// resolve the ids they store.
+func (s *Sim) SpanKinds() *SpanKinds { return &s.kinds }
+
+// SpanSink receives layer-attributed spans keyed by SpanKind. Unlike
+// Tracer, which sees every scheduled event by name, a SpanSink sees
+// intervals: model code brackets meaningful work (a syscall, an ISR, a
+// DMA engine run) with BeginSpan/End so a breakdown falls out of a fold
+// over spans rather than string parsing.
 //
 // SpanBegin returns an opaque id that the matching SpanEnd presents.
 // Implementations must tolerate SpanEnd for unknown ids (a sink
-// installed mid-interval sees unmatched ends).
+// installed mid-interval sees unmatched ends). SpanClosed records an
+// interval whose endpoints are already known.
 type SpanSink interface {
-	SpanBegin(at Time, layer, name string, attrs ...string) uint64
+	SpanBegin(at Time, k SpanKind) uint64
 	SpanEnd(at Time, id uint64)
+	SpanClosed(k SpanKind, start, end Time)
 }
 
-// SetSpanSink installs ss as the span sink (nil disables span
-// tracing). Span emission is a pure recording hook: it never schedules
-// events and cannot perturb simulation timing.
+// SetSpanSink installs ss as the verbose span sink (nil disables span
+// tracing). Installing one flips TracingSpans, which lets hot paths
+// take allocating verbose branches. Span emission is a pure recording
+// hook: it never schedules events and cannot perturb simulation timing.
 func (s *Sim) SetSpanSink(ss SpanSink) { s.spans = ss }
 
-// TracingSpans reports whether a span sink is installed; call sites
-// that would allocate to build span attributes should check it first.
+// TracingSpans reports whether a verbose span sink is installed; call
+// sites that would allocate to record a span should check it first.
 func (s *Sim) TracingSpans() bool { return s.spans != nil }
 
-// FlightSink is the always-on sibling of SpanSink: a bounded,
-// allocation-free recorder of recent spans (a flight recorder).
-// Unlike SpanSink — whose installation flips TracingSpans() and lets
-// hot paths take allocating verbose branches — a FlightSink stays
-// installed for a session's whole life, so every method MUST be
-// allocation-free in steady state. BeginSpan/End feed both sinks;
-// FlightClosed additionally receives the closed wire-layer spans the
-// fast TLP path composes without strings.
-type FlightSink interface {
-	FlightBegin(at Time, layer, name string) uint64
-	FlightEnd(at Time, id uint64)
-	// FlightClosed records an already-closed span. dir is an optional
-	// direction qualifier ("down"/"up" for wire spans), "" otherwise.
-	FlightClosed(at Time, layer, dir, name string, start, end Time)
-}
+// SetFlightSink installs fs as the always-on span sink (nil disables
+// it). Unlike SetSpanSink it leaves TracingSpans false, so a flight
+// sink stays installed for a session's whole life and every one of its
+// methods must be allocation-free in steady state. Like span emission,
+// it never schedules events and cannot perturb simulation timing.
+func (s *Sim) SetFlightSink(fs SpanSink) { s.flight = fs }
 
-// SetFlightSink installs fs as the flight sink (nil disables flight
-// recording). Like span emission, flight recording is a pure hook: it
-// never schedules events and cannot perturb simulation timing.
-func (s *Sim) SetFlightSink(fs FlightSink) { s.flight = fs }
-
-// FlightRecording reports whether a flight sink is installed.
-func (s *Sim) FlightRecording() bool { return s.flight != nil }
-
-// FlightClosed forwards an already-closed span to the flight sink, if
-// one is installed. Hot paths that know a span's endpoints up front
-// (the wire layer prices queue+serialization+flight when the TLP is
-// queued) use it to feed the flight recorder without the allocating
-// name composition the verbose span path performs.
-func (s *Sim) FlightClosed(layer, dir, name string, start, end Time) {
+// FlightClosed records an already-closed span of kind k in the flight
+// sink, if one is installed. The wire layer prices a TLP's queue,
+// serialization and flight when it queues it, so it logs every TLP
+// this way at no cost beyond the call. The verbose sink is not fed: a
+// traced run also opens that interval as a real span (see
+// pcie.Link), which is what the verbose sink records.
+func (s *Sim) FlightClosed(k SpanKind, start, end Time) {
 	if s.flight != nil {
-		s.flight.FlightClosed(s.now, layer, dir, name, start, end)
+		s.flight.SpanClosed(k, start, end)
 	}
 }
 
@@ -97,18 +148,18 @@ type SpanRef struct {
 	fid uint64
 }
 
-// BeginSpan opens a span at the current simulation time. attrs are
-// alternating key/value pairs. The span is emitted to the span sink
-// and the flight sink independently; either may be absent.
-func (s *Sim) BeginSpan(layer, name string, attrs ...string) SpanRef {
+// BeginSpan opens a span of kind k at the current simulation time. It
+// is emitted to the span sink and the flight sink independently;
+// either may be absent.
+func (s *Sim) BeginSpan(k SpanKind) SpanRef {
 	var r SpanRef
 	if s.spans != nil {
 		r.s = s
-		r.id = s.spans.SpanBegin(s.now, layer, name, attrs...)
+		r.id = s.spans.SpanBegin(s.now, k)
 	}
 	if s.flight != nil {
 		r.s = s
-		r.fid = s.flight.FlightBegin(s.now, layer, name)
+		r.fid = s.flight.SpanBegin(s.now, k)
 	}
 	return r
 }
@@ -123,6 +174,6 @@ func (r SpanRef) End() {
 		r.s.spans.SpanEnd(r.s.now, r.id)
 	}
 	if r.s.flight != nil && r.fid != 0 {
-		r.s.flight.FlightEnd(r.s.now, r.fid)
+		r.s.flight.SpanEnd(r.s.now, r.fid)
 	}
 }

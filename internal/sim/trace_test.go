@@ -21,26 +21,34 @@ func TestRecordingTracerDropped(t *testing.T) {
 }
 
 type sinkLog struct {
+	kinds  *SpanKinds
 	begins []string
 	ends   []uint64
+	closed []string
 	next   uint64
 }
 
-func (l *sinkLog) SpanBegin(at Time, layer, name string, attrs ...string) uint64 {
+func (l *sinkLog) SpanBegin(at Time, k SpanKind) uint64 {
 	l.next++
-	l.begins = append(l.begins, layer+"/"+name)
+	info := l.kinds.Info(k)
+	l.begins = append(l.begins, info.Layer+"/"+info.Label())
 	return l.next
 }
 func (l *sinkLog) SpanEnd(at Time, id uint64) { l.ends = append(l.ends, id) }
+func (l *sinkLog) SpanClosed(k SpanKind, start, end Time) {
+	info := l.kinds.Info(k)
+	l.closed = append(l.closed, info.Layer+"/"+info.Label())
+}
 
 func TestBeginSpanWithAndWithoutSink(t *testing.T) {
 	s := New()
+	xmit := s.SpanKind("driver", "", "xmit")
 	// No sink: zero SpanRef, End is a safe no-op.
-	s.BeginSpan("driver", "noop").End()
+	s.BeginSpan(s.SpanKind("driver", "", "noop")).End()
 
-	l := &sinkLog{}
+	l := &sinkLog{kinds: s.SpanKinds()}
 	s.SetSpanSink(l)
-	ref := s.BeginSpan("driver", "xmit", "q", "0")
+	ref := s.BeginSpan(xmit)
 	ref.End()
 	s.SetSpanSink(nil)
 	// End after the sink is removed must not panic or reach the sink.
@@ -52,4 +60,36 @@ func TestBeginSpanWithAndWithoutSink(t *testing.T) {
 	if len(l.ends) != 1 || l.ends[0] != 1 {
 		t.Fatalf("ends = %v", l.ends)
 	}
+}
+
+// Kinds intern by triple, and a closed span reaches the flight sink
+// only: the verbose sink sees the same interval as a real span.
+func TestSpanKindsAndFlightClosed(t *testing.T) {
+	s := New()
+	a := s.SpanKind("wire", "down", "MWr")
+	b := s.SpanKind("wire", "up", "MWr")
+	if a == 0 || a == b || s.SpanKind("wire", "down", "MWr") != a {
+		t.Fatalf("kinds a=%d b=%d: want distinct non-zero ids, stable per triple", a, b)
+	}
+	if got := s.SpanKinds().Info(b).Label(); got != "up:MWr" {
+		t.Fatalf("label = %q, want up:MWr", got)
+	}
+	verbose := &sinkLog{kinds: s.SpanKinds()}
+	flight := &sinkLog{kinds: s.SpanKinds()}
+	s.SetSpanSink(verbose)
+	s.SetFlightSink(flight)
+	s.FlightClosed(a, 0, Time(10))
+	s.BeginSpan(b).End()
+	if len(verbose.closed) != 0 || len(flight.closed) != 1 || flight.closed[0] != "wire/down:MWr" {
+		t.Fatalf("closed: verbose %v, flight %v", verbose.closed, flight.closed)
+	}
+	if len(verbose.begins) != 1 || len(flight.begins) != 1 {
+		t.Fatalf("begins: verbose %v, flight %v", verbose.begins, flight.begins)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Info of an unregistered kind did not panic")
+		}
+	}()
+	s.SpanKinds().Info(SpanKind(99))
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math/bits"
 	"sort"
 
 	"fpgavirtio/internal/sim"
@@ -9,25 +10,36 @@ import (
 // Flight recorder: an always-on, allocation-free ring of the most
 // recent spans in a session. Unlike the Recorder (installed only
 // around explicitly traced operations, and gating the verbose
-// per-TLP branches via sim.TracingSpans), the flight recorder rides
-// the separate sim.FlightSink channel so it can stay enabled for the
+// per-TLP branches via sim.TracingSpans), the flight recorder is
+// installed with sim.SetFlightSink so it can stay enabled for the
 // entire run without perturbing the 0-alloc hot path. When something
 // noteworthy happens — a fault-recovery fires, a new worst-case RTT
-// lands — Snapshot freezes the ring into a preallocated dump slot,
+// lands — Snapshot freezes the ring into that reason's dump slot,
 // giving a post-mortem trace of the packets leading up to the event
 // without anyone having asked for tracing in advance.
+//
+// Ring entries and dump slots hold 24-byte, pointer-free records (two
+// times and a sim.SpanKind); the strings behind a kind are looked up
+// only when Dumps renders the slots. The default recorder's ring is
+// 48 KiB, and each reason's dump slot (about 50 KiB) is allocated on
+// that reason's first Snapshot, so a fault-free run pays for one slot.
 
-// Default sizing: the ring holds the last few round trips' worth of
-// spans (a virtio ping closes ~15 spans; XDMA fewer), and a handful
-// of dump slots covers the distinct trigger reasons in one run.
+// Default sizing: the ring holds the last 20-30 round trips' worth
+// of spans (a net ping closes about 100, TLPs included; an XDMA round
+// trip about 70), and a handful of dump slots covers the distinct
+// trigger reasons in one run.
 const (
 	DefaultFlightSpans = 2048
 	DefaultFlightDumps = 8
 
 	// flightOpenSlots bounds concurrently-open spans tracked by the
-	// recorder. The sim's strict hand-off discipline keeps real nesting
-	// depth in single digits; 64 leaves generous headroom.
+	// recorder: one bit each in a uint64. The sim's strict hand-off
+	// discipline keeps real nesting depth in single digits; 64 leaves
+	// generous headroom.
 	flightOpenSlots = 64
+	// flightSlotBits is the low part of a span id that names its open
+	// slot; the rest is a per-recorder sequence number.
+	flightSlotBits = 6
 )
 
 // FlightSpan is one interval captured by the flight recorder. Dir is
@@ -59,11 +71,17 @@ type FlightDump struct {
 	Spans []FlightSpan `json:"spans"`
 }
 
+// flightRec is the stored form of a FlightSpan.
+type flightRec struct {
+	start, end sim.Time
+	kind       sim.SpanKind
+	open       bool
+}
+
 type flightOpen struct {
 	id    uint64
-	layer string
-	name  string
 	start sim.Time
+	kind  sim.SpanKind
 }
 
 type flightSlot struct {
@@ -71,25 +89,29 @@ type flightSlot struct {
 	reason string
 	at     sim.Time
 	seq    int64
-	spans  []FlightSpan // preallocated to ring+open capacity
+	recs   []flightRec // ring+open capacity, allocated on first use
 }
 
-// FlightRecorder implements sim.FlightSink with a fixed-size span
-// ring, a fixed open-span side table, and preallocated dump slots.
-// After construction no method allocates, so a session can leave it
-// installed for a 50k-packet sweep without moving the alloc budget.
+// FlightRecorder implements sim.SpanSink with a fixed-size record
+// ring, a fixed open-span side table, and one dump slot per reason.
+// After construction only a reason's first Snapshot allocates, so a
+// session can leave it installed for a 50k-packet sweep without moving
+// the alloc budget.
 //
 // Dump slots are keyed by reason: a second snapshot with the same
 // reason overwrites the earlier one (keeping the freshest context for
 // that trigger), and snapshots beyond the slot count are counted as
 // dropped rather than evicting a different reason.
 type FlightRecorder struct {
-	ring []FlightSpan
+	kinds *sim.SpanKinds
+
+	ring []flightRec
 	head int // next write position
 	n    int // filled entries, <= len(ring)
 
-	open   [flightOpenSlots]flightOpen
-	nextID uint64
+	open     [flightOpenSlots]flightOpen
+	openUsed uint64 // bit i set: open[i] holds a live span
+	nextID   uint64
 
 	slots   []flightSlot
 	dumpSeq int64
@@ -100,72 +122,69 @@ type FlightRecorder struct {
 	dumpsDropped *Counter
 }
 
-// NewFlightRecorder returns a recorder with spanCap ring entries and
-// dumpSlots snapshot slots (defaults apply for values <= 0),
-// registering its recorder.* counters in reg (which may be nil).
-func NewFlightRecorder(spanCap, dumpSlots int, reg *Registry) *FlightRecorder {
+// NewFlightRecorder returns a recorder that resolves span kinds in
+// kinds, with spanCap ring entries and dumpSlots snapshot slots
+// (defaults apply for values <= 0), registering its recorder.*
+// counters in reg (which may be nil).
+func NewFlightRecorder(kinds *sim.SpanKinds, spanCap, dumpSlots int, reg *Registry) *FlightRecorder {
 	if spanCap <= 0 {
 		spanCap = DefaultFlightSpans
 	}
 	if dumpSlots <= 0 {
 		dumpSlots = DefaultFlightDumps
 	}
-	fr := &FlightRecorder{
-		ring:         make([]FlightSpan, spanCap),
+	return &FlightRecorder{
+		kinds:        kinds,
+		ring:         make([]flightRec, spanCap),
 		slots:        make([]flightSlot, dumpSlots),
 		captured:     reg.Counter(MetricRecorderSpansCaptured),
 		dropped:      reg.Counter(MetricRecorderSpansDropped),
 		dumps:        reg.Counter(MetricRecorderDumps),
 		dumpsDropped: reg.Counter(MetricRecorderDumpsDropped),
 	}
-	for i := range fr.slots {
-		fr.slots[i].spans = make([]FlightSpan, 0, spanCap+flightOpenSlots)
-	}
-	return fr
 }
 
-// FlightBegin implements sim.FlightSink: it opens a span in the side
-// table and returns its id. When the table is full the span is
-// counted as dropped and its eventual FlightEnd is a no-op.
-func (fr *FlightRecorder) FlightBegin(at sim.Time, layer, name string) uint64 {
+// SpanBegin implements sim.SpanSink: it opens the span in the lowest
+// free side-table slot and returns an id that names the slot. When
+// the table is full the span is counted as dropped and its eventual
+// SpanEnd is a no-op.
+func (fr *FlightRecorder) SpanBegin(at sim.Time, k sim.SpanKind) uint64 {
 	fr.nextID++
-	id := fr.nextID
-	for i := range fr.open {
-		if fr.open[i].id == 0 {
-			fr.open[i] = flightOpen{id: id, layer: layer, name: name, start: at}
-			return id
-		}
+	id := fr.nextID << flightSlotBits
+	free := ^fr.openUsed
+	if free == 0 {
+		fr.dropped.Inc()
+		return id
 	}
-	fr.dropped.Inc()
+	slot := bits.TrailingZeros64(free)
+	id |= uint64(slot)
+	fr.open[slot] = flightOpen{id: id, start: at, kind: k}
+	fr.openUsed |= 1 << slot
 	return id
 }
 
-// FlightEnd implements sim.FlightSink: it closes the span opened
-// under id and pushes it into the ring. Unknown ids (dropped opens,
-// or spans begun before the recorder was installed) are ignored.
-func (fr *FlightRecorder) FlightEnd(at sim.Time, id uint64) {
-	if id == 0 {
+// SpanEnd implements sim.SpanSink: it closes the span opened under id
+// and pushes it into the ring. Unknown ids (dropped opens, or spans
+// begun before the recorder was installed) are ignored.
+func (fr *FlightRecorder) SpanEnd(at sim.Time, id uint64) {
+	slot := id & (flightOpenSlots - 1)
+	o := &fr.open[slot]
+	if fr.openUsed&(1<<slot) == 0 || o.id != id {
 		return
 	}
-	for i := range fr.open {
-		if fr.open[i].id == id {
-			o := &fr.open[i]
-			fr.push(FlightSpan{Layer: o.layer, Name: o.name, Start: o.start, End: at})
-			o.id = 0
-			return
-		}
-	}
+	fr.push(flightRec{start: o.start, end: at, kind: o.kind})
+	fr.openUsed &^= 1 << slot
 }
 
-// FlightClosed implements sim.FlightSink: it records an interval whose
-// endpoints are already known — the wire layer uses it to log each TLP
-// without paying the open-table round trip.
-func (fr *FlightRecorder) FlightClosed(at sim.Time, layer, dir, name string, start, end sim.Time) {
-	fr.push(FlightSpan{Layer: layer, Dir: dir, Name: name, Start: start, End: end})
+// SpanClosed implements sim.SpanSink: it records an interval whose
+// endpoints are already known — the wire layer uses it to log each
+// TLP without the open-table round trip.
+func (fr *FlightRecorder) SpanClosed(k sim.SpanKind, start, end sim.Time) {
+	fr.push(flightRec{start: start, end: end, kind: k})
 }
 
-func (fr *FlightRecorder) push(sp FlightSpan) {
-	fr.ring[fr.head] = sp
+func (fr *FlightRecorder) push(r flightRec) {
+	fr.ring[fr.head] = r
 	fr.head++
 	if fr.head == len(fr.ring) {
 		fr.head = 0
@@ -179,7 +198,8 @@ func (fr *FlightRecorder) push(sp FlightSpan) {
 // Snapshot freezes the current ring (plus still-open spans, marked
 // Open with End=at) into a dump slot and reports whether a slot was
 // available. A reason seen before reuses its slot — the dump always
-// reflects the latest occurrence. Allocation-free.
+// reflects the latest occurrence. Only a reason's first snapshot
+// allocates: it sizes that reason's slot.
 func (fr *FlightRecorder) Snapshot(reason string, at sim.Time) bool {
 	slot := -1
 	for i := range fr.slots {
@@ -201,34 +221,35 @@ func (fr *FlightRecorder) Snapshot(reason string, at sim.Time) bool {
 		return false
 	}
 	s := &fr.slots[slot]
+	if s.recs == nil {
+		s.recs = make([]flightRec, 0, len(fr.ring)+flightOpenSlots)
+	}
 	s.used = true
 	s.reason = reason
 	s.at = at
 	fr.dumpSeq++
 	s.seq = fr.dumpSeq
-	s.spans = s.spans[:0]
+	s.recs = s.recs[:0]
 	// Chronological ring copy: oldest entry is at head when the ring
 	// has wrapped, at 0 otherwise.
 	if fr.n == len(fr.ring) {
-		s.spans = append(s.spans, fr.ring[fr.head:]...)
-		s.spans = append(s.spans, fr.ring[:fr.head]...)
+		s.recs = append(s.recs, fr.ring[fr.head:]...)
+		s.recs = append(s.recs, fr.ring[:fr.head]...)
 	} else {
-		s.spans = append(s.spans, fr.ring[:fr.n]...)
+		s.recs = append(s.recs, fr.ring[:fr.n]...)
 	}
-	for i := range fr.open {
-		if fr.open[i].id != 0 {
-			o := &fr.open[i]
-			s.spans = append(s.spans, FlightSpan{
-				Layer: o.layer, Name: o.name, Start: o.start, End: at, Open: true,
-			})
-		}
+	// Open spans in slot order, which is the order a scan of the
+	// side table would find them.
+	for used := fr.openUsed; used != 0; used &= used - 1 {
+		o := &fr.open[bits.TrailingZeros64(used)]
+		s.recs = append(s.recs, flightRec{start: o.start, end: at, kind: o.kind, open: true})
 	}
 	fr.dumps.Inc()
 	return true
 }
 
-// Dumps returns copies of the taken snapshots ordered by Seq. Cold
-// path: allocates.
+// Dumps returns the taken snapshots, with every record resolved to
+// its layer, direction and name, ordered by Seq. Cold path: allocates.
 func (fr *FlightRecorder) Dumps() []FlightDump {
 	var out []FlightDump
 	for i := range fr.slots {
@@ -236,12 +257,15 @@ func (fr *FlightRecorder) Dumps() []FlightDump {
 		if !s.used {
 			continue
 		}
-		out = append(out, FlightDump{
-			Reason: s.reason,
-			At:     s.at,
-			Seq:    s.seq,
-			Spans:  append([]FlightSpan(nil), s.spans...),
-		})
+		var spans []FlightSpan
+		for _, r := range s.recs {
+			info := fr.kinds.Info(r.kind)
+			spans = append(spans, FlightSpan{
+				Layer: info.Layer, Dir: info.Dir, Name: info.Name,
+				Start: r.start, End: r.end, Open: r.open,
+			})
+		}
+		out = append(out, FlightDump{Reason: s.reason, At: s.at, Seq: s.seq, Spans: spans})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out

@@ -1,16 +1,19 @@
 package telemetry
 
 import (
+	"runtime"
 	"testing"
+
+	"fpgavirtio/internal/sim"
 )
 
 // TestFlightRingWrap: a full ring evicts oldest-first and the snapshot
 // comes out in chronological order across the wrap point.
 func TestFlightRingWrap(t *testing.T) {
 	reg := NewRegistry()
-	fr := NewFlightRecorder(4, 2, reg)
+	fr := NewFlightRecorder(testSim.SpanKinds(), 4, 2, reg)
 	for i := int64(0); i < 6; i++ {
-		fr.FlightClosed(ps(i), LayerWire, "down", "MWr", ps(i), ps(i+1))
+		fr.SpanClosed(testSim.SpanKind(LayerWire, "down", "MWr"), ps(i), ps(i+1))
 	}
 	if fr.Len() != 4 {
 		t.Fatalf("ring holds %d spans, want 4", fr.Len())
@@ -37,8 +40,8 @@ func TestFlightRingWrap(t *testing.T) {
 // afterwards.
 func TestFlightOpenSpans(t *testing.T) {
 	reg := NewRegistry()
-	fr := NewFlightRecorder(16, 2, reg)
-	id := fr.FlightBegin(ps(5), LayerDriver, "xmit")
+	fr := NewFlightRecorder(testSim.SpanKinds(), 16, 2, reg)
+	id := fr.SpanBegin(ps(5), kind(LayerDriver, "xmit"))
 	if !fr.Snapshot("mid", ps(9)) {
 		t.Fatal("snapshot refused")
 	}
@@ -50,30 +53,30 @@ func TestFlightOpenSpans(t *testing.T) {
 		t.Errorf("open span = %+v, want Open=true End=9ns", d.Spans[0])
 	}
 	// The span still closes into the ring afterwards.
-	fr.FlightEnd(ps(12), id)
+	fr.SpanEnd(ps(12), id)
 	if fr.Len() != 1 {
 		t.Fatalf("ring holds %d spans after close, want 1", fr.Len())
 	}
 }
 
 // TestFlightOpenTableOverflow: more concurrently-open spans than side
-// table slots count as dropped, and the overflow id's FlightEnd is a
+// table slots count as dropped, and the overflow id's SpanEnd is a
 // harmless no-op.
 func TestFlightOpenTableOverflow(t *testing.T) {
 	reg := NewRegistry()
-	fr := NewFlightRecorder(16, 2, reg)
+	fr := NewFlightRecorder(testSim.SpanKinds(), 16, 2, reg)
 	ids := make([]uint64, 0, flightOpenSlots+1)
 	for i := 0; i <= flightOpenSlots; i++ {
-		ids = append(ids, fr.FlightBegin(ps(int64(i)), LayerDriver, "deep"))
+		ids = append(ids, fr.SpanBegin(ps(int64(i)), kind(LayerDriver, "deep")))
 	}
 	if got := reg.Counter(MetricRecorderSpansDropped).Value(); got != 1 {
 		t.Fatalf("dropped = %d, want 1", got)
 	}
-	fr.FlightEnd(ps(100), ids[len(ids)-1]) // dropped open: no-op
+	fr.SpanEnd(ps(100), ids[len(ids)-1]) // dropped open: no-op
 	if fr.Len() != 0 {
 		t.Fatalf("ring holds %d spans, want 0 (overflow span was dropped)", fr.Len())
 	}
-	fr.FlightEnd(ps(100), ids[0]) // tracked open still closes
+	fr.SpanEnd(ps(100), ids[0]) // tracked open still closes
 	if fr.Len() != 1 {
 		t.Fatalf("ring holds %d spans, want 1", fr.Len())
 	}
@@ -83,10 +86,10 @@ func TestFlightOpenTableOverflow(t *testing.T) {
 // keeps the freshest context.
 func TestFlightSameReasonOverwrite(t *testing.T) {
 	reg := NewRegistry()
-	fr := NewFlightRecorder(8, 2, reg)
-	fr.FlightClosed(ps(1), LayerWire, "down", "MWr", ps(1), ps(2))
+	fr := NewFlightRecorder(testSim.SpanKinds(), 8, 2, reg)
+	fr.SpanClosed(testSim.SpanKind(LayerWire, "down", "MWr"), ps(1), ps(2))
 	fr.Snapshot("fault:needsreset", ps(2))
-	fr.FlightClosed(ps(3), LayerWire, "up", "CplD", ps(3), ps(4))
+	fr.SpanClosed(testSim.SpanKind(LayerWire, "up", "CplD"), ps(3), ps(4))
 	fr.Snapshot("fault:needsreset", ps(4))
 
 	dumps := fr.Dumps()
@@ -108,7 +111,7 @@ func TestFlightSameReasonOverwrite(t *testing.T) {
 // are refused and counted, never evicting another reason's dump.
 func TestFlightDumpSlotExhaustion(t *testing.T) {
 	reg := NewRegistry()
-	fr := NewFlightRecorder(8, 2, reg)
+	fr := NewFlightRecorder(testSim.SpanKinds(), 8, 2, reg)
 	if !fr.Snapshot("a", ps(1)) || !fr.Snapshot("b", ps(2)) {
 		t.Fatal("first two snapshots refused")
 	}
@@ -144,5 +147,52 @@ func TestFlightDumpSpans(t *testing.T) {
 	}
 	if spans[1].Name != "xmit" || len(spans[1].Attrs) != 2 || spans[1].Attrs[0] != "open" {
 		t.Errorf("open span = %+v, want open attr", spans[1])
+	}
+}
+
+// sessionDumpSlots is the slot count a session's recorder uses: one per
+// fault class plus the worst-RTT trigger.
+const sessionDumpSlots = 11
+
+// TestFlightRecorderBudget: a recorder sized like a session's costs at
+// most 64 KiB to build, a reason's first Snapshot allocates that
+// reason's slot exactly once, and later snapshots of the same reason
+// allocate nothing.
+func TestFlightRecorderBudget(t *testing.T) {
+	reg := NewRegistry()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fr := NewFlightRecorder(testSim.SpanKinds(), 0, sessionDumpSlots, reg)
+	runtime.ReadMemStats(&after)
+	if b := after.TotalAlloc - before.TotalAlloc; b > 64<<10 {
+		t.Errorf("construction allocated %d B, budget 64 KiB", b)
+	}
+
+	k := testSim.SpanKind(LayerWire, "down", "MWr")
+	for i := int64(0); i < 3*DefaultFlightSpans; i++ {
+		fr.SpanClosed(k, ps(i), ps(i+1))
+	}
+	runtime.ReadMemStats(&before)
+	fr.Snapshot("worst-rtt", ps(1))
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 1 {
+		t.Errorf("first snapshot of a reason made %d allocations, want 1 (its slot)", n)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { fr.Snapshot("worst-rtt", ps(2)) }); allocs != 0 {
+		t.Errorf("repeat snapshot allocates %.1f times, want 0", allocs)
+	}
+}
+
+// BenchmarkFlightSpan is the recorder's per-span hot path: one
+// begin+end pair and one closed span per op, allocation-free.
+func BenchmarkFlightSpan(b *testing.B) {
+	fr := NewFlightRecorder(testSim.SpanKinds(), 0, sessionDumpSlots, NewRegistry())
+	open := kind(LayerDriver, "xmit")
+	wire := testSim.SpanKind(LayerWire, "down", "MWr")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		at := sim.Time(i)
+		fr.SpanEnd(at+1, fr.SpanBegin(at, open))
+		fr.SpanClosed(wire, at, at+2)
 	}
 }

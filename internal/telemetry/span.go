@@ -8,7 +8,9 @@
 // (§IV-B, Figs. 4-5) is a fold over recorded intervals instead of
 // hand-maintained arithmetic: every layer of the simulated testbed
 // brackets its work with sim.BeginSpan under one of the Layer* names
-// below, and a Recorder collects the begin/end pairs.
+// below, registered once per Sim as a sim.SpanKind, and a Recorder
+// collects the begin/end pairs, resolving each kind back to its layer
+// and name.
 package telemetry
 
 import (
@@ -55,7 +57,8 @@ type Span struct {
 	Name  string
 	Start sim.Time
 	End   sim.Time
-	// Attrs are alternating key/value pairs.
+	// Attrs are alternating key/value pairs; DumpSpans marks a span
+	// still open at a flight dump with "open", "true".
 	Attrs []string
 }
 
@@ -65,34 +68,44 @@ func (s Span) Duration() sim.Duration { return s.End.Sub(s.Start) }
 // Recorder implements sim.SpanSink by collecting spans in memory.
 // Closed spans accumulate in completion order; unmatched begins stay
 // open and are reported separately so truncated traces are visible.
+// A span's Name is its kind's label ("dir:name" for directed kinds).
 type Recorder struct {
 	// Max caps the total number of spans tracked (open + closed);
 	// 0 = unlimited. Spans begun past the cap are counted as dropped.
 	Max int
 
+	kinds   *sim.SpanKinds
 	spans   []Span
 	open    map[uint64]Span
 	next    uint64
 	dropped int
 }
 
-// NewRecorder returns a Recorder capped at max spans (0 = unlimited).
-func NewRecorder(max int) *Recorder {
-	return &Recorder{Max: max, open: make(map[uint64]Span)}
+// NewRecorder returns a Recorder that resolves span kinds in kinds
+// (the table of the Sim it is installed on), capped at max spans
+// (0 = unlimited).
+func NewRecorder(kinds *sim.SpanKinds, max int) *Recorder {
+	return &Recorder{Max: max, kinds: kinds, open: make(map[uint64]Span)}
 }
 
+// span resolves kind k into a Span with the given id and endpoints.
+func (r *Recorder) span(id uint64, k sim.SpanKind, start, end sim.Time) Span {
+	info := r.kinds.Info(k)
+	return Span{ID: id, Layer: info.Layer, Name: info.Label(), Start: start, End: end}
+}
+
+// full reports whether the Max cap is reached.
+func (r *Recorder) full() bool { return r.Max > 0 && len(r.spans)+len(r.open) >= r.Max }
+
 // SpanBegin implements sim.SpanSink.
-func (r *Recorder) SpanBegin(at sim.Time, layer, name string, attrs ...string) uint64 {
+func (r *Recorder) SpanBegin(at sim.Time, k sim.SpanKind) uint64 {
 	r.next++
 	id := r.next
-	if r.Max > 0 && len(r.spans)+len(r.open) >= r.Max {
+	if r.full() {
 		r.dropped++
 		return id
 	}
-	if r.open == nil {
-		r.open = make(map[uint64]Span)
-	}
-	r.open[id] = Span{ID: id, Layer: layer, Name: name, Start: at, Attrs: attrs}
+	r.open[id] = r.span(id, k, at, 0)
 	return id
 }
 
@@ -108,17 +121,15 @@ func (r *Recorder) SpanEnd(at sim.Time, id uint64) {
 	r.spans = append(r.spans, sp)
 }
 
-// Add records an already-closed span directly, bypassing the
-// begin/end pairing. Sessions use it for intervals whose endpoints
-// are known values (e.g. the app-level window between two clock
-// reads) rather than "now" at the call site.
-func (r *Recorder) Add(layer, name string, start, end sim.Time, attrs ...string) {
-	if r.Max > 0 && len(r.spans)+len(r.open) >= r.Max {
+// SpanClosed implements sim.SpanSink: it records an interval whose
+// endpoints are already known, bypassing the begin/end pairing.
+func (r *Recorder) SpanClosed(k sim.SpanKind, start, end sim.Time) {
+	r.next++
+	if r.full() {
 		r.dropped++
 		return
 	}
-	r.next++
-	r.spans = append(r.spans, Span{ID: r.next, Layer: layer, Name: name, Start: start, End: end, Attrs: attrs})
+	r.spans = append(r.spans, r.span(r.next, k, start, end))
 }
 
 // Spans returns the closed spans sorted by (Start, ID).

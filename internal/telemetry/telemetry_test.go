@@ -13,10 +13,18 @@ import (
 
 func ps(ns int64) sim.Time { return sim.Time(ns) * sim.Time(sim.Nanosecond) }
 
+// testSim owns the span-kind table the recorder tests register into.
+var testSim = sim.New()
+
+// kind registers an undirected (layer, name) span kind.
+func kind(layer, name string) sim.SpanKind { return testSim.SpanKind(layer, "", name) }
+
+func newTestRecorder(max int) *Recorder { return NewRecorder(testSim.SpanKinds(), max) }
+
 func TestRecorderPairing(t *testing.T) {
-	r := NewRecorder(0)
-	id1 := r.SpanBegin(ps(10), LayerDriver, "xmit")
-	id2 := r.SpanBegin(ps(12), LayerPCIe, "mmio")
+	r := newTestRecorder(0)
+	id1 := r.SpanBegin(ps(10), kind(LayerDriver, "xmit"))
+	id2 := r.SpanBegin(ps(12), kind(LayerPCIe, "mmio"))
 	r.SpanEnd(ps(14), id2)
 	r.SpanEnd(ps(20), id1)
 
@@ -41,9 +49,9 @@ func TestRecorderPairing(t *testing.T) {
 }
 
 func TestRecorderUnclosedDetection(t *testing.T) {
-	r := NewRecorder(0)
-	r.SpanBegin(ps(5), LayerIRQ, "leaked")
-	id := r.SpanBegin(ps(6), LayerApp, "done")
+	r := newTestRecorder(0)
+	r.SpanBegin(ps(5), kind(LayerIRQ, "leaked"))
+	id := r.SpanBegin(ps(6), kind(LayerApp, "done"))
 	r.SpanEnd(ps(9), id)
 
 	open := r.OpenSpans()
@@ -61,14 +69,14 @@ func TestRecorderUnclosedDetection(t *testing.T) {
 }
 
 func TestRecorderDropCap(t *testing.T) {
-	r := NewRecorder(2)
-	a := r.SpanBegin(ps(1), LayerApp, "a")
-	b := r.SpanBegin(ps(2), LayerApp, "b")
-	c := r.SpanBegin(ps(3), LayerApp, "c") // over cap: dropped
+	r := newTestRecorder(2)
+	a := r.SpanBegin(ps(1), kind(LayerApp, "a"))
+	b := r.SpanBegin(ps(2), kind(LayerApp, "b"))
+	c := r.SpanBegin(ps(3), kind(LayerApp, "c")) // over cap: dropped
 	r.SpanEnd(ps(4), a)
 	r.SpanEnd(ps(5), b)
 	r.SpanEnd(ps(6), c)
-	r.Add(LayerApp, "d", ps(7), ps(8)) // still at cap: dropped
+	r.SpanClosed(kind(LayerApp, "d"), ps(7), ps(8)) // still at cap: dropped
 
 	if got := r.Dropped(); got != 2 {
 		t.Fatalf("Dropped() = %d, want 2", got)
@@ -82,9 +90,11 @@ func TestRecorderDropCap(t *testing.T) {
 	}
 }
 
-func TestRecorderAdd(t *testing.T) {
-	r := NewRecorder(0)
-	r.Add(LayerApp, "window", ps(100), ps(250), "payload", "64")
+// TestRecorderSpanClosed: a closed span is recorded whole, and a
+// directed kind resolves to a "dir:name" span name.
+func TestRecorderSpanClosed(t *testing.T) {
+	r := newTestRecorder(0)
+	r.SpanClosed(testSim.SpanKind(LayerWire, "down", "MWr"), ps(100), ps(250))
 	spans := r.Spans()
 	if len(spans) != 1 {
 		t.Fatalf("got %d spans, want 1", len(spans))
@@ -92,8 +102,8 @@ func TestRecorderAdd(t *testing.T) {
 	if spans[0].Duration() != 150*sim.Nanosecond {
 		t.Errorf("duration = %v, want 150ns", spans[0].Duration())
 	}
-	if len(spans[0].Attrs) != 2 || spans[0].Attrs[1] != "64" {
-		t.Errorf("attrs = %v", spans[0].Attrs)
+	if spans[0].Layer != LayerWire || spans[0].Name != "down:MWr" {
+		t.Errorf("span = %s/%s, want wire/down:MWr", spans[0].Layer, spans[0].Name)
 	}
 }
 

@@ -131,9 +131,10 @@ type queue struct {
 	flushName string
 	flushFn   func(p *sim.Proc)
 
-	// Precomputed span names so the engine hot path does not format.
-	serviceSpan string
-	deliverSpan string
+	// Span kinds registered at construction so the engine hot path
+	// does not format.
+	serviceSpan sim.SpanKind
+	deliverSpan sim.SpanKind
 
 	// rdBuf is the queue's gather scratch for ReadChainInto; the engine
 	// services one chain at a time, so a single buffer per queue
@@ -254,8 +255,8 @@ func NewController(s *sim.Sim, rc *pcie.RootComplex, name string, pers Personali
 			msixVec:     uint16(i + 1),
 			cond:        sim.NewCond(s, fmt.Sprintf("%s.q%d", name, i)),
 			hw:          fpga.NewPerfCounter(clk, fmt.Sprintf("%s.q%d.hw", name, i)),
-			serviceSpan: fmt.Sprintf("q%d.service", i),
-			deliverSpan: fmt.Sprintf("q%d.deliver", i),
+			serviceSpan: s.SpanKind(telemetry.LayerVirtIODevice, "", fmt.Sprintf("q%d.service", i)),
+			deliverSpan: s.SpanKind(telemetry.LayerVirtIODevice, "", fmt.Sprintf("q%d.deliver", i)),
 			flushName:   fmt.Sprintf("%s.q%d.coalesce", ep.Name(), i),
 		}
 		q.flushFn = func(p *sim.Proc) {
@@ -654,7 +655,7 @@ func (c *Controller) engineLoop(p *sim.Proc, q *queue) {
 		// span brackets the identical interval so span-derived hardware
 		// attribution agrees with the counter-based RTTSample.
 		q.hw.Begin(p.Now())
-		sp := c.sim.BeginSpan(telemetry.LayerVirtIODevice, q.serviceSpan)
+		sp := c.sim.BeginSpan(q.serviceSpan)
 		p.Sleep(c.clk.Cycles(notifyDecodeCycles))
 		for c.ready(q) && dq.HasPending(p) {
 			c.serviceChain(p, q, dq)
@@ -725,7 +726,7 @@ func (c *Controller) Deliver(p *sim.Proc, qi int, data []byte) error {
 	}
 	q.kicked = false
 	q.hw.Begin(p.Now())
-	sp := c.sim.BeginSpan(telemetry.LayerVirtIODevice, q.deliverSpan)
+	sp := c.sim.BeginSpan(q.deliverSpan)
 	p.Sleep(c.clk.Cycles(chainSetupCycles))
 	chain, tok, err := dq.NextChain(p)
 	if err != nil {

@@ -77,6 +77,7 @@ type NetDevice struct {
 	sendBuf   []byte   // reused header+frame staging for SendOn
 	frameC    *sim.Cond
 	respGen   *fpga.PerfCounter
+	respSpan  sim.SpanKind
 	promisc   bool
 	curPairs  int
 	rxFrames  int
@@ -104,6 +105,7 @@ func NewNet(s *sim.Sim, rc *pcie.RootComplex, name string, opt NetOptions) *NetD
 		d.opt.Handler = NewEchoHandler(d.ctrl.Clock())
 	}
 	d.respGen = fpga.NewPerfCounter(d.ctrl.Clock(), name+".respgen")
+	d.respSpan = s.SpanKind(telemetry.LayerVirtIODevice, "", "respgen")
 	s.Go(name+".userlogic", d.userLoop)
 	return d
 }
@@ -273,7 +275,7 @@ func (d *NetDevice) userLoop(p *sim.Proc) {
 		// Span and counter bracket the same instants: respgen time is
 		// deducted from hardware in both attribution schemes.
 		d.respGen.Begin(p.Now())
-		sp := p.Sim().BeginSpan(telemetry.LayerVirtIODevice, "respgen")
+		sp := p.Sim().BeginSpan(d.respSpan)
 		resps := d.opt.Handler.HandleFrame(p, f.frame)
 		d.respGen.End(p.Now())
 		sp.End()

@@ -68,7 +68,7 @@ type channel struct {
 	kick    *sim.Cond
 	counter *fpga.PerfCounter
 
-	spanName  string
+	span      sim.SpanKind
 	runs      *telemetry.Counter
 	descs     *telemetry.Counter
 	dataBytes *telemetry.Counter
@@ -159,7 +159,7 @@ func (d *VendorDevice) newChannel(name string, h2c bool, base, sgdma uint64, vec
 		irqBit:    irqBit,
 		kick:      sim.NewCond(d.sim, name+".kick"),
 		counter:   fpga.NewPerfCounter(d.clk, name+".hw"),
-		spanName:  name + ".run",
+		span:      d.sim.SpanKind(telemetry.LayerDMAEngine, "", name+".run"),
 		runs:      reg.Counter(telemetry.MetricDMAEngineRuns(name)),
 		descs:     reg.Counter(telemetry.MetricDMAEngineDescriptors(name)),
 		dataBytes: reg.Counter(telemetry.MetricDMAEngineBytes(name)),
@@ -197,7 +197,7 @@ func (ch *channel) run(p *sim.Proc) {
 		// Counter and span bracket the same engine-run interval so
 		// span-derived hardware attribution matches the RTTSample math.
 		ch.counter.Begin(p.Now())
-		sp := d.sim.BeginSpan(telemetry.LayerDMAEngine, ch.spanName)
+		sp := d.sim.BeginSpan(ch.span)
 		ch.runs.Inc()
 		ch.setStatus(StatusBusy)
 		p.Sleep(d.clk.Cycles(engineStartCycles))

@@ -196,6 +196,7 @@ type Port struct {
 	clk *fpga.Clock
 
 	reads, writes, readBytes, writeBytes *telemetry.Counter
+	readSpan, writeSpan                  sim.SpanKind
 }
 
 // NewPort returns a direct port on the endpoint's DMA machinery.
@@ -203,6 +204,8 @@ func NewPort(s *sim.Sim, ep *pcie.Endpoint, clk *fpga.Clock) *Port {
 	reg := ep.Metrics()
 	return &Port{
 		sim: s, ep: ep, clk: clk,
+		readSpan:   s.SpanKind(telemetry.LayerDMAEngine, "", "port.read"),
+		writeSpan:  s.SpanKind(telemetry.LayerDMAEngine, "", "port.write"),
 		reads:      reg.Counter(telemetry.MetricDMAPortReads),
 		writes:     reg.Counter(telemetry.MetricDMAPortWrites),
 		readBytes:  reg.Counter(telemetry.MetricDMAPortReadBytes),
@@ -225,7 +228,7 @@ func (pt *Port) HostRead(p *sim.Proc, addr mem.Addr, n int) []byte {
 func (pt *Port) HostReadInto(p *sim.Proc, addr mem.Addr, dst []byte) {
 	pt.reads.Inc()
 	pt.readBytes.Add(int64(len(dst)))
-	sp := pt.sim.BeginSpan(telemetry.LayerDMAEngine, "port.read")
+	sp := pt.sim.BeginSpan(pt.readSpan)
 	p.Sleep(pt.clk.Cycles(programCycles))
 	chunkedReadInto(p, pt.ep, pt.clk, addr, dst)
 	sp.End()
@@ -236,7 +239,7 @@ func (pt *Port) HostReadInto(p *sim.Proc, addr mem.Addr, dst []byte) {
 func (pt *Port) HostWrite(p *sim.Proc, addr mem.Addr, data []byte) {
 	pt.writes.Inc()
 	pt.writeBytes.Add(int64(len(data)))
-	sp := pt.sim.BeginSpan(telemetry.LayerDMAEngine, "port.write")
+	sp := pt.sim.BeginSpan(pt.writeSpan)
 	p.Sleep(pt.clk.Cycles(programCycles))
 	chunkedWrite(p, pt.ep, pt.clk, addr, data)
 	sp.End()

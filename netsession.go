@@ -84,6 +84,8 @@ type NetSession struct {
 	dev   *vdev.NetDevice
 	drv   *virtionet.Device
 	sock  *netstack.UDPSocket
+	// pingSpan is the app-layer span of one timed echo exchange.
+	pingSpan sim.SpanKind
 	// pollFn is the busy-poll hook bound once at boot in poll mode
 	// (nil otherwise): it spins the driver's RX path under the poll
 	// policy until the socket has a deliverable datagram. Binding at
@@ -110,6 +112,7 @@ func OpenNet(cfg NetConfig) (*NetSession, error) {
 			IRQCoalesceTimer: sim.Ns(cfg.IRQCoalesceTimer.Nanoseconds()),
 		})
 		ns.stack = netstack.New(h, netstack.DefaultCosts())
+		ns.pingSpan = s.SpanKind(telemetry.LayerApp, "", "ping")
 	}
 	bind := func(p *sim.Proc, info *pcie.DeviceInfo) error {
 		opt := virtionet.DefaultOptions("eth-fpga")
@@ -226,7 +229,7 @@ func (ns *NetSession) pingOnce(p *sim.Proc, payload []byte) ([]byte, RTTSample, 
 	t0 := ns.host.ClockGettime(p)
 	// The app span brackets the same instants as the RTT timer, so
 	// span-derived totals agree with RTTSample.Total.
-	sp := ns.s.BeginSpan(telemetry.LayerApp, "ping")
+	sp := ns.s.BeginSpan(ns.pingSpan)
 	if err := ns.sock.SendTo(p, fpgaIP, echoPort, payload); err != nil {
 		sp.End()
 		return nil, RTTSample{}, err

@@ -33,9 +33,9 @@ type baseSession struct {
 // it from its first TLP; it draws from its own fork of the seed,
 // leaving the host-noise stream untouched. The flight recorder is
 // installed after attach but before the "boot" process runs, so its
-// ring already holds context when the first trigger fires; it rides
-// the FlightSink channel, so TracingSpans() stays false and the 0-alloc
-// hot path is unaffected. The boot process enumerates exactly one
+// ring already holds context when the first trigger fires; it is
+// installed as the flight sink, so TracingSpans() stays false and the
+// 0-alloc hot path is unaffected. The boot process enumerates exactly one
 // device and hands it to bind.
 func (b *baseSession) boot(cfg Config, attach func(s *sim.Sim, h *hostos.Host), bind func(p *sim.Proc, info *pcie.DeviceInfo) error) error {
 	plan, err := faults.Parse(cfg.Faults)
@@ -159,7 +159,7 @@ func (b *baseSession) CaptureCriticalPaths(data []byte, targets []int) ([]Captur
 			maxT = t
 		}
 	}
-	rec := telemetry.NewRecorder(0)
+	rec := telemetry.NewRecorder(b.s.SpanKinds(), 0)
 	back := make([]byte, len(data))
 	out := make([]CapturedPath, 0, len(targets))
 	err := b.run(func(p *sim.Proc) error {

@@ -166,7 +166,7 @@ func TraceXDMA(cfg XDMAConfig, nbytes int) (*Trace, error) {
 // returns what they captured.
 func (b *baseSession) trace(op func() error) (*Trace, error) {
 	tr := &sim.RecordingTracer{Max: maxTraceEvents}
-	rec := telemetry.NewRecorder(0)
+	rec := telemetry.NewRecorder(b.s.SpanKinds(), 0)
 	b.s.SetTracer(tr)
 	b.s.SetSpanSink(rec)
 	err := op()

@@ -16,7 +16,7 @@ func TestTraceTruncationReported(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.Event(sim.Time(i), "ev")
 	}
-	trace := buildTrace(tr, telemetry.NewRecorder(0))
+	trace := buildTrace(tr, telemetry.NewRecorder(sim.New().SpanKinds(), 0))
 	if len(trace.Events) != 3 {
 		t.Errorf("kept %d events, want the cap of 3", len(trace.Events))
 	}
@@ -29,9 +29,10 @@ func TestTraceTruncationReported(t *testing.T) {
 // an error path leaves behind) surfaces in OpenSpans rather than
 // silently vanishing from the capture.
 func TestTraceOpenSpansReported(t *testing.T) {
-	rec := telemetry.NewRecorder(0)
-	done := rec.SpanBegin(0, telemetry.LayerDriver, "xmit")
-	rec.SpanBegin(sim.Time(5), telemetry.LayerPCIe, "mmio") // leaked
+	s := sim.New()
+	rec := telemetry.NewRecorder(s.SpanKinds(), 0)
+	done := rec.SpanBegin(0, s.SpanKind(telemetry.LayerDriver, "", "xmit"))
+	rec.SpanBegin(sim.Time(5), s.SpanKind(telemetry.LayerPCIe, "", "mmio")) // leaked
 	rec.SpanEnd(sim.Time(10), done)
 	trace := buildTrace(&sim.RecordingTracer{}, rec)
 	if trace.OpenSpans != 1 {

@@ -33,6 +33,8 @@ type XDMASession struct {
 	drv *xdmadrv.Driver
 	h2c *hostos.File
 	c2h *hostos.File
+	// rtSpan is the app-layer span of one timed write()+read().
+	rtSpan sim.SpanKind
 
 	waitReady bool
 	readyWQ   *hostos.WaitQueue
@@ -51,6 +53,7 @@ func OpenXDMA(cfg XDMAConfig) (*XDMASession, error) {
 		devCfg.NotifyOnH2CComplete = cfg.WaitC2HReady
 		xs.dev = xdmaip.NewVendor(s, h.RC, "xdma0", devCfg)
 		xs.bramBytes = devCfg.BRAMBytes
+		xs.rtSpan = s.SpanKind(telemetry.LayerApp, "", "roundtrip")
 	}
 	bind := func(p *sim.Proc, info *pcie.DeviceInfo) error {
 		h := xs.host
@@ -172,7 +175,7 @@ func (xs *XDMASession) roundTripAttempt(p *sim.Proc, data, back []byte) (RTTSamp
 	t0 := xs.host.ClockGettime(p)
 	// The app span brackets the same instants as the RTT timer, so
 	// span-derived totals agree with RTTSample.Total.
-	sp := xs.s.BeginSpan(telemetry.LayerApp, "roundtrip")
+	sp := xs.s.BeginSpan(xs.rtSpan)
 	if xs.waitReady {
 		xs.dataReady = false
 	}
