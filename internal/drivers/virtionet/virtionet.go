@@ -135,6 +135,10 @@ type pairQueues struct {
 	reclaiming              bool
 	// rxBuf stages one received buffer's bytes out of host memory.
 	rxBuf []byte
+	// txHasUsed / reclaimed are the poll-mode TX-reclaim spin probe and
+	// predicate, bound once at probe (nil outside poll mode).
+	txHasUsed func() bool
+	reclaimed func(p *sim.Proc) bool
 }
 
 // reclaimTx drains TX completions into the pair's scratch and returns
@@ -193,8 +197,12 @@ type Device struct {
 	rxLenErrs *telemetry.Counter
 
 	// spinner executes PollMode's busy loops under the host's poll
-	// cost model; nil outside poll mode.
-	spinner *hostos.Spinner
+	// cost model; nil outside poll mode. ctrlHasUsed and pollYield are
+	// the control-queue spin probe and the spin loops' yield hook,
+	// bound once at probe.
+	spinner     *hostos.Spinner
+	ctrlHasUsed func() bool
+	pollYield   func(p *sim.Proc)
 
 	// Recovery state. want/qsize/maxPairs are the bring-up parameters a
 	// device reset must replay; resetting gates every IRQ path while the
@@ -259,6 +267,9 @@ func Probe(p *sim.Proc, h *hostos.Host, stack *netstack.Stack, info *pcie.Device
 	d.spans.reset = h.Sim.SpanKind(telemetry.LayerDriver, "", "virtionet.reset")
 	if opt.PollMode {
 		d.spinner = h.NewSpinner(opt.Poll)
+		// Reads d.ctrlq at each call: a reset rebuilds the queue.
+		d.ctrlHasUsed = func() bool { return d.ctrlq.HasUsed() }
+		d.pollYield = d.PollYield
 	}
 
 	// MQ is always requested; Negotiate intersects with the device
@@ -318,6 +329,10 @@ func Probe(p *sim.Proc, h *hostos.Host, stack *netstack.Stack, info *pcie.Device
 	d.qsize = qsize
 	for i := 0; i < pairs; i++ {
 		pq := &pairQueues{txWQ: h.NewWaitQueue(fmt.Sprintf("%s.tx%d", opt.Name, i))}
+		if opt.PollMode {
+			pq.txHasUsed = func() bool { return pq.tx.HasUsed() }
+			pq.reclaimed = func(p *sim.Proc) bool { return pq.reclaimTx(p) > 0 }
+		}
 		if pq.rx, err = tr.SetupQueue(p, virtio.NetRXQueue(i), qsize); err != nil {
 			return nil, err
 		}
@@ -458,7 +473,7 @@ func (d *Device) Xmit(p *sim.Proc, pkt netstack.TxPacket) error {
 				pq.tx.KickIfNeeded(p)
 				pq.unkicked = 0
 			}
-			d.spin(p, func(p *sim.Proc) bool { return pq.reclaimTx(p) > 0 })
+			d.spinner.Spin(p, pq.txHasUsed, pq.reclaimed, d.pollYield)
 			continue
 		}
 		// Ring full: netif_stop_queue. Any doorbell still batched under
@@ -695,6 +710,22 @@ func (d *Device) BusyPoll(p *sim.Proc) int {
 	return total
 }
 
+// RxPending reports RX completions BusyPoll would drain now: the
+// side-effect-free probe of the poll-mode receive spin. It mirrors
+// BusyPoll's skip condition, so when it reports false BusyPoll does
+// nothing.
+func (d *Device) RxPending() bool {
+	if d.resetting {
+		return false
+	}
+	for _, pq := range d.pairs {
+		if !pq.polling && pq.rx.HasUsed() {
+			return true
+		}
+	}
+	return false
+}
+
 // PollYield is the spin loops' yield-time slow path: with fault
 // injection armed it reads device status and triggers the reset walk
 // on DEVICE_NEEDS_RESET — poll mode's watchdog-less detection (no
@@ -708,12 +739,6 @@ func (d *Device) PollYield(p *sim.Proc) {
 		d.recWatchdog.Inc()
 		d.recoverReset(p)
 	}
-}
-
-// spin busy-waits on ready under the driver's poll policy, folding the
-// fault-detection slow path into each yield slot.
-func (d *Device) spin(p *sim.Proc, ready func(p *sim.Proc) bool) {
-	d.spinner.Spin(p, ready, d.PollYield)
 }
 
 // Spinner exposes the poll-mode spin executor (nil outside poll mode);
@@ -751,7 +776,7 @@ func (d *Device) ctrlCommand(p *sim.Proc, class, cmd byte, payload []byte) error
 	if d.opt.PollMode {
 		// Control completions are polled like everything else (the ctrl
 		// queue's interrupt is suppressed for the session's lifetime).
-		d.spin(p, func(p *sim.Proc) bool { return d.ctrlq.HasUsed() })
+		d.spinner.Spin(p, d.ctrlHasUsed, nil, d.pollYield)
 	} else {
 		for !d.ctrlq.HasUsed() {
 			d.ctrlWQ.Wait(p)

@@ -105,14 +105,14 @@ type channelState struct {
 	buf      mem.Addr // bounce buffer
 	descSlot mem.Addr // single descriptor in host memory
 	descList mem.Addr // chained descriptor ring for batch submissions
-	// wbSlot is the poll-mode writeback word (own cache line); wbReadyFn
-	// is the spin predicate over it, bound once at probe so the
+	// wbSlot is the poll-mode writeback word (own cache line); wbDone
+	// is the spin probe over it, bound once at probe so the
 	// steady-state poll path does not allocate.
-	wbSlot    mem.Addr
-	wbReadyFn func(p *sim.Proc) bool
-	wq        *hostos.WaitQueue
-	complete  bool
-	busy      bool
+	wbSlot   mem.Addr
+	wbDone   func() bool
+	wq       *hostos.WaitQueue
+	complete bool
+	busy     bool
 	// errSeen records a StatusDescError observed by the ISR; timedOut
 	// records a completion-watchdog expiry. Both only change under
 	// fault injection.
@@ -193,7 +193,7 @@ func (d *Driver) newChannel(p *sim.Proc, name string, h2c bool, chanBase, sgdma 
 		// One writeback word per channel on its own cache line, plus the
 		// one-time programming of the engine's writeback address.
 		ch.wbSlot = d.host.Alloc.Alloc(64, 64)
-		ch.wbReadyFn = func(p *sim.Proc) bool {
+		ch.wbDone = func() bool {
 			return d.host.Mem.U32(ch.wbSlot)&xdmaip.WbDone != 0
 		}
 		d.host.RC.MMIOWrite(p, d.bar1+chanBase+xdmaip.RegPollWbLo, 4, uint64(uint32(ch.wbSlot)))
@@ -401,15 +401,19 @@ func (ch *channelState) await(p *sim.Proc, n int) bool {
 // spinner's yield slots: past the watchdog deadline the loop reads the
 // engine's status mirror and applies the same triage the interrupt
 // watchdog does — no timer, no interrupt, just the poll loop noticing.
+//
+// The writeback word's done bit is the spin probe on both paths: the
+// faulted predicate reports true early only on an outcome its own
+// yield hook settled, which the spinner checks right after the hook.
 func (ch *channelState) pollAwait(p *sim.Proc, n int, faulted bool) bool {
 	d := ch.drv
 	if !faulted {
-		d.spinner.Spin(p, ch.wbReadyFn, nil)
+		d.spinner.Spin(p, ch.wbDone, nil, nil)
 		return true
 	}
 	outcome := 0 // 0 spinning, >0 complete, <0 reset-and-resubmit
 	deadline := p.Now().Add(xferTimeout(n))
-	d.spinner.Spin(p, func(p *sim.Proc) bool {
+	d.spinner.Spin(p, ch.wbDone, func(p *sim.Proc) bool {
 		if outcome != 0 {
 			return true
 		}

@@ -222,29 +222,47 @@ func (h *Host) Config() Config { return h.cfg }
 func (h *Host) RNG() *sim.RNG { return h.rng }
 
 // CPUWork charges d of CPU time to p, with multiplicative jitter and a
-// preemption hazard proportional to d. This is the single place all
-// software latency variance comes from, so both driver stacks are
-// subject to exactly the same noise process — the paper's variance
-// difference then emerges purely from how much software work each
-// stack performs.
+// preemption hazard proportional to d. Its two draws (jitter, then
+// preemption) are the single source of all software latency variance —
+// the busy-poll Spinner makes the same two per iteration — so both
+// driver stacks are subject to exactly the same noise process, and the
+// paper's variance difference emerges purely from how much software
+// work each stack performs.
 func (h *Host) CPUWork(p *sim.Proc, d sim.Duration) {
 	if d <= 0 {
 		return
 	}
+	p.Sleep(h.jitter(d))
+	if cost := h.preemption(d); cost != 0 {
+		p.Sleep(cost)
+	}
+}
+
+// jitter draws the jittered length of a d-long CPU segment and
+// accounts the jitter: CPUWork's first draw.
+func (h *Host) jitter(d sim.Duration) sim.Duration {
 	jittered := h.rng.Jitter(d, h.cfg.JitterSigma)
 	h.met.jitterNs.Add(int64((jittered - d) / sim.Nanosecond))
-	p.Sleep(jittered)
-	if h.cfg.PreemptMeanGap > 0 {
-		if d != h.preemptD {
-			h.preemptD, h.preemptP = d, 1-math.Exp(-float64(d)/float64(h.cfg.PreemptMeanGap))
-		}
-		if h.rng.Bool(h.preemptP) {
-			cost := h.cfg.PreemptBase + sim.NsF(h.rng.Exp(h.cfg.PreemptExpMean.Nanoseconds()))
-			h.met.preemptions.Inc()
-			h.met.preemptNs.Add(int64(cost / sim.Nanosecond))
-			p.Sleep(cost)
-		}
+	return jittered
+}
+
+// preemption draws whether a d-long CPU segment is preempted and
+// returns the preemption's cost, accounted, or 0: CPUWork's second
+// draw, made once the segment itself has run.
+func (h *Host) preemption(d sim.Duration) sim.Duration {
+	if h.cfg.PreemptMeanGap <= 0 {
+		return 0
 	}
+	if d != h.preemptD {
+		h.preemptD, h.preemptP = d, 1-math.Exp(-float64(d)/float64(h.cfg.PreemptMeanGap))
+	}
+	if !h.rng.Bool(h.preemptP) {
+		return 0
+	}
+	cost := h.cfg.PreemptBase + sim.NsF(h.rng.Exp(h.cfg.PreemptExpMean.Nanoseconds()))
+	h.met.preemptions.Inc()
+	h.met.preemptNs.Add(int64(cost / sim.Nanosecond))
+	return cost
 }
 
 // SyscallEnter charges the user-to-kernel transition.

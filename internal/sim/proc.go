@@ -53,6 +53,7 @@ type Proc struct {
 	gen     uint32                  // spawn generation; bumped when returned to the pool
 	why     string                  // park reason, read by deadlock detection
 	parkIdx int                     // index in sim.parked while parked
+	step    func() Duration         // the running SleepSteps continuation, or nil
 }
 
 // Go spawns a process that starts executing at the current simulation
@@ -124,7 +125,7 @@ func (p *Proc) suspend() {
 			return
 		}
 		s.handoff = nil
-		q.next()
+		s.switchTo(q)
 		if fvassert.Enabled && s.tramp != p {
 			fvassert.Failf("sim: %s, switched into by trampoline %s, dispatched other processes itself", q.name, p.name)
 		}
@@ -168,6 +169,9 @@ func (p *Proc) chainNext() bool {
 // control, so deadlock detection can never miss it.
 func (p *Proc) park(why string) {
 	s := p.sim
+	if fvassert.Enabled && s.stepping != nil {
+		fvassert.Failf("sim: %s parks (%s) inside the SleepSteps step of %s", p.name, why, s.stepping.name)
+	}
 	p.why = why
 	p.parkIdx = len(s.parked)
 	s.parked = append(s.parked, p)
@@ -202,6 +206,9 @@ func (p *Proc) Now() Time { return p.sim.now }
 // the drain would fire: Sleep then advances the clock in place (see
 // Sim.runAhead) instead of queueing, parking and popping its own wake.
 func (p *Proc) Sleep(d Duration) {
+	if fvassert.Enabled && p.sim.stepping != nil {
+		fvassert.Failf("sim: %s sleeps inside the SleepSteps step of %s", p.name, p.sim.stepping.name)
+	}
 	if d < 0 {
 		panic(fmt.Sprintf("sim: %s: negative sleep %v", p.name, d))
 	}
@@ -216,6 +223,68 @@ func (p *Proc) Sleep(d Duration) {
 	}
 	s.atProc(at, "wake", p)
 	p.park("sleeping")
+}
+
+// SleepSteps sleeps for each duration step returns until it returns 0.
+// It means exactly
+//
+//	for d := step(); d != 0; d = step() {
+//		p.Sleep(d)
+//	}
+//
+// with one difference: after a wake that went through the queue, step
+// runs on whichever context fires that wake — the scheduler loop or
+// another process's coroutine, where a callback would run — and p's
+// coroutine is switched into only once step returns 0. A busy loop
+// whose iterations only draw noise, bump counters and sleep then costs
+// no coroutine switches while other processes run between its wakes.
+// Every wake keeps its (at, seq), every step call runs at the same
+// event in the same order as in the loop, and run-ahead applies to the
+// continuation's wakes under the same rule as Sleep's.
+//
+// step must not block and must not use p: it must not Sleep, Park or
+// Wait on any process (p's coroutine may be suspended while it runs).
+// It may read and write plain state and schedule events. Builds with
+// -tags fvinvariants fail a step that blocks, naming both processes.
+func (p *Proc) SleepSteps(step func() Duration) {
+	s := p.sim
+	if fvassert.Enabled && s.stepping != nil {
+		fvassert.Failf("sim: %s sleeps inside the SleepSteps step of %s", p.name, s.stepping.name)
+	}
+	p.step = step
+	if !s.runSteps(p) {
+		p.park("sleeping")
+	}
+	p.step = nil
+}
+
+// runSteps runs p's SleepSteps step until it returns 0, reporting
+// true, or until its wake cannot run ahead: it then queues the wake, as
+// Sleep does, and reports false.
+func (s *Sim) runSteps(p *Proc) bool {
+	for {
+		var d Duration
+		if fvassert.Enabled {
+			s.stepping = p
+			d = p.step()
+			s.stepping = nil
+		} else {
+			d = p.step()
+		}
+		if d == 0 {
+			return true
+		}
+		if d < 0 {
+			panic(fmt.Sprintf("sim: %s: negative sleep %v", p.name, d))
+		}
+		at := s.now.Add(d)
+		if s.canRunAhead(at) {
+			s.runAhead(at, p)
+			continue
+		}
+		s.atProc(at, "wake", p)
+		return false
+	}
 }
 
 // Trigger is a one-shot event: processes that Wait before Fire are

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"fpgavirtio/internal/fvassert"
 )
 
 // runModes are the three ways to dispatch a simulation; a process's
@@ -208,6 +210,55 @@ func TestNestedDispatchDeadlock(t *testing.T) {
 	}
 }
 
+// TestNestedDispatchStepBlocks: built with -tags fvinvariants, a
+// SleepSteps step that blocks any process — here the device process
+// whose coroutine runs the step as a continuation — fails with a
+// message naming the blocking process and the one whose step it is.
+func TestNestedDispatchStepBlocks(t *testing.T) {
+	if !fvassert.Enabled {
+		t.Skip("the check is compiled in only with -tags fvinvariants")
+	}
+	blocks := []struct {
+		name  string
+		block func(q *Proc)
+	}{
+		{"Sleep", func(q *Proc) { q.Sleep(Ns(1)) }},
+		{"Park", func(q *Proc) { q.Park("blocked") }},
+		{"Wait", func(q *Proc) { NewCond(q.Sim(), "blocked").Wait(q) }},
+		{"SleepSteps", func(q *Proc) { q.SleepSteps(func() Duration { return 0 }) }},
+	}
+	for _, b := range blocks {
+		for _, d := range runModes {
+			t.Run(b.name+"/"+d.name, func(t *testing.T) {
+				s := New()
+				dev := s.Go("device", func(p *Proc) {
+					for i := 0; i < 8; i++ {
+						p.Sleep(Ns(3))
+					}
+				})
+				s.Go("spinner", func(p *Proc) {
+					calls := 0
+					p.SleepSteps(func() Duration {
+						if calls++; calls == 3 {
+							b.block(dev)
+						}
+						return Ns(2)
+					})
+				})
+				got := func() (r any) {
+					defer func() { r = recover() }()
+					d.run(s)
+					return nil
+				}()
+				msg, _ := got.(string)
+				if !strings.HasPrefix(msg, "fvinvariant: ") || !strings.Contains(msg, "device") || !strings.Contains(msg, "spinner") {
+					t.Fatalf("%s recovered %#v, want an fvinvariant failure naming device and spinner", d.name, got)
+				}
+			})
+		}
+	}
+}
+
 // TestNestedDispatchDepth runs randomized process programs under Run,
 // RunUntil slices and Stops, and checks through progRun.observe that no
 // process ever runs more than one level below the scheduler. Built with
@@ -245,9 +296,10 @@ func TestNestedDispatchDepth(t *testing.T) {
 
 // progOp is one step of a randomized process program.
 type progOp struct {
-	kind int      // see runProgram
-	d    Duration // the step's delay
-	d2   Duration // a second delay, for steps that need two
+	kind  int        // see runProgram
+	d     Duration   // the step's delay
+	d2    Duration   // a second delay, for steps that need two
+	steps []Duration // kind 8's sleeps, see withStepOps
 }
 
 // genPrograms draws a process program per process from seed. The
@@ -274,11 +326,37 @@ func genPrograms(seed int64, procs, steps int) [][]progOp {
 	return progs
 }
 
+// withStepOps turns about a quarter of each program's steps into
+// kind 8: a run of 1 to 6 sleeps of 1 to 60 ns, the same range as the
+// programs' own short delays, so the sleeps' wakes collide with the
+// peers' wakes and callbacks. Its own source keeps genPrograms' draws,
+// and so the programs of the other tests, unchanged.
+func withStepOps(progs [][]progOp, seed int64) [][]progOp {
+	rng := rand.New(rand.NewSource(-seed))
+	out := make([][]progOp, len(progs))
+	for i, prog := range progs {
+		out[i] = slices.Clone(prog)
+		for j := range out[i] {
+			if rng.Intn(4) != 0 {
+				continue
+			}
+			op := progOp{kind: 8}
+			for k := rng.Intn(6); k >= 0; k-- {
+				op.steps = append(op.steps, Duration(rng.Intn(60)+1)*Nanosecond)
+			}
+			out[i][j] = op
+		}
+	}
+	return out
+}
+
 // progRun is the shared state of one run of a set of programs.
 type progRun struct {
-	stops    bool // whether step kind 7 calls Stop
-	stopAt   Time // clock at the latest Stop, -1 when none since Run began
-	eligible int  // Sleeps that could skip the queue
+	stops    bool   // whether step kind 7 calls Stop
+	steps    bool   // whether step kind 8 calls SleepSteps or loops over Sleep
+	stepAt   []Time // clock at every kind-8 step call
+	stopAt   Time   // clock at the latest Stop, -1 when none since Run began
+	eligible int    // Sleeps that could skip the queue
 
 	// Trampoline bookkeeping, see observe.
 	nested    map[*Proc]bool // whether each process last ran nested
@@ -312,7 +390,9 @@ func (r *progRun) observe(p *Proc) {
 // way an event reaches the queue: a Sleep, a callback (which may nest
 // another), a cancelled callback, a wake from a child process firing a
 // trigger, a resume scheduled by a callback, a Cond signalled by a
-// child, and a Stop followed by a Sleep.
+// child, a Stop followed by a Sleep, and a run of sleeps through
+// SleepSteps (or the loop it stands for) whose steps schedule callbacks
+// at their own wake times.
 func runProgram(p *Proc, prog []progOp, r *progRun) {
 	s := p.sim
 	sleep := func(d Duration) {
@@ -374,8 +454,71 @@ func runProgram(p *Proc, prog []progOp, r *progRun) {
 				r.stopAt = s.now
 			}
 			sleep(op.d)
+		case 8:
+			k := 0
+			step := func() Duration {
+				r.stepAt = append(r.stepAt, s.now)
+				if k == len(op.steps) {
+					return 0
+				}
+				d := op.steps[k]
+				k++
+				if k%2 == 0 {
+					// Queued before the wake, so it fires first at the
+					// same time, and nests a callback at that time.
+					s.After(d, "step.cb", func() { s.After(0, "step.cb.nested", func() {}) })
+				}
+				return d
+			}
+			if r.steps {
+				p.SleepSteps(step)
+			} else {
+				for d := step(); d != 0; d = step() {
+					r.observe(p)
+					sleep(d)
+				}
+			}
 		}
 	}
+}
+
+// dispatchModes are the ways TestSleepRunAheadMatchesQueuePath and
+// TestSleepStepsMatchesSleepLoop dispatch a set of programs: Run (where
+// programs call Stop), RunUntil in short slices, and a Step loop.
+var dispatchModes = []struct {
+	name  string
+	stops bool
+	run   func(s *Sim, r *progRun) error
+}{
+	{"Run", true, func(s *Sim, r *progRun) error {
+		for {
+			r.stopAt = -1
+			if err := s.Run(); err != nil {
+				return err
+			}
+			if r.stopAt < 0 {
+				return nil
+			}
+			if s.Now() != r.stopAt {
+				return fmt.Errorf("Run returned at %v after a Stop at %v", s.Now(), r.stopAt)
+			}
+		}
+	}},
+	{"RunUntil", false, func(s *Sim, r *progRun) error {
+		for s.Pending() > 0 {
+			deadline := s.Now().Add(Ns(37))
+			s.RunUntil(deadline)
+			if s.Now() != deadline {
+				return fmt.Errorf("RunUntil(%v) returned at %v", deadline, s.Now())
+			}
+		}
+		return nil
+	}},
+	{"Step", false, func(s *Sim, r *progRun) error {
+		for s.Step() {
+		}
+		return nil
+	}},
 }
 
 // TestSleepRunAheadMatchesQueuePath runs randomized process programs
@@ -386,41 +529,7 @@ func runProgram(p *Proc, prog []progOp, r *progRun) {
 // counters must be identical, and neither Run after a Stop nor
 // RunUntil may leave the clock past where it must stop.
 func TestSleepRunAheadMatchesQueuePath(t *testing.T) {
-	modes := []struct {
-		name  string
-		stops bool
-		run   func(s *Sim, r *progRun) error
-	}{
-		{"Run", true, func(s *Sim, r *progRun) error {
-			for {
-				r.stopAt = -1
-				if err := s.Run(); err != nil {
-					return err
-				}
-				if r.stopAt < 0 {
-					return nil
-				}
-				if s.Now() != r.stopAt {
-					return fmt.Errorf("Run returned at %v after a Stop at %v", s.Now(), r.stopAt)
-				}
-			}
-		}},
-		{"RunUntil", false, func(s *Sim, r *progRun) error {
-			for s.Pending() > 0 {
-				deadline := s.Now().Add(Ns(37))
-				s.RunUntil(deadline)
-				if s.Now() != deadline {
-					return fmt.Errorf("RunUntil(%v) returned at %v", deadline, s.Now())
-				}
-			}
-			return nil
-		}},
-		{"Step", false, func(s *Sim, r *progRun) error {
-			for s.Step() {
-			}
-			return nil
-		}},
-	}
+	modes := dispatchModes
 	type outcome struct {
 		trace    []TraceRecord
 		stats    QueueStats
@@ -459,6 +568,81 @@ func TestSleepRunAheadMatchesQueuePath(t *testing.T) {
 	}
 	if totalEligible == 0 {
 		t.Fatal("no Sleep under Run was eligible to skip the queue; the test exercises nothing")
+	}
+}
+
+// TestSleepStepsMatchesSleepLoop runs randomized process programs with
+// kind-8 runs of sleeps under every dispatch mode twice: once through
+// SleepSteps, once through the plain Sleep loop it stands for. The
+// traced event sequences, the queue counters and the clock at every
+// step call must be identical across all six runs; the final clock, and
+// whether any process ran below a trampoline, must match the loop's
+// under the same mode; the nesting bound must hold. Under
+// Run, SleepSteps must save coroutine switches overall, or its
+// continuations never ran.
+func TestSleepStepsMatchesSleepLoop(t *testing.T) {
+	type outcome struct {
+		trace    []TraceRecord
+		stats    QueueStats
+		now      Time
+		stepAt   []Time
+		nested   bool
+		switches int64
+	}
+	run := func(seed int64, progs [][]progOp, mode int, steps bool) outcome {
+		m := dispatchModes[mode]
+		s := New()
+		tr := &RecordingTracer{}
+		s.SetTracer(tr)
+		r := &progRun{stops: m.stops, steps: steps}
+		for i, prog := range progs {
+			s.GoAfter(Duration(i)*Nanosecond, fmt.Sprintf("p%d", i), func(p *Proc) { runProgram(p, prog, r) })
+		}
+		if err := m.run(s, r); err != nil {
+			t.Fatalf("seed %d %s (SleepSteps %v): %v", seed, m.name, steps, err)
+		}
+		if r.depthErr != nil {
+			t.Fatalf("seed %d %s (SleepSteps %v): %v", seed, m.name, steps, r.depthErr)
+		}
+		return outcome{tr.Records, s.Stats(), s.Now(), r.stepAt, r.nestedRan > 0, s.Switches()}
+	}
+	var loopSwitches, stepSwitches int64
+	stepCalls := 0
+	for seed := int64(1); seed <= 100; seed++ {
+		progs := withStepOps(genPrograms(seed, 1+int(seed%4), 40), seed)
+		var first outcome
+		for mode, m := range dispatchModes {
+			loop, stepped := run(seed, progs, mode, false), run(seed, progs, mode, true)
+			if mode == 0 {
+				first = loop
+				loopSwitches += loop.switches
+				stepSwitches += stepped.switches
+				stepCalls += len(loop.stepAt)
+			}
+			for _, got := range []outcome{loop, stepped} {
+				if !slices.Equal(got.trace, first.trace) {
+					t.Fatalf("seed %d %s: trace (%d events) differs from the Run loop's (%d events)", seed, m.name, len(got.trace), len(first.trace))
+				}
+				if got.stats != first.stats {
+					t.Fatalf("seed %d %s: stats %+v, Run loop %+v", seed, m.name, got.stats, first.stats)
+				}
+				if !slices.Equal(got.stepAt, first.stepAt) {
+					t.Fatalf("seed %d %s: step calls at %v, Run loop at %v", seed, m.name, got.stepAt, first.stepAt)
+				}
+			}
+			if stepped.now != loop.now {
+				t.Fatalf("seed %d %s: ends at %v through SleepSteps, %v through the loop", seed, m.name, stepped.now, loop.now)
+			}
+			if stepped.nested != loop.nested {
+				t.Fatalf("seed %d %s: ran nested %v through SleepSteps, %v through the loop", seed, m.name, stepped.nested, loop.nested)
+			}
+		}
+	}
+	if stepCalls == 0 {
+		t.Fatal("no step ran; the test exercises nothing")
+	}
+	if stepSwitches >= loopSwitches {
+		t.Fatalf("SleepSteps switched into processes %d times under Run, the loop %d", stepSwitches, loopSwitches)
 	}
 }
 

@@ -102,6 +102,8 @@ type Sim struct {
 	chained  bool
 	handoff  *Proc // process a parking coroutine passes control to
 	tramp    *Proc // process running the trampoline (see Proc.suspend), or nil
+	stepping *Proc // process whose SleepSteps step is running (fvinvariants builds)
+	switches int64 // coroutine switch-ins, see Switches
 	tracer   Tracer
 	spans    SpanSink // verbose sink; flips TracingSpans
 	flight   SpanSink // always-on sink
@@ -254,9 +256,10 @@ func (s *Sim) popLive(limit Time) *event {
 
 // take advances the clock to e, traces it, and executes it if it is a
 // callback. For a process event it returns the process to hand control
-// to (after the stale-generation check); for callbacks it returns nil.
-// e is released before execution, so the callback may immediately
-// recycle it.
+// to (after the stale-generation check), unless the process sleeps in
+// SleepSteps and its step queues another wake; for callbacks it
+// returns nil. e is released before execution, so the callback may
+// immediately recycle it.
 func (s *Sim) take(e *event) *Proc {
 	s.now = e.at
 	if s.tracer != nil {
@@ -275,8 +278,22 @@ func (s *Sim) take(e *event) *Proc {
 	if p.gen != pgen {
 		panic(fmt.Sprintf("sim: stale resume of recycled process %q", p.name))
 	}
+	if p.step != nil && !s.runSteps(p) {
+		return nil
+	}
 	return p
 }
+
+// switchTo switches into p's coroutine until it gives up control.
+func (s *Sim) switchTo(p *Proc) {
+	s.switches++
+	p.next()
+}
+
+// Switches reports how many times control has switched into a process
+// coroutine over the Sim's life. It is a host-cost diagnostic: no
+// simulated quantity depends on which coroutine runs an event.
+func (s *Sim) Switches() int64 { return s.switches }
 
 // canRunAhead reports whether a wake of the running process at `at`
 // would be the next event the chained drain fires: dispatch is chained
@@ -317,7 +334,7 @@ func (s *Sim) Step() bool {
 		return false
 	}
 	if p := s.take(e); p != nil {
-		p.next()
+		s.switchTo(p)
 	}
 	return true
 }
@@ -336,7 +353,7 @@ func (s *Sim) runLoop() {
 			return
 		}
 		if p := s.take(e); p != nil {
-			p.next()
+			s.switchTo(p)
 		}
 	}
 }

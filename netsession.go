@@ -144,15 +144,17 @@ func OpenNet(cfg NetConfig) (*NetSession, error) {
 			// Bind the busy-poll hook once: RecvFromPolled invokes it
 			// whenever the socket is empty, and it spins the driver's
 			// RX drain under the poll policy until a datagram lands.
-			// PollYield rides each yield slot for watchdog-less fault
-			// detection.
+			// The probe sees a datagram already queued or a completion
+			// BusyPoll would drain; PollYield rides each yield slot for
+			// watchdog-less fault detection.
 			spinner := drv.Spinner()
+			pending := func() bool { return sock.Pending() > 0 || drv.RxPending() }
 			ready := func(p *sim.Proc) bool {
 				drv.BusyPoll(p)
 				return sock.Pending() > 0
 			}
 			yield := drv.PollYield
-			ns.pollFn = func(p *sim.Proc) { spinner.Spin(p, ready, yield) }
+			ns.pollFn = func(p *sim.Proc) { spinner.Spin(p, pending, ready, yield) }
 		}
 		return nil
 	}
