@@ -61,15 +61,16 @@ flake:
 
 # bench runs the sweep and series benchmarks with allocation accounting
 # (allocs/op on the steady-state series benchmarks must read 0) and the
-# sim kernel's dispatch micro-benchmarks (a wake that switches processes
-# and one that does not), the busy-poll spinner against a device process
+# sim kernel's dispatch micro-benchmarks (wakes that switch processes:
+# two in lockstep, three in rotation, two alternating above a parked
+# third; and one that does not), the busy-poll spinner against a device process
 # and the flight recorder's per-span path (both 0 allocs/op), then times
 # the paper's full 50k-packet Fig-3 matrix serially and through the
 # parallel engine. The committed
 # baseline is NOT rewritten here — use benchbase for that — so a routine
 # bench run cannot silently move the gate.
 bench:
-	$(GO) test -run '^$$' -bench 'SweepGrid|SeriesSteadyState|ProcHandoff|ProcRing3|ProcSelfWake|SpinAgainstDevice|FlightSpan' -benchmem ./internal/experiments ./internal/sim ./internal/hostos ./internal/telemetry .
+	$(GO) test -run '^$$' -bench 'SweepGrid|SeriesSteadyState|ProcHandoff|ProcRing3|ProcAlternate|ProcSelfWake|SpinAgainstDevice|FlightSpan' -benchmem ./internal/experiments ./internal/sim ./internal/hostos ./internal/telemetry .
 	$(GO) run ./cmd/fvsweepbench -n 50000 -json $${TMPDIR:-/tmp}/fvsweepbench-full.json
 
 # benchbase deliberately re-records BENCH_sweep.json at the full grid.

@@ -22,16 +22,18 @@ import (
 // Under Run/RunUntil a parking or finishing process keeps dispatching:
 // it drains the event queue itself (see chainNext). Callback events
 // execute inline and a wake of the same process coalesces into
-// straight-line execution with zero switches. A process the scheduler
-// switched into is the trampoline for wakes of other processes: it
-// switches into the woken process from its own coroutine, and that
-// process, when it parks, yields back to it. A wake back to the
-// trampoline process therefore costs one coroutine switch, and a wake
-// of a third process costs two — back to the trampoline, which
-// forwards into the woken one. Only when nothing is runnable does
-// control return to the scheduler. The event execution order is
-// exactly the (at, seq) order either way; only which coroutine drives
-// the dispatch changes, which no simulated observable depends on.
+// straight-line execution with zero switches. The processes that are
+// running or suspended inside a switch into another form the switch
+// stack, bottom first: the one the scheduler switched into, then each
+// process switched into by the one below it. A parking process whose
+// drain wakes a process not on the stack switches into it from its own
+// coroutine, one switch; a wake of a process on the stack unwinds to
+// it, each process above it yielding to the one below, and a parking
+// process with nothing runnable unwinds to the scheduler. Two processes
+// that wake each other above a third therefore pay one switch per wake.
+// The event execution order is exactly the (at, seq) order either way;
+// only which coroutine drives the dispatch changes, which no simulated
+// observable depends on.
 //
 // A panic or runtime.Goexit in a process body (a bus error, an
 // unhandled IRQ, t.FailNow in a test process) travels through the
@@ -54,6 +56,7 @@ type Proc struct {
 	why     string                  // park reason, read by deadlock detection
 	parkIdx int                     // index in sim.parked while parked
 	step    func() Duration         // the running SleepSteps continuation, or nil
+	onStack bool                    // on the switch stack, see suspend
 }
 
 // Go spawns a process that starts executing at the current simulation
@@ -101,37 +104,42 @@ func (p *Proc) loop(yield func(struct{}) bool) {
 
 // suspend gives up control until an event resumes p. Under Run and
 // RunUntil it first drains the queue from this coroutine (chainNext)
-// and returns at once on a self-wake. A process running under another
-// process's trampoline then yields back to it; a process the scheduler
-// switched into runs the trampoline itself: it switches into each
-// process a parking one names in s.handoff, returns when the handoff
-// names p, and yields to the scheduler when it names nobody. Since a
-// process entered by the trampoline never becomes one, at most one
-// process runs nested below the scheduler's.
+// and returns at once on a self-wake. When the drain names a process
+// that is not on the switch stack, p switches into it and stays on the
+// stack; once that switch returns, p resumes if s.handoff names it and
+// otherwise keeps unwinding. When the drain names a process on the
+// stack, below p, or nothing, p yields and leaves s.handoff for the
+// processes below.
 func (p *Proc) suspend() {
 	s := p.sim
 	if s.chained && p.chainNext() {
 		return
 	}
-	if s.handoff == nil || s.tramp != nil {
-		p.yield(struct{}{})
-		return
-	}
-	s.tramp = p
-	for q := s.handoff; q != p; q = s.handoff {
-		if q == nil {
-			s.tramp = nil
-			p.yield(struct{}{})
-			return
-		}
+	if q := s.handoff; q != nil && !q.onStack {
 		s.handoff = nil
 		s.switchTo(q)
-		if fvassert.Enabled && s.tramp != p {
-			fvassert.Failf("sim: %s, switched into by trampoline %s, dispatched other processes itself", q.name, p.name)
+		if s.handoff == p {
+			s.handoff = nil
+			return
 		}
 	}
-	s.handoff = nil
-	s.tramp = nil
+	p.yield(struct{}{})
+}
+
+// assertUnwound fails when control is back at the scheduler with a
+// handoff pending or a parked or pooled process still on the switch
+// stack. Only fvinvariants builds call it.
+func (s *Sim) assertUnwound() {
+	if s.handoff != nil {
+		fvassert.Failf("sim: control back at the scheduler with a handoff to %s pending", s.handoff.name)
+	}
+	for _, ps := range [2][]*Proc{s.parked, s.procPool} {
+		for _, p := range ps {
+			if p.onStack {
+				fvassert.Failf("sim: control back at the scheduler with %s on the switch stack", p.name)
+			}
+		}
+	}
 }
 
 // chainNext continues the dispatch loop from this process's coroutine
@@ -141,7 +149,7 @@ func (p *Proc) suspend() {
 //     fast path): report true, the caller keeps running with zero
 //     switches;
 //   - the next event resumes another process: name it in s.handoff for
-//     the trampoline to switch to, and report false;
+//     suspend to switch or unwind to, and report false;
 //   - nothing runnable remains (or Stop was called): report false with
 //     no handoff, so control returns to the scheduler loop.
 //

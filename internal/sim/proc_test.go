@@ -85,38 +85,82 @@ func TestProcGoexitPropagates(t *testing.T) {
 	}
 }
 
-// spawnWoken starts process A and process B so that A wakes B: A
-// sleeps, fires a trigger B waits on and parks. Under Run and RunUntil
-// A is the process the scheduler switched into, so B's body after the
-// wait runs inside A's suspend. B then calls body; nested reports
-// whether it ran below A's trampoline.
-func spawnWoken(s *Sim, body func(b *Proc)) (nested *bool) {
-	nested = new(bool)
-	t := NewTrigger(s, "wake")
+// chainNames are the processes spawnChain starts, bottom of the switch
+// stack first.
+var chainNames = []string{"A", "B", "C", "D"}
+
+// spawnChain starts the processes of chainNames so that each wakes the
+// next: A sleeps, then each fires a trigger the next one waits on and
+// parks for good. Under Run and RunUntil each wake switches from the
+// waker into the woken process, so D's body after its wait runs at the
+// top of a four-deep switch stack; under Step every process runs
+// directly below the scheduler. D then calls body; depth reports how
+// many of the chain's processes were on the switch stack when it did.
+func spawnChain(s *Sim, body func(p *Proc)) (depth *int) {
+	depth = new(int)
 	never := NewCond(s, "never")
-	a := s.Go("A", func(p *Proc) {
-		p.Sleep(Us(1))
-		t.Fire()
-		never.Wait(p)
-	})
-	s.Go("B", func(p *Proc) {
-		t.Wait(p)
-		*nested = s.tramp == a
-		body(p)
-	})
-	return nested
+	var chain []*Proc
+	var woke *Trigger
+	for i, name := range chainNames {
+		wait, wake := woke, NewTrigger(s, "wake"+name)
+		last := i == len(chainNames)-1
+		chain = append(chain, s.Go(name, func(p *Proc) {
+			if wait == nil {
+				p.Sleep(Us(1))
+			} else {
+				wait.Wait(p)
+			}
+			if !last {
+				wake.Fire()
+				never.Wait(p)
+				return
+			}
+			for _, q := range chain {
+				if q.onStack {
+					*depth++
+				}
+			}
+			body(p)
+		}))
+		woke = wake
+	}
+	return depth
 }
 
-// chainedMode reports whether a run mode chains dispatch through
-// process coroutines (Run, RunUntil) rather than stepping (Step).
-func chainedMode(name string) bool { return name != "Step" }
+// wantDepth is the switch-stack depth D's body runs at under a run mode.
+func wantDepth(mode string) int {
+	if mode == "Step" {
+		return 1
+	}
+	return len(chainNames)
+}
 
+// stackErr reports a violation of the switch-stack invariant that
+// holds whenever the scheduler has control: no handoff pending and no
+// parked or pooled process on the stack.
+func stackErr(s *Sim) error {
+	if s.handoff != nil {
+		return fmt.Errorf("handoff to %s pending at the scheduler", s.handoff.name)
+	}
+	for _, ps := range [][]*Proc{s.parked, s.procPool} {
+		for _, p := range ps {
+			if p.onStack {
+				return fmt.Errorf("%s on the switch stack at the scheduler", p.name)
+			}
+		}
+	}
+	return nil
+}
+
+// TestNestedDispatchPanicPropagates: a panic at the top of a four-deep
+// switch stack unwinds past three suspended processes to the caller of
+// Run, RunUntil or Step with its original value.
 func TestNestedDispatchPanicPropagates(t *testing.T) {
 	for _, d := range runModes {
 		t.Run(d.name, func(t *testing.T) {
 			s := New()
 			want := &procPanic{code: 9}
-			nested := spawnWoken(s, func(*Proc) { panic(want) })
+			depth := spawnChain(s, func(*Proc) { panic(want) })
 			got := func() (r any) {
 				defer func() { r = recover() }()
 				d.run(s)
@@ -125,18 +169,21 @@ func TestNestedDispatchPanicPropagates(t *testing.T) {
 			if got != want {
 				t.Fatalf("%s recovered %#v, want the body's panic value %#v", d.name, got, want)
 			}
-			if *nested != chainedMode(d.name) {
-				t.Fatalf("%s: B ran nested below A = %v", d.name, *nested)
+			if *depth != wantDepth(d.name) {
+				t.Fatalf("%s: D ran at switch-stack depth %d, want %d", d.name, *depth, wantDepth(d.name))
 			}
 		})
 	}
 }
 
+// TestNestedDispatchGoexitPropagates: a runtime.Goexit at the top of a
+// four-deep switch stack ends the goroutine that called Run, RunUntil
+// or Step.
 func TestNestedDispatchGoexitPropagates(t *testing.T) {
 	for _, d := range runModes {
 		t.Run(d.name, func(t *testing.T) {
 			s := New()
-			nested := spawnWoken(s, func(*Proc) { runtime.Goexit() })
+			depth := spawnChain(s, func(*Proc) { runtime.Goexit() })
 			done := make(chan bool)
 			go func() {
 				returned := false
@@ -152,21 +199,21 @@ func TestNestedDispatchGoexitPropagates(t *testing.T) {
 			case <-time.After(5 * time.Second):
 				t.Fatalf("%s still blocked 5s after the body called runtime.Goexit", d.name)
 			}
-			if *nested != chainedMode(d.name) {
-				t.Fatalf("%s: B ran nested below A = %v", d.name, *nested)
+			if *depth != wantDepth(d.name) {
+				t.Fatalf("%s: D ran at switch-stack depth %d, want %d", d.name, *depth, wantDepth(d.name))
 			}
 		})
 	}
 }
 
-// TestNestedDispatchStop: a Stop inside a process running below
-// another's trampoline returns control to Run at the Stop's time, and
-// the next Run resumes where it left off.
+// TestNestedDispatchStop: a Stop at the top of a four-deep switch stack
+// unwinds the whole stack and returns control to Run at the Stop's
+// time, and the next Run resumes where it left off.
 func TestNestedDispatchStop(t *testing.T) {
 	s := New()
 	done := false
 	var stopAt Time
-	nested := spawnWoken(s, func(p *Proc) {
+	depth := spawnChain(s, func(p *Proc) {
 		stopAt = s.Now()
 		s.Stop()
 		p.Sleep(Us(1))
@@ -175,8 +222,11 @@ func TestNestedDispatchStop(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !*nested {
-		t.Fatal("B did not run below A's trampoline")
+	if *depth != len(chainNames) {
+		t.Fatalf("D ran at switch-stack depth %d, want %d", *depth, len(chainNames))
+	}
+	if err := stackErr(s); err != nil {
+		t.Fatalf("after Stop: %v", err)
 	}
 	if done || s.Now() != stopAt || s.Pending() != 1 {
 		t.Fatalf("after Stop: done=%v now=%v (Stop at %v) pending=%d, want false, the Stop's time, 1",
@@ -186,27 +236,78 @@ func TestNestedDispatchStop(t *testing.T) {
 	if !done || s.Now() != stopAt.Add(Us(1)) {
 		t.Fatalf("second Run: done=%v now=%v, want true, %v", done, s.Now(), stopAt.Add(Us(1)))
 	}
-	// A still waits on "never": the second Run reports it.
-	if err == nil || !strings.Contains(err.Error(), "A: wait:never") {
-		t.Fatalf("second Run error %v, want a deadlock naming A", err)
+	// A, B and C still wait on "never": the second Run reports them.
+	if err == nil || !strings.Contains(err.Error(), "[A: wait:never B: wait:never C: wait:never]") {
+		t.Fatalf("second Run error %v, want a deadlock naming A, B and C", err)
 	}
 }
 
-// TestNestedDispatchDeadlock: deadlock detection names every parked
-// process, including the trampoline process and the one that parked
-// below it.
+// TestNestedDispatchDeadlock: a deadlock reached at the top of a
+// four-deep switch stack unwinds to the caller of every run mode with
+// every process parked, including the three below the one that parked
+// last; Run's deadlock error names them all.
 func TestNestedDispatchDeadlock(t *testing.T) {
-	s := New()
-	c := NewCond(s, "idle")
-	nested := spawnWoken(s, func(p *Proc) { c.Wait(p) })
-	s.Go("C", func(p *Proc) { c.Wait(p) })
-	err := s.Run()
-	if !*nested {
-		t.Fatal("B did not run below A's trampoline")
+	want := []string{"A: wait:never", "B: wait:never", "C: wait:never", "D: wait:idle", "E: wait:idle"}
+	for _, d := range runModes {
+		t.Run(d.name, func(t *testing.T) {
+			s := New()
+			c := NewCond(s, "idle")
+			depth := spawnChain(s, func(p *Proc) { c.Wait(p) })
+			s.Go("E", func(p *Proc) { c.Wait(p) })
+			var err error
+			if d.name == "Run" {
+				err = s.Run()
+			} else {
+				d.run(s)
+			}
+			if *depth != wantDepth(d.name) {
+				t.Fatalf("D ran at switch-stack depth %d, want %d", *depth, wantDepth(d.name))
+			}
+			if err := stackErr(s); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.parkedNames(); !slices.Equal(got, want) || s.Pending() != 0 {
+				t.Fatalf("parked %v with %d events pending, want %v and none", got, s.Pending(), want)
+			}
+			if d.name == "Run" && (err == nil || !strings.Contains(err.Error(), fmt.Sprint(want))) {
+				t.Fatalf("Run error %v, want one naming %v", err, want)
+			}
+		})
 	}
-	want := "3 process(es) parked: [A: wait:never B: wait:idle C: wait:idle]"
-	if err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("Run error %v, want one containing %q", err, want)
+}
+
+// TestSwitchStackAssertions: built with -tags fvinvariants, a switch
+// into a process that is already on the switch stack fails naming it,
+// and so does control reaching the scheduler with a handoff pending.
+func TestSwitchStackAssertions(t *testing.T) {
+	if !fvassert.Enabled {
+		t.Skip("the checks are compiled in only with -tags fvinvariants")
+	}
+	for _, c := range []struct {
+		name string
+		body func(s *Sim, p *Proc)
+	}{
+		{"reentry", func(s *Sim, p *Proc) { s.switchTo(p) }},
+		{"handoff", func(s *Sim, p *Proc) {
+			s.handoff = p
+			p.yield(struct{}{})
+		}},
+	} {
+		for _, d := range runModes {
+			t.Run(c.name+"/"+d.name, func(t *testing.T) {
+				s := New()
+				s.Go("culprit", func(p *Proc) { c.body(s, p) })
+				got := func() (r any) {
+					defer func() { r = recover() }()
+					d.run(s)
+					return nil
+				}()
+				msg, _ := got.(string)
+				if !strings.HasPrefix(msg, "fvinvariant: ") || !strings.Contains(msg, "culprit") {
+					t.Fatalf("%s recovered %#v, want an fvinvariant failure naming culprit", d.name, got)
+				}
+			})
+		}
 	}
 }
 
@@ -260,12 +361,14 @@ func TestNestedDispatchStepBlocks(t *testing.T) {
 }
 
 // TestNestedDispatchDepth runs randomized process programs under Run,
-// RunUntil slices and Stops, and checks through progRun.observe that no
-// process ever runs more than one level below the scheduler. Built with
-// -tags fvinvariants, Proc.suspend asserts the same bound at every
-// trampoline switch.
+// RunUntil slices and Stops, and checks the switch-stack invariant:
+// through progRun.observe, that every running process is on the stack,
+// and after every return to the scheduler, that the stack is empty and
+// no handoff is pending. A switch into a process already on the stack
+// would panic in the coroutine, and fails naming it in fvinvariants
+// builds, where the scheduler also asserts the empty stack.
 func TestNestedDispatchDepth(t *testing.T) {
-	nestedRan := 0
+	maxDepth := 0
 	for seed := int64(1); seed <= 60; seed++ {
 		for _, until := range []bool{false, true} {
 			s := New()
@@ -279,18 +382,18 @@ func TestNestedDispatchDepth(t *testing.T) {
 				} else if err := s.Run(); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
-				if s.tramp != nil || s.handoff != nil {
-					t.Fatalf("seed %d: control back at the scheduler with tramp %v, handoff %v", seed, s.tramp, s.handoff)
+				if err := stackErr(s); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
 				}
 			}
-			if r.depthErr != nil {
-				t.Fatalf("seed %d (RunUntil %v): %v", seed, until, r.depthErr)
+			if r.stackErr != nil {
+				t.Fatalf("seed %d (RunUntil %v): %v", seed, until, r.stackErr)
 			}
-			nestedRan += r.nestedRan
+			maxDepth = max(maxDepth, r.maxDepth)
 		}
 	}
-	if nestedRan == 0 {
-		t.Fatal("no process ran below a trampoline; the test exercises nothing")
+	if maxDepth < 3 {
+		t.Fatalf("the switch stack grew to depth %d at most; the test does not nest three deep", maxDepth)
 	}
 }
 
@@ -358,32 +461,33 @@ type progRun struct {
 	stopAt   Time   // clock at the latest Stop, -1 when none since Run began
 	eligible int    // Sleeps that could skip the queue
 
-	// Trampoline bookkeeping, see observe.
-	nested    map[*Proc]bool // whether each process last ran nested
-	nestedRan int            // observations made inside a trampoline
-	depthErr  error          // first nesting violation observed
+	// Switch-stack bookkeeping, see observe.
+	nestedRan int   // observations above the bottom of the stack
+	maxDepth  int   // deepest stack observed
+	stackErr  error // first invariant violation observed
 }
 
-// observe records whether p runs nested below a trampoline process and
-// checks the nesting bound. Programs observe before every step that
-// may park and before finishing, so a process's last observation tells
-// whether it was nested when it last gave up control. A running process
-// is never the registered trampoline, and a trampoline must itself run
-// directly below the scheduler: one that was nested when it parked
-// would put the running process two levels down.
+// observe records the depth of the switch stack p runs on top of and
+// checks that p is on it. Programs observe before every step that may
+// park and before finishing. The depth counts parked and pooled
+// processes on the stack, which are all but the running one.
 func (r *progRun) observe(p *Proc) {
-	t := p.sim.tramp
-	if r.nested == nil {
-		r.nested = map[*Proc]bool{}
+	s := p.sim
+	if !p.onStack && r.stackErr == nil {
+		r.stackErr = fmt.Errorf("%s runs but is not on the switch stack", p.name)
 	}
-	r.nested[p] = t != nil
-	if t == nil {
-		return
+	depth := 1
+	for _, ps := range [][]*Proc{s.parked, s.procPool} {
+		for _, q := range ps {
+			if q.onStack {
+				depth++
+			}
+		}
 	}
-	r.nestedRan++
-	if r.depthErr == nil && (t == p || r.nested[t]) {
-		r.depthErr = fmt.Errorf("%s runs below trampoline %s, which runs nested itself or is %s", p.name, t.name, p.name)
+	if depth > 1 {
+		r.nestedRan++
 	}
+	r.maxDepth = max(r.maxDepth, depth)
 }
 
 // runProgram executes one process program. Each step kind exercises a
@@ -576,8 +680,8 @@ func TestSleepRunAheadMatchesQueuePath(t *testing.T) {
 // SleepSteps, once through the plain Sleep loop it stands for. The
 // traced event sequences, the queue counters and the clock at every
 // step call must be identical across all six runs; the final clock, and
-// whether any process ran below a trampoline, must match the loop's
-// under the same mode; the nesting bound must hold. Under
+// whether any process ran above the bottom of the switch stack, must
+// match the loop's under the same mode; the stack invariant must hold. Under
 // Run, SleepSteps must save coroutine switches overall, or its
 // continuations never ran.
 func TestSleepStepsMatchesSleepLoop(t *testing.T) {
@@ -601,8 +705,8 @@ func TestSleepStepsMatchesSleepLoop(t *testing.T) {
 		if err := m.run(s, r); err != nil {
 			t.Fatalf("seed %d %s (SleepSteps %v): %v", seed, m.name, steps, err)
 		}
-		if r.depthErr != nil {
-			t.Fatalf("seed %d %s (SleepSteps %v): %v", seed, m.name, steps, r.depthErr)
+		if r.stackErr != nil {
+			t.Fatalf("seed %d %s (SleepSteps %v): %v", seed, m.name, steps, r.stackErr)
 		}
 		return outcome{tr.Records, s.Stats(), s.Now(), r.stepAt, r.nestedRan > 0, s.Switches()}
 	}
@@ -670,7 +774,7 @@ func BenchmarkProcHandoff(b *testing.B) {
 // BenchmarkProcRing3 measures wakes that rotate through three
 // processes: each sleeps in lockstep, offset by 1 ns from the one
 // before, so every wake resumes the process after the one that ran
-// last and the trampoline forwards instead of returning.
+// last: the switch stack grows to all three and unwinds to the bottom.
 func BenchmarkProcRing3(b *testing.B) {
 	s := New()
 	body := func(n int) func(p *Proc) {
@@ -698,6 +802,36 @@ func BenchmarkProcSelfWake(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			p.Sleep(Ns(1))
 		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkProcAlternate measures wakes that alternate between two
+// processes while the process the scheduler switched into stays parked
+// below them: the pattern of a device's queue engine and user logic
+// waking each other under the application process that kicked them.
+func BenchmarkProcAlternate(b *testing.B) {
+	s := New()
+	done := NewTrigger(s, "done")
+	left := 2
+	body := func(n int) func(p *Proc) {
+		return func(p *Proc) {
+			for i := 0; i < n; i++ {
+				p.Sleep(Ns(2))
+			}
+			if left--; left == 0 {
+				done.Fire()
+			}
+		}
+	}
+	s.Go("app", func(p *Proc) {
+		s.Go("a", body((b.N+1)/2))
+		s.GoAfter(Ns(1), "b", body(b.N/2))
+		done.Wait(p)
 	})
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 
+	"fpgavirtio/internal/fvassert"
 	"fpgavirtio/internal/mem"
 )
 
@@ -95,13 +96,12 @@ type Sim struct {
 	// RunUntil, a parking process drains the event queue from its own
 	// coroutine — callbacks run inline, consecutive wakes of the same
 	// process coalesce to straight-line execution, and a wake of
-	// another process goes through handoff to the trampoline without
-	// returning to the scheduler loop. Under Step (and before Run is
+	// another process switches or unwinds to it along the switch stack
+	// (see Proc.suspend) without returning to the scheduler loop. Under Step (and before Run is
 	// entered) it is false and every process yields straight back,
 	// which is what gives Step its one-event granularity.
 	chained  bool
-	handoff  *Proc // process a parking coroutine passes control to
-	tramp    *Proc // process running the trampoline (see Proc.suspend), or nil
+	handoff  *Proc // process the drain woke: switched into or unwound to (see Proc.suspend)
 	stepping *Proc // process whose SleepSteps step is running (fvinvariants builds)
 	switches int64 // coroutine switch-ins, see Switches
 	tracer   Tracer
@@ -284,10 +284,17 @@ func (s *Sim) take(e *event) *Proc {
 	return p
 }
 
-// switchTo switches into p's coroutine until it gives up control.
+// switchTo switches into p's coroutine until it gives up control; p is
+// on the switch stack meanwhile. Switching into a process already on
+// the stack fails in fvinvariants builds (the coroutine would panic).
 func (s *Sim) switchTo(p *Proc) {
+	if fvassert.Enabled && p.onStack {
+		fvassert.Failf("sim: switch into %s, which is already on the switch stack", p.name)
+	}
 	s.switches++
+	p.onStack = true
 	p.next()
+	p.onStack = false
 }
 
 // Switches reports how many times control has switched into a process
@@ -335,6 +342,9 @@ func (s *Sim) Step() bool {
 	}
 	if p := s.take(e); p != nil {
 		s.switchTo(p)
+		if fvassert.Enabled {
+			s.assertUnwound()
+		}
 	}
 	return true
 }
@@ -354,6 +364,9 @@ func (s *Sim) runLoop() {
 		}
 		if p := s.take(e); p != nil {
 			s.switchTo(p)
+			if fvassert.Enabled {
+				s.assertUnwound()
+			}
 		}
 	}
 }
