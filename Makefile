@@ -63,10 +63,10 @@ flake:
 # (allocs/op on the steady-state series benchmarks must read 0) and the
 # sim kernel's dispatch micro-benchmarks (wakes that switch processes:
 # two in lockstep, three in rotation, two alternating above a parked
-# third; and one that does not), the busy-poll spinner against a device process
-# and the flight recorder's per-span path (both 0 allocs/op), then times
-# the paper's full 50k-packet Fig-3 matrix serially and through the
-# parallel engine. The committed
+# third; and one that does not), the busy-poll spinner against a device
+# process and the flight recorder's per-span path (both 0 allocs/op),
+# then times the paper's full 50k-packet Fig-3 matrix serially and
+# through the parallel engine. The committed
 # baseline is NOT rewritten here — use benchbase for that — so a routine
 # bench run cannot silently move the gate.
 bench:

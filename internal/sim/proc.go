@@ -17,7 +17,7 @@ import (
 // fully deterministic.
 //
 // Inside the process function, the Proc methods Sleep, Wait and Park
-// block in *simulated* time by yielding back to the scheduler.
+// block in *simulated* time by giving up control until a wake event.
 //
 // Under Run/RunUntil a parking or finishing process keeps dispatching:
 // it drains the event queue itself (see chainNext). Callback events
@@ -36,9 +36,9 @@ import (
 // observable depends on.
 //
 // A panic or runtime.Goexit in a process body (a bus error, an
-// unhandled IRQ, t.FailNow in a test process) travels through the
-// coroutine switch to the caller of Run/RunUntil/Step with its original
-// value. The simulation is unusable afterwards.
+// unhandled IRQ, t.FailNow in a test process) travels through every
+// coroutine switch on the stack to the caller of Run/RunUntil/Step with
+// its original value. The simulation is unusable afterwards.
 //
 // Finished processes are pooled: the coroutine is reused by the next
 // Go/GoAfter, so per-operation process spawns (one per ping, one per

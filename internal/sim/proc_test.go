@@ -681,8 +681,8 @@ func TestSleepRunAheadMatchesQueuePath(t *testing.T) {
 // traced event sequences, the queue counters and the clock at every
 // step call must be identical across all six runs; the final clock, and
 // whether any process ran above the bottom of the switch stack, must
-// match the loop's under the same mode; the stack invariant must hold. Under
-// Run, SleepSteps must save coroutine switches overall, or its
+// match the loop's under the same mode; the stack invariant must hold.
+// Under Run, SleepSteps must save coroutine switches overall, or its
 // continuations never ran.
 func TestSleepStepsMatchesSleepLoop(t *testing.T) {
 	type outcome struct {

@@ -96,10 +96,11 @@ type Sim struct {
 	// RunUntil, a parking process drains the event queue from its own
 	// coroutine — callbacks run inline, consecutive wakes of the same
 	// process coalesce to straight-line execution, and a wake of
-	// another process switches or unwinds to it along the switch stack
-	// (see Proc.suspend) without returning to the scheduler loop. Under Step (and before Run is
-	// entered) it is false and every process yields straight back,
-	// which is what gives Step its one-event granularity.
+	// another process switches or unwinds to it along the switch
+	// stack (see Proc.suspend) without returning to the scheduler loop.
+	// Under Step (and before Run is entered) it is false and every
+	// process yields straight back, which is what gives Step its
+	// one-event granularity.
 	chained  bool
 	handoff  *Proc // process the drain woke: switched into or unwound to (see Proc.suspend)
 	stepping *Proc // process whose SleepSteps step is running (fvinvariants builds)

@@ -167,7 +167,7 @@ var workloadArms = []workloadArm{
 				}
 			}
 		}
-		if a.session("net", ns) == 0 || a.session("xdma", xs) == 0 {
+		if netFaults, xdmaFaults := a.session("net", ns), a.session("xdma", xs); netFaults == 0 || xdmaFaults == 0 {
 			t.Error("the chaos plan injected no fault on one of the stacks")
 		}
 	}},
