@@ -360,21 +360,12 @@ func (ep *Endpoint) raiseMSIX(v int) {
 	if ep.met != nil {
 		ep.met.interrupts.Inc()
 	}
+	// The msix span runs from the raise to APIC dispatch, one APIC
+	// delay after the message TLP arrives, so it is known now. It is
+	// logged before the TLP is queued: both spans start now, and the
+	// msix span takes the lower id.
+	_, arrive := ep.link.timing(&ep.link.up, 4)
+	ep.sim.SpanClosed(ep.spans.msix, ep.sim.Now(), arrive.Add(ep.rc.costs.APICDelay))
 	op := ep.msixOps[v]
-	if ep.sim.TracingSpans() {
-		// Tracing path: allocate per-raise closures so overlapping
-		// raises of the same vector each carry their own span.
-		sp := ep.sim.BeginSpan(ep.spans.msix)
-		ep.link.Up(4, op.label, func() {
-			ep.sim.After(ep.rc.costs.APICDelay, "rc:apic", func() {
-				sp.End()
-				if ep.rc.irqSink != nil {
-					ep.rc.irqSink(ep, v)
-				}
-			})
-		})
-		//fvlint:ignore metricname span ends in the APIC-dispatch callback above
-		return
-	}
 	ep.link.Up(4, op.label, op.afterLink)
 }

@@ -84,12 +84,13 @@ type direction struct {
 }
 
 // WireLabel is a TLP label ("MWr", "CplD", "MSIX:0", ...) prepared for
-// one link: its wire span kind in each direction, registered once so
-// that transmitting a TLP carries only the kind id. Build labels with
-// Link.Label when a component is constructed, not per TLP.
+// one link: its wire span kind and its arrival event name in each
+// direction, built once so that transmitting a TLP composes nothing.
+// Build labels with Link.Label when a component is constructed, not
+// per TLP.
 type WireLabel struct {
-	what string
-	kind [2]sim.SpanKind // indexed by direction.idx
+	kind  [2]sim.SpanKind // indexed by direction.idx
+	event [2]string       // "pcie:<dir>:<label>", indexed by direction.idx
 }
 
 // Link is a point-to-point PCIe link between the root complex and one
@@ -124,12 +125,14 @@ func NewLink(s *sim.Sim, cfg LinkConfig) *Link {
 }
 
 // Label registers the wire span kinds of TLP label what, one per
-// direction, and returns them.
+// direction, names its arrival events, and returns them.
 func (l *Link) Label(what string) *WireLabel {
-	return &WireLabel{what: what, kind: [2]sim.SpanKind{
-		l.sim.SpanKind(telemetry.LayerWire, l.down.name, what),
-		l.sim.SpanKind(telemetry.LayerWire, l.up.name, what),
-	}}
+	lb := &WireLabel{}
+	for _, d := range [...]*direction{&l.down, &l.up} {
+		lb.kind[d.idx] = l.sim.SpanKind(telemetry.LayerWire, d.name, what)
+		lb.event[d.idx] = "pcie:" + d.name + ":" + what
+	}
+	return lb
 }
 
 // Config returns the link configuration.
@@ -141,36 +144,28 @@ func (l *Link) serTime(payload int) sim.Duration {
 	return sim.NsF(ns)
 }
 
-// transmit queues one TLP on dir. It returns the time serialization
-// finishes (sender-side release) and schedules deliver at arrival.
-// When neither spans nor the event tracer are active, the arrival event
-// carries deliver directly — no wrapper closure and no composed name —
-// so a TLP costs zero heap allocations on the steady-state path.
-func (l *Link) transmit(dir *direction, payload int, lb *WireLabel, deliver func()) sim.Time {
-	now := l.sim.Now()
-	start := now
+// timing reports when a TLP with the given payload, queued on dir
+// now, would finish serializing (sender-side release) and arrive. It
+// changes nothing, so a caller can price a TLP before queueing it.
+func (l *Link) timing(dir *direction, payload int) (serEnd, arrive sim.Time) {
+	start := l.sim.Now()
 	if dir.busyUntil > start {
 		start = dir.busyUntil
 	}
-	serEnd := start.Add(l.serTime(payload))
+	serEnd = start.Add(l.serTime(payload))
+	return serEnd, serEnd.Add(l.cfg.Prop)
+}
+
+// transmit queues one TLP on dir. It returns the time serialization
+// finishes and schedules deliver at arrival. The TLP's wire span
+// (queue + serialization + flight) is known here, so it is logged as
+// a closed interval; the arrival event carries deliver directly, so a
+// TLP costs zero heap allocations whoever is watching.
+func (l *Link) transmit(dir *direction, payload int, lb *WireLabel, deliver func()) sim.Time {
+	serEnd, arrive := l.timing(dir, payload)
 	dir.busyUntil = serEnd
-	arrive := serEnd.Add(l.cfg.Prop)
-	// Flight recorder: the endpoints are already known here, so the
-	// TLP is logged as a closed interval without touching the open-span
-	// machinery. Stays on with zero allocations.
-	k := lb.kind[dir.idx]
-	l.sim.FlightClosed(k, now, arrive)
-	if l.sim.TracingSpans() || l.sim.Traced() {
-		// Wire-layer span: queue + serialization + flight of this TLP.
-		sp := l.sim.BeginSpan(k)
-		l.sim.At(arrive, "pcie:"+dir.name+":"+lb.what, func() {
-			sp.End()
-			deliver()
-		})
-		//fvlint:ignore metricname span deliberately ends inside the scheduled arrival callback above
-		return serEnd
-	}
-	l.sim.At(arrive, "pcie:tlp", deliver)
+	l.sim.SpanClosed(lb.kind[dir.idx], l.sim.Now(), arrive)
+	l.sim.At(arrive, lb.event[dir.idx], deliver)
 	return serEnd
 }
 

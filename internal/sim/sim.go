@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"fpgavirtio/internal/fvassert"
-	"fpgavirtio/internal/mem"
 )
 
 // event is one scheduled callback. Events are recycled through a
@@ -106,7 +105,7 @@ type Sim struct {
 	stepping *Proc // process whose SleepSteps step is running (fvinvariants builds)
 	switches int64 // coroutine switch-ins, see Switches
 	tracer   Tracer
-	spans    SpanSink // verbose sink; flips TracingSpans
+	spans    SpanSink // verbose sink
 	flight   SpanSink // always-on sink
 	kinds    SpanKinds
 	procs    int     // live (not yet finished) processes
@@ -114,7 +113,6 @@ type Sim struct {
 	free     []*event
 	procPool []*Proc // finished processes whose coroutines idle for reuse
 	stats    QueueStats
-	arena    *mem.Arena         // backs interned trace/park name strings
 	names    map[nameKey]string // (label, sub) -> interned "label+sub"
 }
 
@@ -122,10 +120,7 @@ type nameKey struct{ label, sub string }
 
 // New returns an empty simulation positioned at time zero.
 func New() *Sim {
-	s := &Sim{
-		arena: mem.NewArena(0),
-		names: make(map[nameKey]string),
-	}
+	s := &Sim{names: make(map[nameKey]string)}
 	s.q.init()
 	return s
 }
@@ -134,27 +129,23 @@ func New() *Sim {
 func (s *Sim) Now() Time { return s.now }
 
 // SetTracer installs t as the execution tracer (nil disables tracing).
+// The tracer only observes: no model code reads whether one is
+// installed, so attaching it changes nothing about a run.
 func (s *Sim) SetTracer(t Tracer) { s.tracer = t }
-
-// Traced reports whether an execution tracer is installed. Hot paths
-// use it to skip composing event-name strings that only a tracer reads.
-func (s *Sim) Traced() bool { return s.tracer != nil }
 
 // Stats returns the event loop's lifetime counters.
 func (s *Sim) Stats() QueueStats { return s.stats }
 
 // internName returns the interned concatenation label+sub. Composed
 // names (a proc wake's "wake:app", a trigger's park reason) have tiny
-// cardinality but used to be rebuilt — one heap allocation each — on
-// every traced event. The intern table builds each unique composition
-// once, in the Sim's arena, and the steady state is a map hit with
-// zero allocations even with a tracer installed.
+// cardinality, so each unique composition is concatenated once and
+// the steady state is a map hit with zero allocations, tracer or not.
 func (s *Sim) internName(label, sub string) string {
 	k := nameKey{label, sub}
 	if n, ok := s.names[k]; ok {
 		return n
 	}
-	n := s.arena.String(label, sub)
+	n := label + sub
 	s.names[k] = n
 	return n
 }

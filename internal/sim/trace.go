@@ -112,29 +112,27 @@ type SpanSink interface {
 }
 
 // SetSpanSink installs ss as the verbose span sink (nil disables span
-// tracing). Installing one flips TracingSpans, which lets hot paths
-// take allocating verbose branches. Span emission is a pure recording
-// hook: it never schedules events and cannot perturb simulation timing.
+// tracing). Span emission is a pure recording hook: it never schedules
+// events and cannot perturb simulation timing, and no model code reads
+// whether a sink is installed.
 func (s *Sim) SetSpanSink(ss SpanSink) { s.spans = ss }
 
-// TracingSpans reports whether a verbose span sink is installed; call
-// sites that would allocate to record a span should check it first.
-func (s *Sim) TracingSpans() bool { return s.spans != nil }
-
 // SetFlightSink installs fs as the always-on span sink (nil disables
-// it). Unlike SetSpanSink it leaves TracingSpans false, so a flight
-// sink stays installed for a session's whole life and every one of its
-// methods must be allocation-free in steady state. Like span emission,
-// it never schedules events and cannot perturb simulation timing.
+// it). A flight sink stays installed for a session's whole life, so
+// every one of its methods must be allocation-free in steady state.
+// Like span emission, it never schedules events and cannot perturb
+// simulation timing.
 func (s *Sim) SetFlightSink(fs SpanSink) { s.flight = fs }
 
-// FlightClosed records an already-closed span of kind k in the flight
-// sink, if one is installed. The wire layer prices a TLP's queue,
-// serialization and flight when it queues it, so it logs every TLP
-// this way at no cost beyond the call. The verbose sink is not fed: a
-// traced run also opens that interval as a real span (see
-// pcie.Link), which is what the verbose sink records.
-func (s *Sim) FlightClosed(k SpanKind, start, end Time) {
+// SpanClosed records an already-closed span of kind k in both sinks,
+// whichever are installed. Model code that knows an interval's end
+// when it starts (the wire layer prices a TLP's queue, serialization
+// and flight as it queues it) logs it this way, with no open span to
+// carry and nothing to allocate.
+func (s *Sim) SpanClosed(k SpanKind, start, end Time) {
+	if s.spans != nil {
+		s.spans.SpanClosed(k, start, end)
+	}
 	if s.flight != nil {
 		s.flight.SpanClosed(k, start, end)
 	}

@@ -62,9 +62,9 @@ func TestBeginSpanWithAndWithoutSink(t *testing.T) {
 	}
 }
 
-// Kinds intern by triple, and a closed span reaches the flight sink
-// only: the verbose sink sees the same interval as a real span.
-func TestSpanKindsAndFlightClosed(t *testing.T) {
+// Kinds intern by triple, and a closed span reaches each installed
+// sink exactly once and no sink that is not installed.
+func TestSpanKindsAndSpanClosed(t *testing.T) {
 	s := New()
 	a := s.SpanKind("wire", "down", "MWr")
 	b := s.SpanKind("wire", "up", "MWr")
@@ -76,15 +76,32 @@ func TestSpanKindsAndFlightClosed(t *testing.T) {
 	}
 	verbose := &sinkLog{kinds: s.SpanKinds()}
 	flight := &sinkLog{kinds: s.SpanKinds()}
+	check := func(step string, nv, nf int) {
+		t.Helper()
+		if len(verbose.closed) != nv || len(flight.closed) != nf {
+			t.Fatalf("%s: closed verbose %v, flight %v; want %d and %d", step, verbose.closed, flight.closed, nv, nf)
+		}
+	}
+	s.SpanClosed(a, 0, Time(10)) // no sink installed: a no-op
 	s.SetSpanSink(verbose)
+	s.SpanClosed(a, 0, Time(10))
+	check("verbose only", 1, 0)
+	s.SetSpanSink(nil)
 	s.SetFlightSink(flight)
-	s.FlightClosed(a, 0, Time(10))
-	s.BeginSpan(b).End()
-	if len(verbose.closed) != 0 || len(flight.closed) != 1 || flight.closed[0] != "wire/down:MWr" {
+	s.SpanClosed(a, 0, Time(10))
+	check("flight only", 1, 1)
+	s.SetSpanSink(verbose)
+	s.SpanClosed(b, 0, Time(10))
+	check("both", 2, 2)
+	s.SetSpanSink(nil)
+	s.SetFlightSink(nil)
+	s.SpanClosed(b, 0, Time(10))
+	check("none", 2, 2)
+	if verbose.closed[0] != "wire/down:MWr" || verbose.closed[1] != "wire/up:MWr" || flight.closed[1] != "wire/up:MWr" {
 		t.Fatalf("closed: verbose %v, flight %v", verbose.closed, flight.closed)
 	}
-	if len(verbose.begins) != 1 || len(flight.begins) != 1 {
-		t.Fatalf("begins: verbose %v, flight %v", verbose.begins, flight.begins)
+	if len(verbose.begins)+len(flight.begins)+len(verbose.ends)+len(flight.ends) != 0 {
+		t.Fatal("SpanClosed opened or ended a span")
 	}
 	defer func() {
 		if recover() == nil {

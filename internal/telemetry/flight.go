@@ -9,14 +9,15 @@ import (
 
 // Flight recorder: an always-on, allocation-free ring of the most
 // recent spans in a session. Unlike the Recorder (installed only
-// around explicitly traced operations, and gating the verbose
-// per-TLP branches via sim.TracingSpans), the flight recorder is
+// around explicitly traced operations), the flight recorder is
 // installed with sim.SetFlightSink so it can stay enabled for the
-// entire run without perturbing the 0-alloc hot path. When something
-// noteworthy happens — a fault-recovery fires, a new worst-case RTT
-// lands — Snapshot freezes the ring into that reason's dump slot,
-// giving a post-mortem trace of the packets leading up to the event
-// without anyone having asked for tracing in advance.
+// entire run without perturbing the 0-alloc hot path. Both sinks see
+// the same spans: model code emits one stream whichever is installed,
+// so neither changes the run. When something noteworthy happens — a
+// fault-recovery fires, a new worst-case RTT lands — Snapshot freezes
+// the ring into that reason's dump slot, giving a post-mortem trace
+// of the packets leading up to the event without anyone having asked
+// for tracing in advance.
 //
 // Ring entries and dump slots hold 24-byte, pointer-free records (two
 // times and a sim.SpanKind); the strings behind a kind are looked up
@@ -177,8 +178,8 @@ func (fr *FlightRecorder) SpanEnd(at sim.Time, id uint64) {
 }
 
 // SpanClosed implements sim.SpanSink: it records an interval whose
-// endpoints are already known — the wire layer uses it to log each
-// TLP without the open-table round trip.
+// endpoints are already known — each TLP and each MSI-X delivery is
+// logged this way, without the open-table round trip.
 func (fr *FlightRecorder) SpanClosed(k sim.SpanKind, start, end sim.Time) {
 	fr.push(flightRec{start: start, end: end, kind: k})
 }

@@ -33,10 +33,10 @@ type baseSession struct {
 // it from its first TLP; it draws from its own fork of the seed,
 // leaving the host-noise stream untouched. The flight recorder is
 // installed after attach but before the "boot" process runs, so its
-// ring already holds context when the first trigger fires; it is
-// installed as the flight sink, so TracingSpans() stays false and the
-// 0-alloc hot path is unaffected. The boot process enumerates exactly one
-// device and hands it to bind.
+// ring already holds context when the first trigger fires. Its
+// span methods are allocation-free, so the 0-alloc hot path is
+// unaffected. The boot process enumerates exactly one device and
+// hands it to bind.
 func (b *baseSession) boot(cfg Config, attach func(s *sim.Sim, h *hostos.Host), bind func(p *sim.Proc, info *pcie.DeviceInfo) error) error {
 	plan, err := faults.Parse(cfg.Faults)
 	if err != nil {
