@@ -8,3 +8,9 @@ func (b *baseSession) SimSwitches() int64 { return b.s.Switches() }
 
 // SetSimTracer installs t as the session simulator's event tracer.
 func (b *baseSession) SetSimTracer(t sim.Tracer) { b.s.SetTracer(t) }
+
+// SetSimSpanSink installs the sink newSink builds over the session
+// simulator's span-kind table as its verbose span sink.
+func (b *baseSession) SetSimSpanSink(newSink func(*sim.SpanKinds) sim.SpanSink) {
+	b.s.SetSpanSink(newSink(b.s.SpanKinds()))
+}

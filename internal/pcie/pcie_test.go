@@ -5,8 +5,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"fpgavirtio/internal/faults"
 	"fpgavirtio/internal/mem"
 	"fpgavirtio/internal/sim"
+	"fpgavirtio/internal/telemetry"
 )
 
 func TestSplitPayload(t *testing.T) {
@@ -159,6 +161,22 @@ func TestConfigCommandRegister(t *testing.T) {
 	c.Write32(CfgVendorID, 0xdead)
 	if got := c.Read32(CfgVendorID); uint16(got) != 1 {
 		t.Fatalf("vendor overwritten: %#x", got)
+	}
+}
+
+// A TLP's arrival event carries its label whether or not a tracer was
+// installed when the TLP was queued.
+func TestLinkArrivalNamedBeforeTracer(t *testing.T) {
+	s := sim.New()
+	l := NewLink(s, DefaultGen2x2())
+	l.Down(64, l.mwr, func() {})
+	tr := &sim.RecordingTracer{}
+	s.SetTracer(tr)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Records) != 1 || tr.Records[0].Name != "pcie:down:MWr" {
+		t.Fatalf("records = %v, want one pcie:down:MWr arrival", tr.Records)
 	}
 }
 
@@ -368,6 +386,58 @@ func TestMSIXMasking(t *testing.T) {
 	}
 	if fired != 1 {
 		t.Fatalf("fired = %d, want 1 (masked raise dropped)", fired)
+	}
+}
+
+// With no tracer and no span sink, the flight recorder still holds one
+// msix span per delivered interrupt, from the raise to APIC dispatch.
+// A spurious duplicate overlaps the real raise of the same vector and
+// keeps its own interval, ending one message serialization later.
+func TestMSIXFlightSpans(t *testing.T) {
+	s, rc, ep, _ := newTestbed(t)
+	plan, err := faults.Parse("irqspurious:every=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc.SetFaults(faults.NewInjector(plan, sim.NewRNG(1).Fork("faults"), telemetry.NewRegistry()))
+	fr := telemetry.NewFlightRecorder(s.SpanKinds(), 1024, 1, telemetry.NewRegistry())
+	s.SetFlightSink(fr)
+	var dispatched []sim.Time
+	rc.SetIRQSink(func(e *Endpoint, v int) { dispatched = append(dispatched, s.Now()) })
+	type interval struct{ start, end sim.Time }
+	var want []interval
+	s.Go("host", func(p *sim.Proc) { rc.Enumerate(p) })
+	s.GoAfter(sim.Us(50), "dev", func(p *sim.Proc) {
+		for i := 0; i < 4; i++ {
+			// 28B ser + 200ns prop + 300ns APIC; the spurious copy
+			// (every second raise) goes first, the real one queues
+			// behind it on the link.
+			now := p.Now()
+			want = append(want, interval{now, now.Add(sim.Ns(28 + 200 + 300))})
+			if i%2 == 1 {
+				want = append(want, interval{now, now.Add(sim.Ns(2*28 + 200 + 300))})
+			}
+			ep.RaiseMSIX(1)
+			p.Sleep(sim.Us(2))
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	fr.Snapshot("end", s.Now())
+	var got []interval
+	for _, sp := range fr.Dumps()[0].Spans {
+		if sp.Layer == telemetry.LayerPCIe && sp.Name == "msix" {
+			got = append(got, interval{sp.Start, sp.End})
+		}
+	}
+	if len(dispatched) != len(want) || len(got) != len(want) {
+		t.Fatalf("%d dispatches, %d msix spans; want %d of each", len(dispatched), len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] || got[i].end != dispatched[i] {
+			t.Fatalf("msix span %d = %v, dispatched at %v; want %v", i, got[i], dispatched[i], want[i])
+		}
 	}
 }
 

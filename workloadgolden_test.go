@@ -23,7 +23,10 @@ import (
 // snapshots, bus and fault counts) and one over its event trace. The
 // replay fingerprint covers window-1 irq and poll pings without faults;
 // these arms add streams, the packed ring, event-index suppression,
-// batched signalling and the chaos fault plan on both stacks. Both the
+// batched signalling and the chaos fault plan on both stacks. The
+// digested run is watched by an event tracer and a verbose span
+// recorder; each arm then runs again with neither and must reach the
+// same state digest, since watching a run must not change it. Both the
 // default build and -tags simrefqueue must match the same file.
 // Regenerate with
 //
@@ -46,7 +49,8 @@ type workloadArm struct {
 	run  func(t *testing.T, a *armDigest)
 }
 
-// armDigest accumulates one arm's two digests.
+// armDigest accumulates one arm's two digests. An unwatched run has
+// no trace digest.
 type armDigest struct {
 	state, trace hash.Hash
 }
@@ -56,6 +60,18 @@ type session interface {
 	Registry() *telemetry.Registry
 	BusStats() fpgavirtio.BusStats
 	FaultSummary() map[string]int64
+	SetSimTracer(sim.Tracer)
+	SetSimSpanSink(func(*sim.SpanKinds) sim.SpanSink)
+}
+
+// watch installs the event tracer and a verbose span recorder on a
+// watched run's session.
+func (a *armDigest) watch(b session) {
+	if a.trace == nil {
+		return
+	}
+	b.SetSimTracer(hashTracer{a.trace})
+	b.SetSimSpanSink(func(k *sim.SpanKinds) sim.SpanSink { return telemetry.NewRecorder(k, 0) })
 }
 
 func (a *armDigest) sample(i int, s fpgavirtio.RTTSample) {
@@ -91,29 +107,29 @@ func workloadPayload(size int) []byte {
 	return buf
 }
 
-func openNetTraced(t *testing.T, a *armDigest, cfg fpgavirtio.NetConfig) *fpgavirtio.NetSession {
+func openNet(t *testing.T, a *armDigest, cfg fpgavirtio.NetConfig) *fpgavirtio.NetSession {
 	t.Helper()
 	ns, err := fpgavirtio.OpenNet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns.SetSimTracer(hashTracer{a.trace})
+	a.watch(ns)
 	return ns
 }
 
-func openXDMATraced(t *testing.T, a *armDigest, cfg fpgavirtio.XDMAConfig) *fpgavirtio.XDMASession {
+func openXDMA(t *testing.T, a *armDigest, cfg fpgavirtio.XDMAConfig) *fpgavirtio.XDMASession {
 	t.Helper()
 	xs, err := fpgavirtio.OpenXDMA(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs.SetSimTracer(hashTracer{a.trace})
+	a.watch(xs)
 	return xs
 }
 
 var workloadArms = []workloadArm{
 	{"net-irq", func(t *testing.T, a *armDigest) {
-		ns := openNetTraced(t, a, fpgavirtio.NetConfig{Config: fpgavirtio.Config{Seed: workloadGoldenSeed}})
+		ns := openNet(t, a, fpgavirtio.NetConfig{Config: fpgavirtio.Config{Seed: workloadGoldenSeed}})
 		for _, size := range workloadSizes {
 			if err := ns.PingSeries(workloadPayload(size), 40, a.sample); err != nil {
 				t.Fatal(err)
@@ -122,7 +138,7 @@ var workloadArms = []workloadArm{
 		a.session("net", ns)
 	}},
 	{"xdma-irq", func(t *testing.T, a *armDigest) {
-		xs := openXDMATraced(t, a, fpgavirtio.XDMAConfig{Config: fpgavirtio.Config{Seed: workloadGoldenSeed}})
+		xs := openXDMA(t, a, fpgavirtio.XDMAConfig{Config: fpgavirtio.Config{Seed: workloadGoldenSeed}})
 		for _, size := range workloadSizes {
 			if err := xs.RoundTripSeries(workloadPayload(size), 40, a.sample); err != nil {
 				t.Fatal(err)
@@ -131,7 +147,7 @@ var workloadArms = []workloadArm{
 		a.session("xdma", xs)
 	}},
 	{"net-stream", func(t *testing.T, a *armDigest) {
-		ns := openNetTraced(t, a, fpgavirtio.NetConfig{
+		ns := openNet(t, a, fpgavirtio.NetConfig{
 			Config:          fpgavirtio.Config{Seed: workloadGoldenSeed},
 			UsePackedRing:   true,
 			UseEventIdx:     true,
@@ -153,8 +169,8 @@ var workloadArms = []workloadArm{
 	}},
 	{"poll-chaos", func(t *testing.T, a *armDigest) {
 		cfg := fpgavirtio.Config{Seed: workloadGoldenSeed, PollMode: true, Faults: experiments.DefaultChaosPlan}
-		ns := openNetTraced(t, a, fpgavirtio.NetConfig{Config: cfg})
-		xs := openXDMATraced(t, a, fpgavirtio.XDMAConfig{Config: cfg})
+		ns := openNet(t, a, fpgavirtio.NetConfig{Config: cfg})
+		xs := openXDMA(t, a, fpgavirtio.XDMAConfig{Config: cfg})
 		for round := 0; round < 4; round++ {
 			for _, size := range workloadSizes {
 				if err := ns.PingSeries(workloadPayload(size), 12, a.sample); err != nil {
@@ -179,7 +195,13 @@ func workloadDigests(t *testing.T) string {
 	for _, arm := range workloadArms {
 		a := &armDigest{state: sha256.New(), trace: sha256.New()}
 		arm.run(t, a)
-		fmt.Fprintf(&b, "%s %s %s\n", arm.name, hex.EncodeToString(a.state.Sum(nil)), hex.EncodeToString(a.trace.Sum(nil)))
+		state := hex.EncodeToString(a.state.Sum(nil))
+		fmt.Fprintf(&b, "%s %s %s\n", arm.name, state, hex.EncodeToString(a.trace.Sum(nil)))
+		u := &armDigest{state: sha256.New()}
+		arm.run(t, u)
+		if unwatched := hex.EncodeToString(u.state.Sum(nil)); unwatched != state {
+			t.Errorf("%s: state digest %s with a tracer and span sink, %s without: watching changed the run", arm.name, state, unwatched)
+		}
 	}
 	return b.String()
 }
