@@ -23,7 +23,10 @@ import (
 // snapshots, bus and fault counts) and one over its event trace. The
 // replay fingerprint covers window-1 irq and poll pings without faults;
 // these arms add streams, the packed ring, event-index suppression,
-// batched signalling and the chaos fault plan on both stacks. The
+// batched signalling and the chaos fault plan on both stacks. Two more
+// arms pin the stream paths no workload takes: XDMA streams (irq and
+// poll; window 1, a full descriptor list and a ragged last batch) and
+// split-ring VirtIO streams at windows 1 and 16. The
 // digested run is watched by an event tracer and a verbose span
 // recorder; each arm then runs again with neither and must reach the
 // same state digest, since watching a run must not change it. Both the
@@ -107,6 +110,20 @@ func workloadPayload(size int) []byte {
 	return buf
 }
 
+// stream runs one stream on a session and hashes its result, per-packet
+// samples included.
+func stream(t *testing.T, a *armDigest, run func(fpgavirtio.StreamConfig) (fpgavirtio.StreamResult, error), cfg fpgavirtio.StreamConfig) {
+	t.Helper()
+	res, err := run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Packets != cfg.Packets || res.Drops != 0 {
+		t.Fatalf("stream window %d: %d packets, %d drops", cfg.Window, res.Packets, res.Drops)
+	}
+	fmt.Fprintf(a.state, "stream %+v\n", res)
+}
+
 func openNet(t *testing.T, a *armDigest, cfg fpgavirtio.NetConfig) *fpgavirtio.NetSession {
 	t.Helper()
 	ns, err := fpgavirtio.OpenNet(cfg)
@@ -164,6 +181,22 @@ var workloadArms = []workloadArm{
 				t.Fatalf("stream %d: %d packets, %d drops", i, res.Packets, res.Drops)
 			}
 			fmt.Fprintf(a.state, "stream %d %+v\n", i, res)
+		}
+		a.session("net", ns)
+	}},
+	{"xdma-stream", func(t *testing.T, a *armDigest) {
+		for _, poll := range []bool{false, true} {
+			xs := openXDMA(t, a, fpgavirtio.XDMAConfig{Config: fpgavirtio.Config{Seed: workloadGoldenSeed, PollMode: poll}})
+			for _, window := range []int{1, 16, 7} {
+				stream(t, a, xs.Stream, fpgavirtio.StreamConfig{Packets: 96, PayloadSize: 310, Window: window})
+			}
+			a.session(fmt.Sprintf("xdma poll=%v", poll), xs)
+		}
+	}},
+	{"net-stream-split", func(t *testing.T, a *armDigest) {
+		ns := openNet(t, a, fpgavirtio.NetConfig{Config: fpgavirtio.Config{Seed: workloadGoldenSeed}})
+		for _, window := range []int{1, 16} {
+			stream(t, a, ns.Stream, fpgavirtio.StreamConfig{Packets: 96, PayloadSize: 256, Window: window})
 		}
 		a.session("net", ns)
 	}},
