@@ -60,7 +60,7 @@ type BreakdownReport struct {
 // with span recording enabled and returns the span-derived attribution
 // alongside the per-round counter-based samples.
 func (ns *NetSession) Breakdown(rounds, payloadBytes int) (BreakdownReport, error) {
-	return ns.breakdown("virtio-net", rounds, payloadBytes, nil, ns.PingDetailed)
+	return ns.breakdown("virtio-net", rounds, payloadBytes, nil)
 }
 
 // Breakdown measures rounds write()+read() round trips of the given
@@ -68,13 +68,14 @@ func (ns *NetSession) Breakdown(rounds, payloadBytes int) (BreakdownReport, erro
 // span-derived attribution alongside the per-round counter-based
 // samples.
 func (xs *XDMASession) Breakdown(rounds, nbytes int) (BreakdownReport, error) {
-	return xs.breakdown("xdma", rounds, nbytes, xs.host.RNG().Bytes, xs.RoundTripDetailed)
+	return xs.breakdown("xdma", rounds, nbytes, xs.host.RNG().Bytes)
 }
 
-// breakdown runs rounds detailed round trips of an nbytes buffer under
-// a span recorder and folds the spans into a report. fill (optional)
-// sets the buffer's contents once, after the recorder is installed.
-func (b *baseSession) breakdown(driver string, rounds, nbytes int, fill func([]byte), detailed func([]byte) (RTTSample, error)) (BreakdownReport, error) {
+// breakdown runs rounds detailed round trips of an nbytes buffer, each
+// its own application process, under a span recorder and folds the
+// spans into a report. fill (optional) sets the buffer's contents
+// once, after the recorder is installed.
+func (b *baseSession) breakdown(driver string, rounds, nbytes int, fill func([]byte)) (BreakdownReport, error) {
 	if rounds <= 0 {
 		return BreakdownReport{}, fmt.Errorf("fpgavirtio: breakdown needs rounds > 0, got %d", rounds)
 	}
@@ -86,9 +87,10 @@ func (b *baseSession) breakdown(driver string, rounds, nbytes int, fill func([]b
 	if fill != nil {
 		fill(data)
 	}
+	back := make([]byte, nbytes)
 	samples := make([]RTTSample, 0, rounds)
 	for i := 0; i < rounds; i++ {
-		sample, err := detailed(data)
+		sample, err := b.detailed(data, back)
 		if err != nil {
 			return BreakdownReport{}, err
 		}

@@ -1,6 +1,6 @@
 // Package xdmadrv is the vendor reference character-device driver for
 // the XDMA IP, with the structure of the Xilinx dma_ip_drivers code the
-// paper benchmarks: per-channel bounce buffers and descriptor slots, an
+// paper benchmarks: per-channel bounce buffers and descriptor lists, an
 // engine start per I/O (descriptor address programming plus control
 // writes), a completion interrupt whose ISR reads the engine's
 // read-clear status register, and read()/write() file operations that
@@ -103,8 +103,7 @@ type channelState struct {
 	irqBit   uint32
 
 	buf      mem.Addr // bounce buffer
-	descSlot mem.Addr // single descriptor in host memory
-	descList mem.Addr // chained descriptor ring for batch submissions
+	descList mem.Addr // chained descriptor ring, one entry per segment
 	// wbSlot is the poll-mode writeback word (own cache line); wbDone
 	// is the spin probe over it, bound once at probe so the
 	// steady-state poll path does not allocate.
@@ -180,7 +179,6 @@ func (d *Driver) newChannel(p *sim.Proc, name string, h2c bool, chanBase, sgdma 
 		vector:    vector,
 		irqBit:    irqBit,
 		buf:       d.host.Alloc.Alloc(MaxTransfer, 4096),
-		descSlot:  d.host.Alloc.Alloc(xdmaip.DescSize, 32),
 		descList:  d.host.Alloc.Alloc(MaxBatchDescs*xdmaip.DescSize, 32),
 		wq:        d.host.NewWaitQueue(name),
 		span:      d.host.Sim.SpanKind(telemetry.LayerDriver, "", "xdma."+dir),
@@ -235,48 +233,6 @@ func (ch *channelState) isr(p *sim.Proc) {
 		ch.complete = true
 		ch.wq.Wake()
 	}
-}
-
-// transfer runs one blocking DMA operation of n bytes.
-func (ch *channelState) transfer(p *sim.Proc, n int) error {
-	if n <= 0 || n > MaxTransfer {
-		return fmt.Errorf("xdmadrv: %s: invalid transfer size %d", ch.name, n)
-	}
-	if ch.busy {
-		return fmt.Errorf("xdmadrv: %s: channel busy", ch.name)
-	}
-	ch.busy = true
-	defer func() { ch.busy = false }()
-	d := ch.drv
-	sp := d.host.Sim.BeginSpan(ch.span)
-	defer sp.End()
-
-	// Build the descriptor in host memory.
-	d.host.CPUWork(p, descBuildCost)
-	desc := xdmaip.Descriptor{
-		Control: xdmaip.DescStop | xdmaip.DescCompleted | xdmaip.DescEOP,
-		Len:     uint32(n),
-	}
-	if ch.h2c {
-		desc.Src = uint64(ch.buf)
-		desc.Dst = d.CardOffset
-	} else {
-		desc.Src = d.CardOffset
-		desc.Dst = uint64(ch.buf)
-	}
-	desc.Encode(d.host.Mem, ch.descSlot)
-
-	if err := ch.submit(p, ch.descSlot, n); err != nil {
-		return err
-	}
-
-	// Stop the engine (clear Run) and tear down.
-	d.host.RC.MMIOWrite(p, d.bar1+ch.chanBase+xdmaip.RegChanControl, 4, 0)
-	d.host.CPUWork(p, completionCost)
-	ch.Transfers++
-	ch.transfers.Inc()
-	ch.bytes.Add(int64(n))
-	return nil
 }
 
 // submit programs the engine for a descriptor (or descriptor list) of
@@ -463,9 +419,11 @@ type xferSeg struct {
 
 // transferList runs one blocking DMA over a chained descriptor list:
 // one engine start, one completion interrupt, and one teardown for the
-// whole batch, against descBuildCost + (len-1)·descChainCost of CPU
-// work. This is the descriptor-list submission mode the streaming
-// benchmark uses to pipeline transfers through the engine.
+// whole list, against descBuildCost + (len-1)·descChainCost of CPU
+// work. It is the channel's only submission path: read() and write()
+// submit a one-entry list, the way the reference driver builds a
+// descriptor list per transfer, and the streaming benchmark's batches
+// pipeline longer ones through the engine.
 func (ch *channelState) transferList(p *sim.Proc, segs []xferSeg) error {
 	if len(segs) == 0 || len(segs) > MaxBatchDescs {
 		return fmt.Errorf("xdmadrv: %s: invalid descriptor list length %d", ch.name, len(segs))
@@ -527,7 +485,8 @@ func (ch *channelState) transferList(p *sim.Proc, segs []xferSeg) error {
 }
 
 // Write implements hostos.CharDev for the H2C node: copy_from_user
-// into the bounce buffer, then DMA host-to-card.
+// into the bounce buffer, then DMA host-to-card through a one-entry
+// descriptor list.
 func (ch *channelState) Write(p *sim.Proc, data []byte) (int, error) {
 	if !ch.h2c {
 		return 0, fmt.Errorf("xdmadrv: %s: write on C2H node", ch.name)
@@ -537,19 +496,21 @@ func (ch *channelState) Write(p *sim.Proc, data []byte) (int, error) {
 	}
 	ch.drv.host.Copy(p, len(data))
 	ch.drv.host.Mem.Write(ch.buf, data)
-	if err := ch.transfer(p, len(data)); err != nil {
+	seg := [1]xferSeg{{card: ch.drv.CardOffset, n: len(data)}}
+	if err := ch.transferList(p, seg[:]); err != nil {
 		return 0, err
 	}
 	return len(data), nil
 }
 
-// Read implements hostos.CharDev for the C2H node: DMA card-to-host,
-// then copy_to_user.
+// Read implements hostos.CharDev for the C2H node: DMA card-to-host
+// through a one-entry descriptor list, then copy_to_user.
 func (ch *channelState) Read(p *sim.Proc, buf []byte) (int, error) {
 	if ch.h2c {
 		return 0, fmt.Errorf("xdmadrv: %s: read on H2C node", ch.name)
 	}
-	if err := ch.transfer(p, len(buf)); err != nil {
+	seg := [1]xferSeg{{card: ch.drv.CardOffset, n: len(buf)}}
+	if err := ch.transferList(p, seg[:]); err != nil {
 		return 0, err
 	}
 	ch.drv.host.Copy(p, len(buf))

@@ -292,15 +292,13 @@ func (c *Controller) QueueCounter(q int) *fpga.PerfCounter { return c.queues[q].
 // NotifyCount reports how many doorbell writes the device has received.
 func (c *Controller) NotifyCount() int { return c.notifyCount }
 
-// dma adapts the XDMA card port to the virtio.DMA interface, including
-// the allocation-free ReadInto capability the ring engines detect.
+// dma adapts the XDMA card port to the virtio.DMA interface.
 type dma struct{ port *xdmaip.Port }
 
-func (d dma) Read(p *sim.Proc, a mem.Addr, n int) []byte   { return d.port.HostRead(p, a, n) }
 func (d dma) ReadInto(p *sim.Proc, a mem.Addr, dst []byte) { d.port.HostReadInto(p, a, dst) }
 func (d dma) Write(p *sim.Proc, a mem.Addr, data []byte)   { d.port.HostWrite(p, a, data) }
 
-var _ virtio.DMAReaderInto = dma{}
+var _ virtio.DMA = dma{}
 
 // ---- BAR register block -------------------------------------------------
 

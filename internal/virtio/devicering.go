@@ -11,19 +11,11 @@ import (
 // controller supplies an implementation backed by the XDMA engine's
 // card port, so every ring access below takes real bus time — this is
 // the extra hardware work that makes the VirtIO breakdown hardware-
-// heavy in the paper's Figure 4.
+// heavy in the paper's Figure 4. Reads land in a caller-supplied
+// buffer, so the per-packet ring path allocates nothing.
 type DMA interface {
-	Read(p *sim.Proc, a mem.Addr, n int) []byte
-	Write(p *sim.Proc, a mem.Addr, data []byte)
-}
-
-// DMAReaderInto is the optional allocation-free read capability: DMA
-// implementations that can land bytes directly in a caller-supplied
-// buffer implement it, and the device queues detect it once at
-// construction. Implementations without it (test doubles) fall back to
-// Read plus a copy.
-type DMAReaderInto interface {
 	ReadInto(p *sim.Proc, a mem.Addr, dst []byte)
+	Write(p *sim.Proc, a mem.Addr, data []byte)
 }
 
 // DeviceQueue is the device-side (FPGA) view of one virtqueue. All
@@ -32,13 +24,12 @@ type DMAReaderInto interface {
 // Each queue owns scratch buffers reused across per-packet operations,
 // so methods must be called from one fabric process at a time (the
 // controller's engine discipline), and slices returned by FetchChain /
-// NextChain / ReadChain are valid only until the next call of the same
-// kind on this queue.
+// NextChain are valid only until the next call of the same kind on
+// this queue.
 //
 //fvlint:hotpath
 type DeviceQueue struct {
 	dma DMA
-	rd  DMAReaderInto // non-nil when dma supports ReadInto
 	lay RingLayout
 
 	lastAvail uint16 // next avail slot to consume
@@ -57,23 +48,12 @@ type DeviceQueue struct {
 // NewDeviceQueue returns the device-side handle for a ring whose
 // addresses the driver transferred during queue setup.
 func NewDeviceQueue(dma DMA, lay RingLayout) *DeviceQueue {
-	rd, _ := dma.(DMAReaderInto)
-	return &DeviceQueue{dma: dma, rd: rd, lay: lay}
-}
-
-// readInto fetches len(dst) bytes over the bus without allocating when
-// the DMA path supports it.
-func (q *DeviceQueue) readInto(p *sim.Proc, a mem.Addr, dst []byte) {
-	if q.rd != nil {
-		q.rd.ReadInto(p, a, dst)
-		return
-	}
-	copy(dst, q.dma.Read(p, a, len(dst)))
+	return &DeviceQueue{dma: dma, lay: lay}
 }
 
 // readU16 fetches one 16-bit ring field.
 func (q *DeviceQueue) readU16(p *sim.Proc, a mem.Addr) uint16 {
-	q.readInto(p, a, q.u16Scratch[:])
+	q.dma.ReadInto(p, a, q.u16Scratch[:])
 	return u16le(q.u16Scratch[:])
 }
 
@@ -130,7 +110,7 @@ func (q *DeviceQueue) FetchChain(p *sim.Proc, head uint16) ([]Desc, error) {
 		if len(out) > q.lay.QueueSize {
 			return nil, fmt.Errorf("virtio: descriptor chain longer than queue (loop?)")
 		}
-		q.readInto(p, q.lay.Desc+mem.Addr(idx)*descEntrySize, q.descScratch[:])
+		q.dma.ReadInto(p, q.lay.Desc+mem.Addr(idx)*descEntrySize, q.descScratch[:])
 		d := decodeDesc(q.descScratch[:])
 		if d.Flags&DescFIndirect != 0 {
 			if len(out) != 0 || d.Flags&DescFNext != 0 {
@@ -171,7 +151,7 @@ func (q *DeviceQueue) fetchIndirect(p *sim.Proc, ind Desc) ([]Desc, error) {
 		return nil, fmt.Errorf("virtio: indirect table of %d entries exceeds queue size %d", count, q.lay.QueueSize)
 	}
 	q.indBuf = growBytes(q.indBuf, n)
-	q.readInto(p, ind.Addr, q.indBuf)
+	q.dma.ReadInto(p, ind.Addr, q.indBuf)
 	raw := q.indBuf
 	out := q.chainBuf[:0]
 	idx := 0
@@ -190,12 +170,6 @@ func (q *DeviceQueue) fetchIndirect(p *sim.Proc, ind Desc) ([]Desc, error) {
 		}
 		idx = int(d.Next)
 	}
-}
-
-// ReadChain gathers the contents of all device-readable segments into a
-// fresh buffer.
-func (q *DeviceQueue) ReadChain(p *sim.Proc, chain []Desc) []byte {
-	return q.ReadChainInto(p, chain, nil)
 }
 
 // ReadChainInto gathers the device-readable segments into buf (reusing
@@ -221,7 +195,7 @@ func appendRead(p *sim.Proc, q *DeviceQueue, out []byte, d Desc) []byte {
 		out = grown
 	}
 	out = out[:n+need]
-	q.readInto(p, d.Addr, out[n:])
+	q.dma.ReadInto(p, d.Addr, out[n:])
 	return out
 }
 

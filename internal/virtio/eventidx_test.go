@@ -228,7 +228,7 @@ func TestIndirectDescriptorRoundTrip(t *testing.T) {
 			t.Errorf("chain len = %d", len(chain))
 			return
 		}
-		got = dev.ReadChain(p, chain)
+		got = dev.ReadChainInto(p, chain, nil)
 		dev.WriteChain(p, chain, []byte{0})
 		dev.PushUsed(p, head, 1)
 	})

@@ -12,15 +12,14 @@ import (
 // read back zeros instead of faulting the device.
 type fuzzDMA struct{ m *mem.Memory }
 
-func (d fuzzDMA) Read(p *sim.Proc, a mem.Addr, n int) []byte {
-	out := make([]byte, n)
+func (d fuzzDMA) ReadInto(p *sim.Proc, a mem.Addr, dst []byte) {
 	size := uint64(d.m.Size())
-	for i := range out {
+	for i := range dst {
+		dst[i] = 0
 		if off := uint64(a) + uint64(i); off >= uint64(a) && off < size {
-			out[i] = d.m.U8(mem.Addr(off))
+			dst[i] = d.m.U8(mem.Addr(off))
 		}
 	}
-	return out
 }
 
 func (d fuzzDMA) Write(p *sim.Proc, a mem.Addr, data []byte) {
@@ -121,7 +120,7 @@ func FuzzSplitRingDescriptorChains(f *testing.F) {
 				total += int(d.Len)
 			}
 			if total <= 1<<20 {
-				dq.ReadChain(p, chain)
+				dq.ReadChainInto(p, chain, nil)
 			}
 		})
 		if err := s.Run(); err != nil {

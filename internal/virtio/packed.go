@@ -238,7 +238,6 @@ func (q *PackedDriverQueue) KickDone() { q.kickArmed = false }
 //fvlint:hotpath
 type PackedDeviceQueue struct {
 	dma DMA
-	rd  DMAReaderInto // non-nil when dma supports ReadInto
 	lay PackedLayout
 
 	idx      int  // next slot to poll for available descriptors
@@ -260,22 +259,11 @@ type PackedDeviceQueue struct {
 
 // NewPackedDeviceQueue returns the device-side handle.
 func NewPackedDeviceQueue(dma DMA, lay PackedLayout) *PackedDeviceQueue {
-	rd, _ := dma.(DMAReaderInto)
-	return &PackedDeviceQueue{dma: dma, rd: rd, lay: lay, wrap: true, usedWrap: true}
+	return &PackedDeviceQueue{dma: dma, lay: lay, wrap: true, usedWrap: true}
 }
 
 // Layout returns the ring layout.
 func (q *PackedDeviceQueue) Layout() PackedLayout { return q.lay }
-
-// readInto fetches len(dst) bytes over the bus without allocating when
-// the DMA path supports it.
-func (q *PackedDeviceQueue) readInto(p *sim.Proc, a mem.Addr, dst []byte) {
-	if q.rd != nil {
-		q.rd.ReadInto(p, a, dst)
-		return
-	}
-	copy(dst, q.dma.Read(p, a, len(dst)))
-}
 
 // readSlot fetches one descriptor (16 bytes, one bus read). The packed
 // layout differs from the split one: the buffer ID sits at offset 12
@@ -283,7 +271,7 @@ func (q *PackedDeviceQueue) readInto(p *sim.Proc, a mem.Addr, dst []byte) {
 // positional).
 func (q *PackedDeviceQueue) readSlot(p *sim.Proc, i int) (Desc, uint16) {
 	raw := q.descScratch[:]
-	q.readInto(p, q.lay.slotAddr(i), raw)
+	q.dma.ReadInto(p, q.lay.slotAddr(i), raw)
 	d := Desc{
 		Addr:  mem.Addr(u64le(raw)),
 		Len:   u32le(raw[8:]),
@@ -361,11 +349,6 @@ func (q *PackedDeviceQueue) advance() {
 	}
 }
 
-// ReadChain implements DeviceRing.
-func (q *PackedDeviceQueue) ReadChain(p *sim.Proc, chain []Desc) []byte {
-	return q.ReadChainInto(p, chain, nil)
-}
-
 // ReadChainInto implements DeviceRing: gather into buf's capacity.
 func (q *PackedDeviceQueue) ReadChainInto(p *sim.Proc, chain []Desc, buf []byte) []byte {
 	out := buf[:0]
@@ -378,7 +361,7 @@ func (q *PackedDeviceQueue) ReadChainInto(p *sim.Proc, chain []Desc, buf []byte)
 				out = grown
 			}
 			out = out[:n+need]
-			q.readInto(p, d.Addr, out[n:])
+			q.dma.ReadInto(p, d.Addr, out[n:])
 		}
 	}
 	return out
@@ -431,7 +414,7 @@ func (q *PackedDeviceQueue) Complete(p *sim.Proc, tok ChainToken, written int) {
 
 // ShouldInterrupt implements DeviceRing via the driver event structure.
 func (q *PackedDeviceQueue) ShouldInterrupt(p *sim.Proc) bool {
-	q.readInto(p, q.lay.DriverEvent, q.eventScratch[:])
+	q.dma.ReadInto(p, q.lay.DriverEvent, q.eventScratch[:])
 	return u32le(q.eventScratch[:]) == PackedEventFlagEnable
 }
 

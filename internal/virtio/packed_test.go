@@ -61,7 +61,7 @@ func TestPackedSingleRoundTrip(t *testing.T) {
 			t.Errorf("chain = %d descs, tok %+v", len(chain), tok)
 			return
 		}
-		gotData = dev.ReadChain(p, chain)
+		gotData = dev.ReadChainInto(p, chain, nil)
 		dev.WriteChain(p, chain, []byte("reply"))
 		dev.Complete(p, tok, 5)
 		if !dev.ShouldInterrupt(p) {
@@ -112,7 +112,7 @@ func TestPackedWrapAroundManyChains(t *testing.T) {
 				t.Errorf("round %d: chain len %d", received, len(chain))
 				return
 			}
-			data := dev.ReadChain(p, chain)
+			data := dev.ReadChainInto(p, chain, nil)
 			dev.WriteChain(p, chain, data) // echo into writable seg
 			dev.Complete(p, tok, len(data))
 			received++
@@ -265,7 +265,7 @@ func TestPackedDeterministicProperty(t *testing.T) {
 					ok = false
 					return
 				}
-				data := dev.ReadChain(p, chain)
+				data := dev.ReadChainInto(p, chain, nil)
 				if !bytes.Equal(data, payload) {
 					ok = false
 					return

@@ -24,12 +24,9 @@ type DeviceRing interface {
 	// reported true) and returns its descriptors. The slice is
 	// ring-owned scratch, valid until the next NextChain call.
 	NextChain(p *sim.Proc) ([]Desc, ChainToken, error)
-	// ReadChain gathers all device-readable segment contents into a
-	// fresh buffer.
-	ReadChain(p *sim.Proc, chain []Desc) []byte
 	// ReadChainInto gathers the device-readable segment contents into
-	// buf, reusing its capacity, and returns the gathered bytes — the
-	// allocation-free form used on the per-packet path.
+	// buf, reusing its capacity (growing it only when too small), and
+	// returns the gathered bytes; a nil buf gathers into a fresh one.
 	ReadChainInto(p *sim.Proc, chain []Desc, buf []byte) []byte
 	// WriteChain scatters data into device-writable segments.
 	WriteChain(p *sim.Proc, chain []Desc, data []byte) int

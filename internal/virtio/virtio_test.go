@@ -263,10 +263,10 @@ type hostDMA struct {
 	reads int
 }
 
-func (d *hostDMA) Read(p *sim.Proc, a mem.Addr, n int) []byte {
+func (d *hostDMA) ReadInto(p *sim.Proc, a mem.Addr, dst []byte) {
 	d.reads++
 	p.Sleep(d.cost)
-	return d.m.Read(a, n)
+	d.m.ReadInto(a, dst)
 }
 
 func (d *hostDMA) Write(p *sim.Proc, a mem.Addr, data []byte) {
@@ -305,7 +305,7 @@ func TestDeviceQueueEndToEnd(t *testing.T) {
 			t.Errorf("chain len = %d", len(chain))
 			return
 		}
-		devGot = dq.ReadChain(p, chain)
+		devGot = dq.ReadChainInto(p, chain, nil)
 		// Echo back into the writable segment.
 		resp := append([]byte("echo:"), devGot...)
 		written := dq.WriteChain(p, chain, resp)
@@ -360,7 +360,7 @@ func TestDeviceQueueManyRoundTripsProperty(t *testing.T) {
 				if err != nil {
 					return
 				}
-				got = append(got, dq.ReadChain(p, chain))
+				got = append(got, dq.ReadChainInto(p, chain, nil))
 				dq.PushUsed(p, head, 0)
 			}
 		})

@@ -98,7 +98,7 @@ type NetSession struct {
 // describes, and bind the test socket.
 func OpenNet(cfg NetConfig) (*NetSession, error) {
 	ns := &NetSession{}
-	ns.exchange = ns.pingRecycled
+	ns.exchange = ns.pingInto
 	attach := func(s *sim.Sim, h *hostos.Host) {
 		ns.dev = vdev.NewNet(s, h.RC, "fpga-vnet", vdev.NetOptions{
 			Link:             cfg.Link.config(),
@@ -168,27 +168,18 @@ func OpenNet(cfg NetConfig) (*NetSession, error) {
 // service and waits for the reply, returning the echoed payload and
 // the application-observed round-trip time.
 func (ns *NetSession) Ping(payload []byte) (echo []byte, rtt time.Duration, err error) {
-	var sample RTTSample
-	echo, sample, err = ns.pingDetailed(payload)
-	return echo, sample.Total, err
+	echo = make([]byte, len(payload))
+	sample, err := ns.detailed(payload, echo)
+	if err != nil {
+		return nil, 0, err
+	}
+	return echo, sample.Total, nil
 }
 
 // PingDetailed is Ping plus the paper's latency decomposition from the
 // FPGA hardware performance counters.
 func (ns *NetSession) PingDetailed(payload []byte) (RTTSample, error) {
-	_, sample, err := ns.pingDetailed(payload)
-	return sample, err
-}
-
-func (ns *NetSession) pingDetailed(payload []byte) ([]byte, RTTSample, error) {
-	var echo []byte
-	var sample RTTSample
-	err := ns.run(func(p *sim.Proc) error {
-		var err error
-		echo, sample, err = ns.pingOnce(p, payload)
-		return err
-	})
-	return echo, sample, err
+	return ns.detailed(payload, make([]byte, len(payload)))
 }
 
 // PingSeries runs n timed echo exchanges inside one application
@@ -198,28 +189,17 @@ func (ns *NetSession) pingDetailed(payload []byte) ([]byte, RTTSample, error) {
 // path is allocation-free. sample (optional) receives each round
 // trip's index and decomposition as it completes.
 func (ns *NetSession) PingSeries(payload []byte, n int, sample func(i int, s RTTSample)) error {
-	return ns.run(func(p *sim.Proc) error {
-		for i := 0; i < n; i++ {
-			s, err := ns.pingRecycled(p, payload, nil)
-			if err != nil {
-				return fmt.Errorf("fpgavirtio: ping %d: %w", i, err)
-			}
-			if sample != nil {
-				sample(i, s)
-			}
-		}
-		return nil
-	})
+	return ns.series("ping", payload, n, sample)
 }
 
-// pingRecycled is pingOnce with the echoed payload handed back to the
-// socket's buffer pool, the session's round-trip step for series and
-// replays. back is unused: the echo lands in a pooled buffer.
-func (ns *NetSession) pingRecycled(p *sim.Proc, payload, _ []byte) (RTTSample, error) {
+// pingInto is the session's exchange: pingOnce with the echoed payload
+// copied into back and its buffer handed back to the socket's pool.
+func (ns *NetSession) pingInto(p *sim.Proc, payload, back []byte) (RTTSample, error) {
 	echo, s, err := ns.pingOnce(p, payload)
 	if err != nil {
 		return RTTSample{}, err
 	}
+	copy(back, echo)
 	ns.sock.Recycle(echo)
 	return s, nil
 }

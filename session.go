@@ -23,8 +23,10 @@ type baseSession struct {
 	flight *flightWatch
 	ep     *pcie.Endpoint
 	// exchange runs one timed round trip of data inside an application
-	// process, reading the reply into back (len(back) == len(data)) or
-	// recycling it. Sessions without a round-trip workload leave it nil.
+	// process, reading the reply into back (len(back) == len(data)).
+	// Every round-trip entry point (detailed, series, the window-1
+	// stream, replays) runs it. Sessions without a round-trip workload
+	// leave it nil.
 	exchange func(p *sim.Proc, data, back []byte) (RTTSample, error)
 }
 
@@ -93,6 +95,39 @@ func (b *baseSession) run(fn func(p *sim.Proc) error) error {
 		return fmt.Errorf("fpgavirtio: operation did not complete")
 	}
 	return opErr
+}
+
+// detailed runs one timed round trip of data as its own application
+// process, reading the reply into back (len(back) == len(data)).
+func (b *baseSession) detailed(data, back []byte) (RTTSample, error) {
+	var sample RTTSample
+	err := b.run(func(p *sim.Proc) error {
+		var err error
+		sample, err = b.exchange(p, data, back)
+		return err
+	})
+	return sample, err
+}
+
+// series runs n timed round trips of data inside one application
+// process, reusing one reply buffer — the sweep's hot loop,
+// allocation-free in steady state. sample (optional) receives each
+// round trip's index and decomposition as it completes; what names a
+// round trip in errors.
+func (b *baseSession) series(what string, data []byte, n int, sample func(i int, s RTTSample)) error {
+	back := make([]byte, len(data))
+	return b.run(func(p *sim.Proc) error {
+		for i := 0; i < n; i++ {
+			s, err := b.exchange(p, data, back)
+			if err != nil {
+				return fmt.Errorf("fpgavirtio: %s %d: %w", what, i, err)
+			}
+			if sample != nil {
+				sample(i, s)
+			}
+		}
+		return nil
+	})
 }
 
 // Registry returns the session's telemetry metrics registry, holding

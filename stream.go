@@ -155,104 +155,55 @@ func publishStreamMetrics(reg *telemetry.Registry, res StreamResult) {
 	reg.Gauge(telemetry.MetricStreamInterrupts).Set(float64(res.Interrupts))
 }
 
-// Stream drives cfg.Packets echo exchanges through the VirtIO path with
-// cfg.Window requests in flight. Window 1 runs the exact latency-mode
-// sequence per packet and fills StreamResult.RTT; larger windows stream
-// closed-loop (or paced) and report aggregate throughput figures.
-func (ns *NetSession) Stream(cfg StreamConfig) (StreamResult, error) {
+// stream is the frame both sessions' Stream share: defaults and
+// validation, the window-1 loop through exchange, the rate, occupancy
+// and signalling math, and publishing. check (optional) rejects a
+// config the session cannot stream. signals reads the session's
+// doorbell and receive-drop counts, once before and once after the run.
+// windowed streams a Window > 1 run inside the application process,
+// reading the clock around its own transfers and feeding occ, and
+// returns the elapsed time.
+func (b *baseSession) stream(cfg StreamConfig, check func(StreamConfig) error, signals func() (doorbells, drops int),
+	windowed func(p *sim.Proc, cfg StreamConfig, pc *pacer, occ *occTracker) (sim.Duration, error)) (StreamResult, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return StreamResult{}, err
 	}
+	if check != nil {
+		if err := check(cfg); err != nil {
+			return StreamResult{}, err
+		}
+	}
 	res := StreamResult{Packets: cfg.Packets, PayloadBytes: cfg.PayloadSize, Window: cfg.Window}
-
-	dropsBefore := ns.Registry().Counter(telemetry.MetricNetstackRxDropped).Value()
-	notifyBefore := ns.dev.Controller().NotifyCount()
-	busBefore := ns.BusStats()
+	doorbells, drops := signals()
+	irqs := b.BusStats().Interrupts
 
 	var elapsed sim.Duration
 	var occ occTracker
 	var missed int
-	err := ns.run(func(p *sim.Proc) error {
-		payload := make([]byte, cfg.PayloadSize)
+	err := b.run(func(p *sim.Proc) error {
 		pc := newPacer(p.Now(), cfg.RatePPS)
-		if cfg.Window == 1 {
-			res.RTT = make([]RTTSample, 0, cfg.Packets)
-			t0 := ns.host.ClockGettime(p)
-			for i := 0; i < cfg.Packets; i++ {
-				pc.wait(ns.host, p, i)
-				s, err := ns.pingRecycled(p, payload, nil)
-				if err != nil {
-					return err
-				}
-				res.RTT = append(res.RTT, s)
-			}
-			elapsed = ns.host.ClockGettime(p).Sub(t0)
+		if cfg.Window > 1 {
+			occ.last = p.Now()
+			var err error
+			elapsed, err = windowed(p, cfg, pc, &occ)
 			missed = pc.missed
-			return nil
+			return err
 		}
-
-		occ.last = p.Now()
-		tagSeq := ns.drv.QueuePairs() > 1 && cfg.PayloadSize >= 4
-		send := func(seq int) error {
-			pc.wait(ns.host, p, seq)
-			if tagSeq {
-				// Distinguish packets across queue pairs, where
-				// completion order is no longer FIFO.
-				payload[0] = byte(seq)
-				payload[1] = byte(seq >> 8)
-				payload[2] = byte(seq >> 16)
-				payload[3] = byte(seq >> 24)
-			}
-			if err := ns.sock.SendTo(p, fpgaIP, echoPort, payload); err != nil {
-				return err
-			}
-			occ.update(p.Now(), +1)
-			return nil
-		}
-
-		t0 := ns.host.ClockGettime(p)
-		sent, recvd := 0, 0
-		for sent < cfg.Window && sent < cfg.Packets {
-			if err := send(sent); err != nil {
-				return err
-			}
-			sent++
-		}
-		for recvd < cfg.Packets {
-			if ns.sock.Pending() == 0 {
-				// Nothing deliverable: make sure no packet is stuck
-				// behind a deferred TxKickBatch doorbell before blocking.
-				ns.drv.FlushTx(p)
-			}
-			echo, err := ns.recv(p)
+		res.RTT = make([]RTTSample, 0, cfg.Packets)
+		data := make([]byte, cfg.PayloadSize)
+		back := make([]byte, cfg.PayloadSize)
+		t0 := b.host.ClockGettime(p)
+		for i := 0; i < cfg.Packets; i++ {
+			pc.wait(b.host, p, i)
+			s, err := b.exchange(p, data, back)
 			if err != nil {
 				return err
 			}
-			ns.sock.Recycle(echo)
-			// Windowed streaming has no per-packet RTTSample, so the
-			// flight recorder's fault trigger is checked per completion.
-			ns.flight.noteFaults()
-			occ.update(p.Now(), -1)
-			recvd++
-			if sent < cfg.Packets {
-				if err := send(sent); err != nil {
-					return err
-				}
-				sent++
-			}
+			res.RTT = append(res.RTT, s)
 		}
-		elapsed = ns.host.ClockGettime(p).Sub(t0)
-		occ.update(p.Now(), 0)
+		elapsed = b.host.ClockGettime(p).Sub(t0)
 		missed = pc.missed
-
-		// Drain the per-queue hardware counters so later detailed pings
-		// pair samples correctly (windowed runs leave many behind).
-		for pair := 0; pair < ns.drv.QueuePairs(); pair++ {
-			ns.dev.Controller().QueueCounter(virtio.NetRXQueue(pair)).Reset()
-			ns.dev.Controller().QueueCounter(virtio.NetTXQueue(pair)).Reset()
-		}
-		ns.dev.RespGenCounter().Reset()
 		return nil
 	})
 	if err != nil {
@@ -265,23 +216,98 @@ func (ns *NetSession) Stream(cfg StreamConfig) (StreamResult, error) {
 		res.PPS = float64(cfg.Packets) / secs
 		res.GoodputBps = float64(cfg.Packets) * float64(cfg.PayloadSize) * 8 / secs
 	}
-	res.Drops = int(ns.Registry().Counter(telemetry.MetricNetstackRxDropped).Value() - dropsBefore)
 	res.Backpressure = missed
-	res.OccupancyMax = occ.max
-	res.OccupancyMean = occ.mean(elapsed)
-	if cfg.Window == 1 {
-		res.OccupancyMax = 1
-		res.OccupancyMean = 1
+	res.OccupancyMax, res.OccupancyMean = 1, 1
+	if cfg.Window > 1 {
+		res.OccupancyMax = occ.max
+		res.OccupancyMean = occ.mean(elapsed)
 	}
-	res.Doorbells = ns.dev.Controller().NotifyCount() - notifyBefore
-	res.Interrupts = ns.BusStats().Interrupts - busBefore.Interrupts
-	ns.publishStream(res)
+	doorbellsAfter, dropsAfter := signals()
+	res.Doorbells = doorbellsAfter - doorbells
+	res.Drops = dropsAfter - drops
+	res.Interrupts = b.BusStats().Interrupts - irqs
+	publishStreamMetrics(b.Registry(), res)
 	return res, nil
 }
 
-// publishStream mirrors a stream result into the telemetry registry.
-func (ns *NetSession) publishStream(res StreamResult) {
-	publishStreamMetrics(ns.Registry(), res)
+// Stream drives cfg.Packets echo exchanges through the VirtIO path with
+// cfg.Window requests in flight. Window 1 runs the exact latency-mode
+// sequence per packet and fills StreamResult.RTT; larger windows stream
+// closed-loop (or paced) and report aggregate throughput figures.
+func (ns *NetSession) Stream(cfg StreamConfig) (StreamResult, error) {
+	return ns.stream(cfg, nil, ns.streamSignals, ns.streamWindowed)
+}
+
+// streamSignals reads the device's doorbell count and the stack's
+// receive drops.
+func (ns *NetSession) streamSignals() (doorbells, drops int) {
+	return ns.dev.Controller().NotifyCount(), int(ns.Registry().Counter(telemetry.MetricNetstackRxDropped).Value())
+}
+
+// streamWindowed keeps cfg.Window echo requests in flight until
+// cfg.Packets have completed.
+func (ns *NetSession) streamWindowed(p *sim.Proc, cfg StreamConfig, pc *pacer, occ *occTracker) (sim.Duration, error) {
+	payload := make([]byte, cfg.PayloadSize)
+	tagSeq := ns.drv.QueuePairs() > 1 && cfg.PayloadSize >= 4
+	send := func(seq int) error {
+		pc.wait(ns.host, p, seq)
+		if tagSeq {
+			// Distinguish packets across queue pairs, where
+			// completion order is no longer FIFO.
+			payload[0] = byte(seq)
+			payload[1] = byte(seq >> 8)
+			payload[2] = byte(seq >> 16)
+			payload[3] = byte(seq >> 24)
+		}
+		if err := ns.sock.SendTo(p, fpgaIP, echoPort, payload); err != nil {
+			return err
+		}
+		occ.update(p.Now(), +1)
+		return nil
+	}
+
+	t0 := ns.host.ClockGettime(p)
+	sent, recvd := 0, 0
+	for sent < cfg.Window && sent < cfg.Packets {
+		if err := send(sent); err != nil {
+			return 0, err
+		}
+		sent++
+	}
+	for recvd < cfg.Packets {
+		if ns.sock.Pending() == 0 {
+			// Nothing deliverable: make sure no packet is stuck
+			// behind a deferred TxKickBatch doorbell before blocking.
+			ns.drv.FlushTx(p)
+		}
+		echo, err := ns.recv(p)
+		if err != nil {
+			return 0, err
+		}
+		ns.sock.Recycle(echo)
+		// Windowed streaming has no per-packet RTTSample, so the
+		// flight recorder's fault trigger is checked per completion.
+		ns.flight.noteFaults()
+		occ.update(p.Now(), -1)
+		recvd++
+		if sent < cfg.Packets {
+			if err := send(sent); err != nil {
+				return 0, err
+			}
+			sent++
+		}
+	}
+	elapsed := ns.host.ClockGettime(p).Sub(t0)
+	occ.update(p.Now(), 0)
+
+	// Drain the per-queue hardware counters so later detailed pings
+	// pair samples correctly (windowed runs leave many behind).
+	for pair := 0; pair < ns.drv.QueuePairs(); pair++ {
+		ns.dev.Controller().QueueCounter(virtio.NetRXQueue(pair)).Reset()
+		ns.dev.Controller().QueueCounter(virtio.NetTXQueue(pair)).Reset()
+	}
+	ns.dev.RespGenCounter().Reset()
+	return elapsed, nil
 }
 
 // Stream drives cfg.Packets write/read exchanges through the XDMA path
@@ -290,158 +316,121 @@ func (ns *NetSession) publishStream(res StreamResult) {
 // larger windows pipeline H2C and C2H batches through double-buffered
 // card regions, one chained descriptor list per direction per batch.
 func (xs *XDMASession) Stream(cfg StreamConfig) (StreamResult, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return StreamResult{}, err
-	}
-	res := StreamResult{Packets: cfg.Packets, PayloadBytes: cfg.PayloadSize, Window: cfg.Window}
+	return xs.stream(cfg, xs.streamCheck, xs.streamSignals, xs.streamWindowed)
+}
 
+// streamCheck rejects windows the descriptor list, the bounce buffer
+// or the two card regions cannot hold.
+func (xs *XDMASession) streamCheck(cfg StreamConfig) error {
+	if cfg.Window == 1 {
+		return nil
+	}
 	regionBytes := cfg.Window * cfg.PayloadSize
-	if cfg.Window > 1 {
-		if cfg.Window > xdmadrv.MaxBatchDescs {
-			return StreamResult{}, fmt.Errorf("fpgavirtio: stream window %d exceeds descriptor list limit %d", cfg.Window, xdmadrv.MaxBatchDescs)
-		}
-		if regionBytes > xdmadrv.MaxTransfer {
-			return StreamResult{}, fmt.Errorf("fpgavirtio: stream batch of %d bytes exceeds bounce buffer", regionBytes)
-		}
-		if 2*regionBytes > xs.bramBytes {
-			return StreamResult{}, fmt.Errorf("fpgavirtio: stream needs %d bytes of card memory, device has %d", 2*regionBytes, xs.bramBytes)
-		}
+	if cfg.Window > xdmadrv.MaxBatchDescs {
+		return fmt.Errorf("fpgavirtio: stream window %d exceeds descriptor list limit %d", cfg.Window, xdmadrv.MaxBatchDescs)
 	}
+	if regionBytes > xdmadrv.MaxTransfer {
+		return fmt.Errorf("fpgavirtio: stream batch of %d bytes exceeds bounce buffer", regionBytes)
+	}
+	if 2*regionBytes > xs.bramBytes {
+		return fmt.Errorf("fpgavirtio: stream needs %d bytes of card memory, device has %d", 2*regionBytes, xs.bramBytes)
+	}
+	return nil
+}
 
-	h2cBefore := xs.drv.H2CStats()
-	c2hBefore := xs.drv.C2HStats()
-	busBefore := xs.BusStats()
+// streamSignals counts engine starts, the XDMA path's doorbell
+// analogue; the path has no receive drops.
+func (xs *XDMASession) streamSignals() (doorbells, drops int) {
+	return xs.drv.H2CStats() + xs.drv.C2HStats(), 0
+}
 
-	var elapsed sim.Duration
-	var occ occTracker
-	var missed int
-	err := xs.run(func(p *sim.Proc) error {
-		pc := newPacer(p.Now(), cfg.RatePPS)
-		if cfg.Window == 1 {
-			res.RTT = make([]RTTSample, 0, cfg.Packets)
-			data := make([]byte, cfg.PayloadSize)
-			t0 := xs.host.ClockGettime(p)
-			for i := 0; i < cfg.Packets; i++ {
-				pc.wait(xs.host, p, i)
-				s, err := xs.roundTripOnce(p, data)
-				if err != nil {
-					return err
-				}
-				res.RTT = append(res.RTT, s)
-			}
-			elapsed = xs.host.ClockGettime(p).Sub(t0)
-			missed = pc.missed
-			return nil
+// streamWindowed pipelines cfg.Window-packet batches: a writer process
+// fills card region b%2 through one H2C descriptor list while the
+// application reads the previous batch back through one C2H list.
+func (xs *XDMASession) streamWindowed(p *sim.Proc, cfg StreamConfig, pc *pacer, occ *occTracker) (sim.Duration, error) {
+	regionBytes := cfg.Window * cfg.PayloadSize
+	batches := (cfg.Packets + cfg.Window - 1) / cfg.Window
+	batchSize := func(b int) int {
+		n := cfg.Packets - b*cfg.Window
+		if n > cfg.Window {
+			n = cfg.Window
 		}
-
-		occ.last = p.Now()
-		batches := (cfg.Packets + cfg.Window - 1) / cfg.Window
-		batchSize := func(b int) int {
-			n := cfg.Packets - b*cfg.Window
-			if n > cfg.Window {
-				n = cfg.Window
-			}
-			return n
+		return n
+	}
+	payloadFor := func(seq int) []byte {
+		b := make([]byte, cfg.PayloadSize)
+		for i := range b {
+			b[i] = byte(seq*131 + i)
 		}
-		payloadFor := func(seq int) []byte {
-			b := make([]byte, cfg.PayloadSize)
-			for i := range b {
-				b[i] = byte(seq*131 + i)
-			}
-			return b
-		}
-		regionBase := func(b int) uint64 { return uint64((b % 2) * regionBytes) }
+		return b
+	}
+	regionBase := func(b int) uint64 { return uint64((b % 2) * regionBytes) }
 
-		cond := sim.NewCond(xs.s, "xdma.stream")
-		written, readDone := 0, 0
-		var writerErr error
+	cond := sim.NewCond(xs.s, "xdma.stream")
+	written, readDone := 0, 0
+	var writerErr error
 
-		t0 := xs.host.ClockGettime(p)
-		xs.s.Go("stream-writer", func(wp *sim.Proc) {
-			for b := 0; b < batches; b++ {
-				// Double buffering: region b%2 is free once batch b-2
-				// has been read back.
-				for readDone < b-1 {
-					cond.Wait(wp)
-				}
-				n := batchSize(b)
-				pc.wait(xs.host, wp, b*cfg.Window)
-				payloads := make([][]byte, n)
-				for i := range payloads {
-					payloads[i] = payloadFor(b*cfg.Window + i)
-				}
-				if err := xs.drv.WriteBatch(wp, regionBase(b), cfg.PayloadSize, payloads); err != nil {
-					writerErr = err
-					cond.Broadcast()
-					return
-				}
-				occ.update(wp.Now(), n)
-				written++
-				cond.Broadcast()
-			}
-		})
-
+	t0 := xs.host.ClockGettime(p)
+	xs.s.Go("stream-writer", func(wp *sim.Proc) {
 		for b := 0; b < batches; b++ {
-			for written <= b && writerErr == nil {
-				cond.Wait(p)
-			}
-			if writerErr != nil {
-				return writerErr
+			// Double buffering: region b%2 is free once batch b-2
+			// has been read back.
+			for readDone < b-1 {
+				cond.Wait(wp)
 			}
 			n := batchSize(b)
-			bufs := make([][]byte, n)
-			for i := range bufs {
-				bufs[i] = make([]byte, cfg.PayloadSize)
+			pc.wait(xs.host, wp, b*cfg.Window)
+			payloads := make([][]byte, n)
+			for i := range payloads {
+				payloads[i] = payloadFor(b*cfg.Window + i)
 			}
-			if err := xs.drv.ReadBatch(p, regionBase(b), cfg.PayloadSize, bufs); err != nil {
-				return err
+			if err := xs.drv.WriteBatch(wp, regionBase(b), cfg.PayloadSize, payloads); err != nil {
+				writerErr = err
+				cond.Broadcast()
+				return
 			}
-			for i, buf := range bufs {
-				want := payloadFor(b*cfg.Window + i)
-				for j := range buf {
-					if buf[j] != want[j] {
-						return fmt.Errorf("fpgavirtio: stream data mismatch in packet %d", b*cfg.Window+i)
-					}
-				}
-			}
-			// Batched streaming has no per-packet RTTSample, so the
-			// flight recorder's fault trigger is checked per batch.
-			xs.flight.noteFaults()
-			occ.update(p.Now(), -n)
-			readDone++
+			occ.update(wp.Now(), n)
+			written++
 			cond.Broadcast()
 		}
-		elapsed = xs.host.ClockGettime(p).Sub(t0)
-		occ.update(p.Now(), 0)
-		missed = pc.missed
-
-		// Drain the engine counters so later detailed round trips pair
-		// samples correctly.
-		xs.dev.H2CCounter().Reset()
-		xs.dev.C2HCounter().Reset()
-		return nil
 	})
-	if err != nil {
-		return StreamResult{}, err
-	}
 
-	res.Elapsed = toStd(elapsed)
-	secs := res.Elapsed.Seconds()
-	if secs > 0 {
-		res.PPS = float64(cfg.Packets) / secs
-		res.GoodputBps = float64(cfg.Packets) * float64(cfg.PayloadSize) * 8 / secs
+	for b := 0; b < batches; b++ {
+		for written <= b && writerErr == nil {
+			cond.Wait(p)
+		}
+		if writerErr != nil {
+			return 0, writerErr
+		}
+		n := batchSize(b)
+		bufs := make([][]byte, n)
+		for i := range bufs {
+			bufs[i] = make([]byte, cfg.PayloadSize)
+		}
+		if err := xs.drv.ReadBatch(p, regionBase(b), cfg.PayloadSize, bufs); err != nil {
+			return 0, err
+		}
+		for i, buf := range bufs {
+			want := payloadFor(b*cfg.Window + i)
+			for j := range buf {
+				if buf[j] != want[j] {
+					return 0, fmt.Errorf("fpgavirtio: stream data mismatch in packet %d", b*cfg.Window+i)
+				}
+			}
+		}
+		// Batched streaming has no per-packet RTTSample, so the
+		// flight recorder's fault trigger is checked per batch.
+		xs.flight.noteFaults()
+		occ.update(p.Now(), -n)
+		readDone++
+		cond.Broadcast()
 	}
-	res.Backpressure = missed
-	res.OccupancyMax = occ.max
-	res.OccupancyMean = occ.mean(elapsed)
-	if cfg.Window == 1 {
-		res.OccupancyMax = 1
-		res.OccupancyMean = 1
-	}
-	// Engine starts are the XDMA path's doorbell analogue.
-	res.Doorbells = (xs.drv.H2CStats() - h2cBefore) + (xs.drv.C2HStats() - c2hBefore)
-	res.Interrupts = xs.BusStats().Interrupts - busBefore.Interrupts
-	publishStreamMetrics(xs.Registry(), res)
-	return res, nil
+	elapsed := xs.host.ClockGettime(p).Sub(t0)
+	occ.update(p.Now(), 0)
+
+	// Drain the engine counters so later detailed round trips pair
+	// samples correctly.
+	xs.dev.H2CCounter().Reset()
+	xs.dev.C2HCounter().Reset()
+	return elapsed, nil
 }

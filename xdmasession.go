@@ -100,13 +100,7 @@ func (xs *XDMASession) RoundTrip(data []byte) (time.Duration, error) {
 // RoundTripDetailed is RoundTrip plus the hardware-counter
 // decomposition (H2C engine time + C2H engine time).
 func (xs *XDMASession) RoundTripDetailed(data []byte) (RTTSample, error) {
-	var sample RTTSample
-	err := xs.run(func(p *sim.Proc) error {
-		var err error
-		sample, err = xs.roundTripOnce(p, data)
-		return err
-	})
-	return sample, err
+	return xs.detailed(data, make([]byte, len(data)))
 }
 
 // RoundTripSeries runs n timed write/read exchanges inside one
@@ -114,34 +108,14 @@ func (xs *XDMASession) RoundTripDetailed(data []byte) (RTTSample, error) {
 // hot loop, allocation-free in steady state. sample (optional)
 // receives each round trip's index and decomposition as it completes.
 func (xs *XDMASession) RoundTripSeries(data []byte, n int, sample func(i int, s RTTSample)) error {
-	back := make([]byte, len(data))
-	return xs.run(func(p *sim.Proc) error {
-		for i := 0; i < n; i++ {
-			s, err := xs.roundTripInto(p, data, back)
-			if err != nil {
-				return fmt.Errorf("fpgavirtio: round trip %d: %w", i, err)
-			}
-			if sample != nil {
-				sample(i, s)
-			}
-		}
-		return nil
-	})
+	return xs.series("round trip", data, n, sample)
 }
 
-// roundTripOnce runs one timed write/read exchange inside an
-// application process. Both the latency mode and the window=1 streaming
-// mode execute exactly this sequence, which is what makes their
-// per-packet results agree.
-func (xs *XDMASession) roundTripOnce(p *sim.Proc, data []byte) (RTTSample, error) {
-	return xs.roundTripInto(p, data, make([]byte, len(data)))
-}
-
-// roundTripInto is roundTripOnce with a caller-supplied read-back
-// buffer (len(back) must equal len(data)). Under fault injection a
-// round trip whose read-back does not match (a corrupted DMA read or a
-// dropped DMA write) is retried end to end a bounded number of times —
-// the application-level recovery the character-device interface forces,
+// roundTripInto is the session's exchange: one timed write/read of
+// data, read back into back. Under fault injection a round trip whose
+// read-back does not match (a corrupted DMA read or a dropped DMA
+// write) is retried end to end a bounded number of times — the
+// application-level recovery the character-device interface forces,
 // since the driver has no integrity information of its own.
 func (xs *XDMASession) roundTripInto(p *sim.Proc, data, back []byte) (RTTSample, error) {
 	sample, err := xs.roundTripAttempt(p, data, back)
