@@ -310,7 +310,7 @@ type Trigger struct {
 
 // NewTrigger returns an unfired trigger bound to s.
 func NewTrigger(s *Sim, name string) *Trigger {
-	return &Trigger{sim: s, name: name, parkName: s.internName("trigger:", name)}
+	return &Trigger{sim: s, name: name, parkName: s.internName("trigger", name)}
 }
 
 // Fired reports whether the trigger has fired.
@@ -360,7 +360,7 @@ type Cond struct {
 
 // NewCond returns a condition variable bound to s.
 func NewCond(s *Sim, name string) *Cond {
-	return &Cond{sim: s, name: name, parkName: s.internName("wait:", name)}
+	return &Cond{sim: s, name: name, parkName: s.internName("wait", name)}
 }
 
 // Wait suspends p until Broadcast or Signal. Spurious wakeups do not

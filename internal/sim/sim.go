@@ -113,7 +113,7 @@ type Sim struct {
 	free     []*event
 	procPool []*Proc // finished processes whose coroutines idle for reuse
 	stats    QueueStats
-	names    map[nameKey]string // (label, sub) -> interned "label+sub"
+	names    map[nameKey]string // (label, sub) -> interned "label:sub"
 }
 
 type nameKey struct{ label, sub string }
@@ -136,16 +136,17 @@ func (s *Sim) SetTracer(t Tracer) { s.tracer = t }
 // Stats returns the event loop's lifetime counters.
 func (s *Sim) Stats() QueueStats { return s.stats }
 
-// internName returns the interned concatenation label+sub. Composed
-// names (a proc wake's "wake:app", a trigger's park reason) have tiny
-// cardinality, so each unique composition is concatenated once and
-// the steady state is a map hit with zero allocations, tracer or not.
+// internName returns the interned name label+":"+sub. Composed names
+// (a proc wake's "wake:app", a trigger's park reason) have tiny
+// cardinality, so each unique pair is concatenated once, on its first
+// lookup, and the steady state is a map hit with zero allocations,
+// tracer or not.
 func (s *Sim) internName(label, sub string) string {
 	k := nameKey{label, sub}
 	if n, ok := s.names[k]; ok {
 		return n
 	}
-	n := label + sub
+	n := label + ":" + sub
 	s.names[k] = n
 	return n
 }
@@ -256,7 +257,7 @@ func (s *Sim) take(e *event) *Proc {
 	s.now = e.at
 	if s.tracer != nil {
 		if e.proc != nil {
-			s.tracer.Event(e.at, s.internName(e.name+":", e.proc.name))
+			s.tracer.Event(e.at, s.internName(e.name, e.proc.name))
 		} else {
 			s.tracer.Event(e.at, e.name)
 		}
@@ -318,7 +319,7 @@ func (s *Sim) runAhead(at Time, p *Proc) {
 	}
 	s.now = at
 	if s.tracer != nil {
-		s.tracer.Event(at, s.internName("wake:", p.name))
+		s.tracer.Event(at, s.internName("wake", p.name))
 	}
 }
 

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestRecordingTracerDropped(t *testing.T) {
 	s := New()
@@ -109,4 +112,42 @@ func TestSpanKindsAndSpanClosed(t *testing.T) {
 		}
 	}()
 	s.SpanKinds().Info(SpanKind(99))
+}
+
+// nopTracer observes every event and keeps nothing.
+type nopTracer struct{}
+
+func (nopTracer) Event(Time, string) {}
+
+// A traced process wake names its event from the interned (label,
+// process) pair, so watching a run allocates nothing per wake, and the
+// composed names read "label:process".
+func TestTracedStepZeroAlloc(t *testing.T) {
+	s := New()
+	tr := &RecordingTracer{Max: 4}
+	s.SetTracer(tr)
+	for _, name := range []string{"a", "b"} {
+		s.Go(name, func(p *Proc) {
+			for i := 0; i < 1000; i++ {
+				p.Sleep(Ns(10))
+			}
+		})
+	}
+	for i := 0; i < 4; i++ {
+		s.Step()
+	}
+	var names []string
+	for _, r := range tr.Records {
+		names = append(names, r.Name)
+	}
+	if got := strings.Join(names, " "); got != "start:a start:b wake:a wake:b" {
+		t.Fatalf("traced event names = %q", got)
+	}
+	s.SetTracer(nopTracer{})
+	if n := testing.AllocsPerRun(200, func() { s.Step() }); n != 0 {
+		t.Fatalf("traced Step allocates %v objects per event, want 0", n)
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
 }
