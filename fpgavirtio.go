@@ -112,8 +112,8 @@ type Config struct {
 	// discovered by spinning — the virtio-net driver on the used-ring
 	// index (EVENT_IDX disabled), the XDMA driver on a host-memory
 	// status writeback. The spin loop is costed in simulated time
-	// (hostos.DefaultPollPolicy: ~80 ns per empty poll, a ~700 ns
-	// yield slot every 64 spins), so poll-mode runs replay exactly
+	// (hostos.SpinCost, SpinBudget and YieldCost: ~80 ns per empty
+	// poll, a ~700 ns yield slot every 64 spins), so poll-mode runs replay exactly
 	// like interrupt-mode ones. Latency drops — the IRQ entry,
 	// softirq and scheduler-wake segments vanish — at the price of a
 	// core burning cycles, which the poll.* metrics quantify.

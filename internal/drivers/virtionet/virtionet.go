@@ -89,9 +89,6 @@ type Options struct {
 	// (BusyPoll / the internal spin helpers). EVENT_IDX is rejected —
 	// the poll loop never arms a notification threshold.
 	PollMode bool
-	// Poll tunes the PollMode spin loop; zero fields take
-	// hostos.DefaultPollPolicy.
-	Poll hostos.PollPolicy
 }
 
 // DefaultOptions matches the paper's test configuration.
@@ -266,7 +263,7 @@ func Probe(p *sim.Proc, h *hostos.Host, stack *netstack.Stack, info *pcie.Device
 	d.spans.busypoll = h.Sim.SpanKind(telemetry.LayerDriver, "", "virtionet.busypoll")
 	d.spans.reset = h.Sim.SpanKind(telemetry.LayerDriver, "", "virtionet.reset")
 	if opt.PollMode {
-		d.spinner = h.NewSpinner(opt.Poll)
+		d.spinner = h.NewSpinner()
 		// Reads d.ctrlq at each call: a reset rebuilds the queue.
 		d.ctrlHasUsed = func() bool { return d.ctrlq.HasUsed() }
 		d.pollYield = d.PollYield

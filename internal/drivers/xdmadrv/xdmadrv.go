@@ -68,9 +68,6 @@ type Options struct {
 	// the 4-byte status word the engine DMA-writes into host memory.
 	// This is the poll_mode=1 variant of the reference driver.
 	PollMode bool
-	// Poll tunes the spin loop; zero fields take
-	// hostos.DefaultPollPolicy values.
-	Poll hostos.PollPolicy
 }
 
 // Driver is a bound XDMA function exposing H2C and C2H device nodes.
@@ -124,20 +121,16 @@ type channelState struct {
 	transfers, bytes, irqs *telemetry.Counter
 }
 
-// Probe binds the driver to an enumerated XDMA function and registers
-// its character devices as /dev/<name>_h2c_0 and /dev/<name>_c2h_0.
-func Probe(p *sim.Proc, h *hostos.Host, info *pcie.DeviceInfo, name string) (*Driver, error) {
-	return ProbeWithOptions(p, h, info, name, Options{})
-}
-
-// ProbeWithOptions is Probe with explicit driver options.
-func ProbeWithOptions(p *sim.Proc, h *hostos.Host, info *pcie.DeviceInfo, name string, opt Options) (*Driver, error) {
+// Probe binds the driver to an enumerated XDMA function with the given
+// options and registers its character devices as /dev/<name>_h2c_0 and
+// /dev/<name>_c2h_0.
+func Probe(p *sim.Proc, h *hostos.Host, info *pcie.DeviceInfo, name string, opt Options) (*Driver, error) {
 	if info.VendorID != xdmaip.XilinxVendorID || info.DeviceID != xdmaip.XDMADeviceID {
 		return nil, fmt.Errorf("xdmadrv: not an XDMA function: %04x:%04x", info.VendorID, info.DeviceID)
 	}
 	d := &Driver{host: h, ep: info.EP, bar1: info.BAR[1], opt: opt}
 	if opt.PollMode {
-		d.spinner = h.NewSpinner(opt.Poll)
+		d.spinner = h.NewSpinner()
 	}
 	d.h2c = d.newChannel(p, name+"_h2c_0", true, xdmaip.H2CChannelBase, xdmaip.H2CSGDMABase, xdmaip.VecH2C, 1<<0)
 	d.c2h = d.newChannel(p, name+"_c2h_0", false, xdmaip.C2HChannelBase, xdmaip.C2HSGDMABase, xdmaip.VecC2H, 1<<1)
@@ -199,10 +192,6 @@ func (d *Driver) newChannel(p *sim.Proc, name string, h2c bool, chanBase, sgdma 
 	}
 	return ch
 }
-
-// Spinner exposes the poll-mode spin accounting (nil in interrupt
-// mode), so sessions and tests can read the spin policy in effect.
-func (d *Driver) Spinner() *hostos.Spinner { return d.spinner }
 
 // NoteDataRetry records a session-level end-to-end retry (a round trip
 // whose data integrity check failed under fault injection and was

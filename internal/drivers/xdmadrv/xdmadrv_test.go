@@ -28,7 +28,7 @@ func testbed(t *testing.T, fn func(p *sim.Proc, h *hostos.Host, dev *xdmaip.Vend
 			failed = true
 			return
 		}
-		drv, err := xdmadrv.Probe(p, h, infos[0], "xdma0")
+		drv, err := xdmadrv.Probe(p, h, infos[0], "xdma0", xdmadrv.Options{})
 		if err != nil {
 			t.Error(err)
 			failed = true

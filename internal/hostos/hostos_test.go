@@ -138,12 +138,11 @@ func TestCPUWorkPreemptMemoExact(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			durs := func(h *Host) []sim.Duration {
-				pol := DefaultPollPolicy()
 				var ds []sim.Duration
 				for i := 1; i <= 20000; i++ {
-					ds = append(ds, pol.SpinCost)
-					if i%pol.SpinBudget == 0 {
-						ds = append(ds, pol.YieldCost)
+					ds = append(ds, SpinCost)
+					if i%SpinBudget == 0 {
+						ds = append(ds, YieldCost)
 					}
 					switch i % 997 {
 					case 0:

@@ -24,51 +24,25 @@ import (
 // spinning process is switched into only when its side-effect-free
 // probe sees the completion or a yield hook is due.
 
-// PollPolicy configures the spin budget and per-iteration costs of a
-// busy-poll loop.
-type PollPolicy struct {
+// The calibrated spin policy: ~80 ns per poll of a remote cache line,
+// a yield every 64 empty spins costing ~700 ns.
+const (
 	// SpinCost is the CPU time of one poll iteration: an uncached
 	// status read (ring idx / writeback word) plus loop overhead.
-	SpinCost sim.Duration
+	SpinCost = 80 * sim.Nanosecond
 	// SpinBudget is the number of empty iterations between yields.
-	SpinBudget int
+	SpinBudget = 64
 	// YieldCost is the cost of one yield slot (sched_yield latency).
-	YieldCost sim.Duration
-}
+	YieldCost = 700 * sim.Nanosecond
+)
 
-// DefaultPollPolicy is the calibrated spin policy: ~80 ns per poll of
-// a remote cache line, a yield every 64 empty spins costing ~700 ns.
-func DefaultPollPolicy() PollPolicy {
-	return PollPolicy{
-		SpinCost:   sim.Ns(80),
-		SpinBudget: 64,
-		YieldCost:  sim.Ns(700),
-	}
-}
-
-// withDefaults fills zero fields from DefaultPollPolicy.
-func (pp PollPolicy) withDefaults() PollPolicy {
-	def := DefaultPollPolicy()
-	if pp.SpinCost <= 0 {
-		pp.SpinCost = def.SpinCost
-	}
-	if pp.SpinBudget <= 0 {
-		pp.SpinBudget = def.SpinBudget
-	}
-	if pp.YieldCost <= 0 {
-		pp.YieldCost = def.YieldCost
-	}
-	return pp
-}
-
-// Spinner executes busy-poll loops under a PollPolicy, charging their
+// Spinner executes busy-poll loops under the spin policy, charging their
 // CPU cost and accounting them in the poll.* instruments. One Spinner
 // serves a whole driver, every queue pair included, so several
 // processes may spin on it at once: each Spin takes its loop state from
 // the Spinner's pool, and steady-state spinning allocates nothing.
 type Spinner struct {
 	host *Host
-	pol  PollPolicy
 	free []*spinRun // idle loop states
 
 	spins  *telemetry.Counter
@@ -78,20 +52,15 @@ type Spinner struct {
 }
 
 // NewSpinner builds a Spinner on this host's cost model and registry.
-// Zero policy fields take their defaults.
-func (h *Host) NewSpinner(pol PollPolicy) *Spinner {
+func (h *Host) NewSpinner() *Spinner {
 	return &Spinner{
 		host:   h,
-		pol:    pol.withDefaults(),
 		spins:  h.metrics.Counter(telemetry.MetricPollSpins),
 		wasted: h.metrics.Counter(telemetry.MetricPollWasted),
 		yields: h.metrics.Counter(telemetry.MetricPollYields),
 		burnNs: h.metrics.Counter(telemetry.MetricPollBurnNs),
 	}
 }
-
-// Policy returns the effective (default-filled) policy.
-func (sp *Spinner) Policy() PollPolicy { return sp.pol }
 
 // Spin busy-waits until ready reports true, charging SpinCost per
 // iteration and YieldCost (plus the optional onYield hook, for slow-
@@ -188,30 +157,30 @@ func (r *spinRun) next() sim.Duration {
 			r.empty++
 			sp.spins.Inc()
 			sp.wasted.Inc()
-			sp.burnNs.Add(int64(sp.pol.SpinCost / sim.Nanosecond))
+			sp.burnNs.Add(int64(SpinCost / sim.Nanosecond))
 			r.phase = phaseSpinPreempt
-			if d := h.jitter(sp.pol.SpinCost); d != 0 {
+			if d := h.jitter(SpinCost); d != 0 {
 				return d
 			}
 		case phaseSpinPreempt:
 			r.phase = phaseSpinDone
-			if d := h.preemption(sp.pol.SpinCost); d != 0 {
+			if d := h.preemption(SpinCost); d != 0 {
 				return d
 			}
 		case phaseSpinDone:
-			if r.empty%sp.pol.SpinBudget != 0 {
+			if r.empty%SpinBudget != 0 {
 				r.phase = phaseCheck
 				continue
 			}
 			sp.yields.Inc()
-			sp.burnNs.Add(int64(sp.pol.YieldCost / sim.Nanosecond))
+			sp.burnNs.Add(int64(YieldCost / sim.Nanosecond))
 			r.phase = phaseYieldPreempt
-			if d := h.jitter(sp.pol.YieldCost); d != 0 {
+			if d := h.jitter(YieldCost); d != 0 {
 				return d
 			}
 		case phaseYieldPreempt:
 			r.phase = phaseYieldDone
-			if d := h.preemption(sp.pol.YieldCost); d != 0 {
+			if d := h.preemption(YieldCost); d != 0 {
 				return d
 			}
 		case phaseYieldDone:

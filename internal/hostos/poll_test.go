@@ -17,12 +17,12 @@ func spinRef(sp *Spinner, p *sim.Proc, ready func(p *sim.Proc) bool, onYield fun
 		empty++
 		sp.spins.Inc()
 		sp.wasted.Inc()
-		sp.burnNs.Add(int64(sp.pol.SpinCost / sim.Nanosecond))
-		sp.host.CPUWork(p, sp.pol.SpinCost)
-		if empty%sp.pol.SpinBudget == 0 {
+		sp.burnNs.Add(int64(SpinCost / sim.Nanosecond))
+		sp.host.CPUWork(p, SpinCost)
+		if empty%SpinBudget == 0 {
 			sp.yields.Inc()
-			sp.burnNs.Add(int64(sp.pol.YieldCost / sim.Nanosecond))
-			sp.host.CPUWork(p, sp.pol.YieldCost)
+			sp.burnNs.Add(int64(YieldCost / sim.Nanosecond))
+			sp.host.CPUWork(p, YieldCost)
 			if onYield != nil {
 				onYield(p)
 			}
@@ -173,7 +173,7 @@ func runSpinCase(t *testing.T, c spinCase, seed int64, oracle bool) spinOutcome 
 	tr := &sim.RecordingTracer{}
 	s.SetTracer(tr)
 	h := New(s, 1<<20, c.cfg, uint64(seed))
-	sp := h.NewSpinner(DefaultPollPolicy())
+	sp := h.NewSpinner()
 	spin := spinFunc(sp.Spin)
 	if oracle {
 		spin = func(p *sim.Proc, pending func() bool, ready func(p *sim.Proc) bool, onYield func(p *sim.Proc)) int {
@@ -262,7 +262,7 @@ func firstDiff[T comparable](a, b []T) int {
 func spinBench(cfg Config) (*sim.Sim, *int) {
 	s := sim.New()
 	h := New(s, 1<<20, cfg, 1)
-	sp := h.NewSpinner(DefaultPollPolicy())
+	sp := h.NewSpinner()
 	dev := newSpinDevice(h, 1, 40)
 	spins := new(int)
 	consumed := 0

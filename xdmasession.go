@@ -57,8 +57,7 @@ func OpenXDMA(cfg XDMAConfig) (*XDMASession, error) {
 	}
 	bind := func(p *sim.Proc, info *pcie.DeviceInfo) error {
 		h := xs.host
-		drv, err := xdmadrv.ProbeWithOptions(p, h, info, "xdma0",
-			xdmadrv.Options{PollMode: cfg.PollMode})
+		drv, err := xdmadrv.Probe(p, h, info, "xdma0", xdmadrv.Options{PollMode: cfg.PollMode})
 		if err != nil {
 			return err
 		}
