@@ -3,59 +3,12 @@ package pcie
 import (
 	"bytes"
 	"testing"
-	"testing/quick"
 
 	"fpgavirtio/internal/faults"
 	"fpgavirtio/internal/mem"
 	"fpgavirtio/internal/sim"
 	"fpgavirtio/internal/telemetry"
 )
-
-func TestSplitPayload(t *testing.T) {
-	cases := []struct {
-		n, max int
-		want   []int
-	}{
-		{0, 128, nil},
-		{1, 128, []int{1}},
-		{128, 128, []int{128}},
-		{129, 128, []int{128, 1}},
-		{1024, 128, []int{128, 128, 128, 128, 128, 128, 128, 128}},
-		{300, 256, []int{256, 44}},
-	}
-	for _, c := range cases {
-		got := SplitPayload(c.n, c.max)
-		if len(got) != len(c.want) {
-			t.Fatalf("SplitPayload(%d,%d) = %v, want %v", c.n, c.max, got, c.want)
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Fatalf("SplitPayload(%d,%d) = %v, want %v", c.n, c.max, got, c.want)
-			}
-		}
-	}
-}
-
-func TestSplitPayloadProperty(t *testing.T) {
-	f := func(n uint16, maxRaw uint8) bool {
-		max := int(maxRaw)%512 + 1
-		chunks := SplitPayload(int(n), max)
-		sum := 0
-		for i, c := range chunks {
-			if c <= 0 || c > max {
-				return false
-			}
-			if c < max && i != len(chunks)-1 {
-				return false // only the tail chunk may be short
-			}
-			sum += c
-		}
-		return sum == int(n)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestLinkRates(t *testing.T) {
 	g2 := DefaultGen2x2()

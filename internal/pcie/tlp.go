@@ -55,31 +55,6 @@ const TLPOverhead = 24
 // WireBytes reports the on-wire size of a TLP carrying n payload bytes.
 func WireBytes(payload int) int { return TLPOverhead + payload }
 
-// SplitPayload slices a transfer of n bytes into chunks of at most max
-// bytes (the Max_Payload_Size for writes/completions, Max_Read_Request
-// for read requests). It returns the chunk sizes in transfer order.
-func SplitPayload(n, max int) []int {
-	if max <= 0 {
-		panic("pcie: non-positive split size")
-	}
-	if n < 0 {
-		panic("pcie: negative payload")
-	}
-	if n == 0 {
-		return nil
-	}
-	chunks := make([]int, 0, (n+max-1)/max)
-	for n > 0 {
-		c := n
-		if c > max {
-			c = max
-		}
-		chunks = append(chunks, c)
-		n -= c
-	}
-	return chunks
-}
-
 // Stats counts bus traffic on one endpoint, split by direction. The
 // per-kind counts are arrays indexed by TLPKind because every TLP bumps
 // one on the hot path.
