@@ -179,7 +179,7 @@ func (ns *NetSession) Ping(payload []byte) (echo []byte, rtt time.Duration, err 
 // PingDetailed is Ping plus the paper's latency decomposition from the
 // FPGA hardware performance counters.
 func (ns *NetSession) PingDetailed(payload []byte) (RTTSample, error) {
-	return ns.detailed(payload, make([]byte, len(payload)))
+	return ns.detailed(payload, nil)
 }
 
 // PingSeries runs n timed echo exchanges inside one application
@@ -189,11 +189,12 @@ func (ns *NetSession) PingDetailed(payload []byte) (RTTSample, error) {
 // path is allocation-free. sample (optional) receives each round
 // trip's index and decomposition as it completes.
 func (ns *NetSession) PingSeries(payload []byte, n int, sample func(i int, s RTTSample)) error {
-	return ns.series("ping", payload, n, sample)
+	return ns.series("ping", payload, nil, n, sample)
 }
 
 // pingInto is the session's exchange: pingOnce with the echoed payload
-// copied into back and its buffer handed back to the socket's pool.
+// copied into back (if any) and its buffer handed back to the socket's
+// pool.
 func (ns *NetSession) pingInto(p *sim.Proc, payload, back []byte) (RTTSample, error) {
 	echo, s, err := ns.pingOnce(p, payload)
 	if err != nil {

@@ -24,9 +24,10 @@ type baseSession struct {
 	ep     *pcie.Endpoint
 	// exchange runs one timed round trip of data inside an application
 	// process, reading the reply into back (len(back) == len(data)).
-	// Every round-trip entry point (detailed, series, the window-1
-	// stream, replays) runs it. Sessions without a round-trip workload
-	// leave it nil.
+	// The net session also takes a nil back and drops the echo. Every
+	// round-trip entry point (detailed, series, the window-1 stream,
+	// replays) runs it. Sessions without a round-trip workload leave it
+	// nil.
 	exchange func(p *sim.Proc, data, back []byte) (RTTSample, error)
 }
 
@@ -110,12 +111,11 @@ func (b *baseSession) detailed(data, back []byte) (RTTSample, error) {
 }
 
 // series runs n timed round trips of data inside one application
-// process, reusing one reply buffer — the sweep's hot loop,
+// process, reading every reply into back — the sweep's hot loop,
 // allocation-free in steady state. sample (optional) receives each
 // round trip's index and decomposition as it completes; what names a
 // round trip in errors.
-func (b *baseSession) series(what string, data []byte, n int, sample func(i int, s RTTSample)) error {
-	back := make([]byte, len(data))
+func (b *baseSession) series(what string, data, back []byte, n int, sample func(i int, s RTTSample)) error {
 	return b.run(func(p *sim.Proc) error {
 		for i := 0; i < n; i++ {
 			s, err := b.exchange(p, data, back)

@@ -107,7 +107,7 @@ func (xs *XDMASession) RoundTripDetailed(data []byte) (RTTSample, error) {
 // hot loop, allocation-free in steady state. sample (optional)
 // receives each round trip's index and decomposition as it completes.
 func (xs *XDMASession) RoundTripSeries(data []byte, n int, sample func(i int, s RTTSample)) error {
-	return xs.series("round trip", data, n, sample)
+	return xs.series("round trip", data, make([]byte, len(data)), n, sample)
 }
 
 // roundTripInto is the session's exchange: one timed write/read of
