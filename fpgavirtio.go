@@ -113,8 +113,8 @@ type Config struct {
 	// index (EVENT_IDX disabled), the XDMA driver on a host-memory
 	// status writeback. The spin loop is costed in simulated time
 	// (hostos.SpinCost, SpinBudget and YieldCost: ~80 ns per empty
-	// poll, a ~700 ns yield slot every 64 spins), so poll-mode runs replay exactly
-	// like interrupt-mode ones. Latency drops — the IRQ entry,
+	// poll, a ~700 ns yield slot every 64 spins), so poll-mode runs
+	// replay exactly like interrupt-mode ones. Latency drops — the IRQ entry,
 	// softirq and scheduler-wake segments vanish — at the price of a
 	// core burning cycles, which the poll.* metrics quantify.
 	PollMode bool

@@ -174,8 +174,8 @@ func (q *DeviceQueue) fetchIndirect(p *sim.Proc, ind Desc) ([]Desc, error) {
 
 // ReadChainInto gathers the device-readable segments into buf (reusing
 // its capacity, reallocating only on growth) and returns the gathered
-// bytes. This is the allocation-free form the controller's per-packet
-// engine uses with a per-queue scratch buffer.
+// bytes; the controller's per-packet engine passes a per-queue scratch
+// buffer, so the gather allocates nothing in steady state.
 func (q *DeviceQueue) ReadChainInto(p *sim.Proc, chain []Desc, buf []byte) []byte {
 	out := buf[:0]
 	for _, d := range chain {

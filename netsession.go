@@ -98,7 +98,7 @@ type NetSession struct {
 // describes, and bind the test socket.
 func OpenNet(cfg NetConfig) (*NetSession, error) {
 	ns := &NetSession{}
-	ns.exchange = ns.pingInto
+	ns.exchange = ns.pingOnce
 	attach := func(s *sim.Sim, h *hostos.Host) {
 		ns.dev = vdev.NewNet(s, h.RC, "fpga-vnet", vdev.NetOptions{
 			Link:             cfg.Link.config(),
@@ -192,30 +192,17 @@ func (ns *NetSession) PingSeries(payload []byte, n int, sample func(i int, s RTT
 	return ns.series("ping", payload, nil, n, sample)
 }
 
-// pingInto is the session's exchange: pingOnce with the echoed payload
-// copied into back (if any) and its buffer handed back to the socket's
-// pool.
-func (ns *NetSession) pingInto(p *sim.Proc, payload, back []byte) (RTTSample, error) {
-	echo, s, err := ns.pingOnce(p, payload)
-	if err != nil {
-		return RTTSample{}, err
-	}
-	copy(back, echo)
-	ns.sock.Recycle(echo)
-	return s, nil
-}
-
-// pingOnce runs one timed echo exchange inside an application process.
-// Both the latency mode and the window=1 streaming mode execute exactly
-// this sequence, which is what makes their per-packet results agree.
-func (ns *NetSession) pingOnce(p *sim.Proc, payload []byte) ([]byte, RTTSample, error) {
+// pingOnce is the session's exchange: one timed echo exchange inside an
+// application process, with the echoed payload copied into back (if
+// any) and its buffer handed back to the socket's pool.
+func (ns *NetSession) pingOnce(p *sim.Proc, payload, back []byte) (RTTSample, error) {
 	t0 := ns.host.ClockGettime(p)
 	// The app span brackets the same instants as the RTT timer, so
 	// span-derived totals agree with RTTSample.Total.
 	sp := ns.s.BeginSpan(ns.pingSpan)
 	if err := ns.sock.SendTo(p, fpgaIP, echoPort, payload); err != nil {
 		sp.End()
-		return nil, RTTSample{}, err
+		return RTTSample{}, err
 	}
 	if ns.sock.Pending() == 0 {
 		// A TxKickBatch driver defers the doorbell; force it before the
@@ -227,13 +214,15 @@ func (ns *NetSession) pingOnce(p *sim.Proc, payload []byte) ([]byte, RTTSample, 
 	if fvassert.Enabled && ns.sock.Pending() == 0 && ns.drv.UnkickedTx() > 0 {
 		fvassert.Failf("blocking receive with %d batched chains unkicked", ns.drv.UnkickedTx())
 	}
-	got, err := ns.recv(p)
+	echo, err := ns.recv(p)
 	if err != nil {
 		sp.End()
-		return nil, RTTSample{}, err
+		return RTTSample{}, err
 	}
 	t1 := ns.host.ClockGettime(p)
 	sp.End()
+	copy(back, echo)
+	ns.sock.Recycle(echo)
 
 	total := t1.Sub(t0)
 	var hw sim.Duration
@@ -251,7 +240,7 @@ func (ns *NetSession) pingOnce(p *sim.Proc, payload []byte) ([]byte, RTTSample, 
 		Software: toStd(total - hw - respGen),
 	}
 	ns.flight.note(sample)
-	return got, sample, nil
+	return sample, nil
 }
 
 // recv is the session's blocking receive: busy-polled in poll mode
