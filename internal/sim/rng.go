@@ -79,17 +79,32 @@ func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
 // Normal returns a standard normal variate (Box–Muller, polar form
 // avoided to keep consumption deterministic at two uniforms per call).
 func (r *RNG) Normal() float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
+	return boxMuller(r.uniformPair())
 }
 
 // LogNormal returns exp(N(mu, sigma)).
 func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.Normal())
+	u1, u2 := r.uniformPair()
+	return logNormal(mu, sigma, u1, u2)
+}
+
+// uniformPair draws Box–Muller's two uniforms, u1 redrawn while zero.
+func (r *RNG) uniformPair() (u1, u2 float64) {
+	u1 = r.Float64()
+	for u1 == 0 {
+		u1 = r.Float64()
+	}
+	return u1, r.Float64()
+}
+
+// boxMuller maps two uniforms, u1 > 0, to a standard normal variate.
+func boxMuller(u1, u2 float64) float64 {
+	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
+}
+
+// logNormal returns exp(N(mu, sigma)) from Box–Muller's two uniforms.
+func logNormal(mu, sigma, u1, u2 float64) float64 {
+	return math.Exp(mu + sigma*boxMuller(u1, u2))
 }
 
 // Exp returns an exponential variate with the given mean.
@@ -99,20 +114,6 @@ func (r *RNG) Exp(mean float64) float64 {
 		u = r.Float64()
 	}
 	return -mean * math.Log(u)
-}
-
-// Jitter scales d by a lognormal factor with median 1 and the given
-// sigma (in log space), clamped to [0.5x, 8x] so a single sample cannot
-// dominate an experiment unrealistically.
-func (r *RNG) Jitter(d Duration, sigma float64) Duration {
-	f := r.LogNormal(0, sigma)
-	if f < 0.5 {
-		f = 0.5
-	}
-	if f > 8 {
-		f = 8
-	}
-	return Duration(float64(d) * f)
 }
 
 // Bytes fills b with random bytes.
