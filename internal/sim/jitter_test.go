@@ -18,8 +18,8 @@ var updateJitterGolden = flag.Bool("update", false, "rewrite testdata goldens")
 // jitterGoldenFile pins the Jitter output stream: for every (d, sigma)
 // pair in jitterGoldenDurations × jitterGoldenSigmas, the SHA-256 of
 // the first jitterGoldenDraws outputs at each of jitterGoldenSeeds.
-// Any change to how Jitter computes its result — or to how many
-// uniforms it consumes — moves a line. Regenerate with
+// Any change to a value Jitter returns, or to how many uniforms it
+// consumes, moves a line. Regenerate with
 //
 //	go test ./internal/sim -run TestJitterStreamGolden -update
 const jitterGoldenFile = "testdata/jitter_stream.golden"
