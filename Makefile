@@ -47,7 +47,7 @@ vuln:
 # saved crashers under testdata/fuzz) as ordinary tests — no -fuzz time
 # budget needed, so it is cheap enough for every CI run.
 fuzzseed:
-	$(GO) test -run '^Fuzz' -v ./internal/virtio ./internal/pcie ./internal/faults ./internal/sim
+	$(GO) test -run '^Fuzz' -v ./internal/virtio ./internal/pcie ./internal/faults ./internal/sim ./internal/netstack
 
 # flake runs vet plus the race detector with -count=2: the second pass
 # reruns everything with warm caches and different goroutine timings,
@@ -65,13 +65,15 @@ flake:
 # two in lockstep, three in rotation, two alternating above a parked
 # third; and one that does not), Jitter's fast path beside its exact
 # chain, the busy-poll spinner against a device process and the flight
-# recorder's per-span path (both 0 allocs/op),
+# recorder's per-span path (both 0 allocs/op), the per-packet cost-model
+# lookups (XDMA register-file traffic, TLP link timing, CPUWork's draws
+# over a cycle of distinct segment lengths) and the Internet checksum,
 # then times the paper's full 50k-packet Fig-3 matrix serially and
 # through the parallel engine. The committed
 # baseline is NOT rewritten here — use benchbase for that — so a routine
 # bench run cannot silently move the gate.
 bench:
-	$(GO) test -run '^$$' -bench 'SweepGrid|SeriesSteadyState|ProcHandoff|ProcRing3|ProcAlternate|ProcSelfWake|Jitter|SpinAgainstDevice|FlightSpan' -benchmem ./internal/experiments ./internal/sim ./internal/hostos ./internal/telemetry .
+	$(GO) test -run '^$$' -bench 'SweepGrid|SeriesSteadyState|ProcHandoff|ProcRing3|ProcAlternate|ProcSelfWake|Jitter|SpinAgainstDevice|FlightSpan|RegFile|LinkTiming|Checksum|CPUWork' -benchmem ./internal/experiments ./internal/sim ./internal/hostos ./internal/telemetry ./internal/fpga ./internal/pcie ./internal/netstack .
 	$(GO) run ./cmd/fvsweepbench -n 50000 -json $${TMPDIR:-/tmp}/fvsweepbench-full.json
 
 # benchbase deliberately re-records BENCH_sweep.json at the full grid.

@@ -6,6 +6,10 @@ import "fpgavirtio/internal/sim"
 // switched into a process coroutine (sim.Sim.Switches).
 func (b *baseSession) SimSwitches() int64 { return b.s.Switches() }
 
+// HazardComputes reports how many preemption hazards the session's
+// host has computed (hostos.Host.HazardComputes).
+func (b *baseSession) HazardComputes() int64 { return b.host.HazardComputes() }
+
 // SetSimTracer installs t as the session simulator's event tracer.
 func (b *baseSession) SetSimTracer(t sim.Tracer) { b.s.SetTracer(t) }
 

@@ -55,7 +55,7 @@ func newFlightWatch(s *sim.Sim, inj *faults.Injector, reg *telemetry.Registry) *
 		rttRG:     reg.HDR(telemetry.MetricTailRTTRGNs),
 	}
 	for i, c := range faults.Classes {
-		fw.reasons[i] = "fault:" + string(c)
+		fw.reasons[i] = "fault:" + c.String()
 	}
 	return fw
 }

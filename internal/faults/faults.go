@@ -17,7 +17,6 @@ package faults
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -25,46 +24,49 @@ import (
 	"fpgavirtio/internal/telemetry"
 )
 
-// Class identifies one injectable fault kind. The string value is the
-// spelling used in plan syntax and in the fault.<class>.injected
-// metric name.
-type Class string
+// Class identifies one injectable fault kind. It indexes the
+// injector's per-class state directly; String is the spelling used in
+// plan syntax and in the fault.<class>.injected metric name.
+type Class uint8
 
 const (
 	// TLPDrop silently drops a downstream posted write at delivery:
 	// the link transmitted it, the device never saw it. Models a
 	// surprise-removed or flaky endpoint eating doorbells and
 	// configuration writes.
-	TLPDrop Class = "tlpdrop"
+	TLPDrop Class = iota
 	// CplPoison poisons a read completion: the read returns all-ones
 	// (PCIe poisoned/UR semantics) instead of register data.
-	CplPoison Class = "cplpoison"
+	CplPoison
 	// CplTimeout models a completion timeout: the read's request TLP
 	// vanishes and the root complex synthesizes an all-ones
 	// completion after the completion-timeout interval.
-	CplTimeout Class = "cpltimeout"
+	CplTimeout
 	// DMAReadErr corrupts the first byte of a device-initiated DMA
 	// read completion (device reading host memory).
-	DMAReadErr Class = "dmarderr"
+	DMAReadErr
 	// DMAWriteErr drops one chunk of a device-initiated DMA write
 	// (device writing host memory).
-	DMAWriteErr Class = "dmawrerr"
+	DMAWriteErr
 	// IRQDrop swallows an MSI-X interrupt: counted, never delivered.
-	IRQDrop Class = "irqdrop"
+	IRQDrop
 	// IRQSpurious delivers an MSI-X interrupt twice.
-	IRQSpurious Class = "irqspurious"
+	IRQSpurious
 	// Stall opens a device stall window: for its duration every MMIO
 	// read of the device completes all-ones and every MMIO write is
 	// dropped.
-	Stall Class = "stall"
+	Stall
 	// NeedsReset makes the virtio device set DEVICE_NEEDS_RESET and
 	// raise a configuration-change interrupt instead of servicing a
 	// doorbell.
-	NeedsReset Class = "needsreset"
+	NeedsReset
 	// EngineErr makes an XDMA engine abort a run with the descriptor
 	// error status bit set instead of moving data.
-	EngineErr Class = "engineerr"
+	EngineErr
 )
+
+// numClasses is the number of fault classes.
+const numClasses = int(EngineErr) + 1
 
 // Classes lists every fault class in canonical order.
 var Classes = []Class{
@@ -72,13 +74,35 @@ var Classes = []Class{
 	IRQDrop, IRQSpurious, Stall, NeedsReset, EngineErr,
 }
 
-func validClass(c Class) bool {
-	for _, k := range Classes {
-		if k == c {
-			return true
+var classNames = [numClasses]string{
+	TLPDrop: "tlpdrop",
+	CplPoison: "cplpoison",
+	CplTimeout: "cpltimeout",
+	DMAReadErr: "dmarderr",
+	DMAWriteErr: "dmawrerr",
+	IRQDrop: "irqdrop",
+	IRQSpurious: "irqspurious",
+	Stall: "stall",
+	NeedsReset: "needsreset",
+	EngineErr: "engineerr",
+}
+
+// String returns the class's plan-syntax spelling.
+func (c Class) String() string {
+	if int(c) < numClasses {
+		return classNames[c]
+	}
+	return "Class(" + strconv.Itoa(int(c)) + ")"
+}
+
+// parseClass resolves a plan-syntax spelling to its class.
+func parseClass(name string) (Class, bool) {
+	for _, c := range Classes {
+		if classNames[c] == name {
+			return c, true
 		}
 	}
-	return false
+	return 0, false
 }
 
 // Rule arms one fault class. A rule fires on an opportunity when the
@@ -119,10 +143,11 @@ func Parse(s string) (*Plan, error) {
 			return nil, fmt.Errorf("faults: empty rule in plan %q", s)
 		}
 		fields := strings.Split(part, ":")
-		r := Rule{Class: Class(fields[0])}
-		if !validClass(r.Class) {
+		c, ok := parseClass(fields[0])
+		if !ok {
 			return nil, fmt.Errorf("faults: unknown fault class %q (have %s)", fields[0], classList())
 		}
+		r := Rule{Class: c}
 		if seen[r.Class] {
 			return nil, fmt.Errorf("faults: class %q appears twice", r.Class)
 		}
@@ -165,11 +190,7 @@ func Parse(s string) (*Plan, error) {
 }
 
 func classList() string {
-	names := make([]string, len(Classes))
-	for i, c := range Classes {
-		names[i] = string(c)
-	}
-	return strings.Join(names, "|")
+	return strings.Join(classNames[:], "|")
 }
 
 // String renders the plan back into the Parse format (rules in input
@@ -183,7 +204,7 @@ func (p *Plan) String() string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(string(r.Class))
+		b.WriteString(r.Class.String())
 		if r.Prob > 0 {
 			fmt.Fprintf(&b, ":p=%s", strconv.FormatFloat(r.Prob, 'g', -1, 64))
 		}
@@ -216,7 +237,7 @@ type ruleState struct {
 type Injector struct {
 	plan  *Plan
 	rng   *sim.RNG
-	armed map[Class]*ruleState
+	armed [numClasses]*ruleState // indexed by Class; nil = unarmed
 	total *telemetry.Counter
 }
 
@@ -230,13 +251,12 @@ func NewInjector(plan *Plan, rng *sim.RNG, reg *telemetry.Registry) *Injector {
 	inj := &Injector{
 		plan:  plan,
 		rng:   rng,
-		armed: make(map[Class]*ruleState, len(plan.Rules)),
 		total: reg.Counter(telemetry.MetricFaultsInjected),
 	}
 	for _, r := range plan.Rules {
 		inj.armed[r.Class] = &ruleState{
 			rule:    r,
-			counter: reg.Counter(telemetry.MetricFaultInjected(string(r.Class))),
+			counter: reg.Counter(telemetry.MetricFaultInjected(r.Class.String())),
 		}
 	}
 	return inj
@@ -250,24 +270,24 @@ func (inj *Injector) Plan() *Plan {
 	return inj.plan
 }
 
-// Enabled reports whether a rule is armed for class. Nil-safe.
-func (inj *Injector) Enabled(c Class) bool {
-	if inj == nil {
-		return false
+// state returns c's armed rule state, or nil when c is unarmed or inj
+// is the zero-fault injector.
+func (inj *Injector) state(c Class) *ruleState {
+	if inj == nil || int(c) >= numClasses {
+		return nil
 	}
-	_, ok := inj.armed[c]
-	return ok
+	return inj.armed[c]
 }
+
+// Enabled reports whether a rule is armed for class. Nil-safe.
+func (inj *Injector) Enabled(c Class) bool { return inj.state(c) != nil }
 
 // Fire records one opportunity for class and reports whether the fault
 // fires. Nil-safe: a nil injector always reports false and has no side
 // effects. Randomness is consumed only by probability rules, so
 // cadence-only plans are trivially schedule-independent.
 func (inj *Injector) Fire(c Class) bool {
-	if inj == nil {
-		return false
-	}
-	st := inj.armed[c]
+	st := inj.state(c)
 	if st == nil {
 		return false
 	}
@@ -304,10 +324,7 @@ func (inj *Injector) Total() int64 {
 
 // Injected reports the fire count for one class. Nil-safe.
 func (inj *Injector) Injected(c Class) int64 {
-	if inj == nil {
-		return 0
-	}
-	st := inj.armed[c]
+	st := inj.state(c)
 	if st == nil {
 		return 0
 	}
@@ -320,9 +337,9 @@ func (inj *Injector) Summary() map[string]int64 {
 	if inj == nil {
 		return nil
 	}
-	out := make(map[string]int64, len(inj.armed))
-	for c, st := range inj.armed {
-		out[string(c)] = st.fired
+	out := make(map[string]int64, len(inj.plan.Rules))
+	for _, r := range inj.plan.Rules {
+		out[r.Class.String()] = inj.armed[r.Class].fired
 	}
 	return out
 }
@@ -332,10 +349,11 @@ func (inj *Injector) Armed() []Class {
 	if inj == nil {
 		return nil
 	}
-	out := make([]Class, 0, len(inj.armed))
-	for c := range inj.armed {
-		out = append(out, c)
+	out := make([]Class, 0, len(inj.plan.Rules))
+	for _, c := range Classes {
+		if inj.armed[c] != nil {
+			out = append(out, c)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

@@ -69,7 +69,7 @@ func TestParseErrors(t *testing.T) {
 func TestParseAllClasses(t *testing.T) {
 	names := make([]string, len(Classes))
 	for i, c := range Classes {
-		names[i] = string(c) + ":every=10"
+		names[i] = c.String() + ":every=10"
 	}
 	p, err := Parse(strings.Join(names, ","))
 	if err != nil {

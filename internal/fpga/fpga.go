@@ -149,11 +149,32 @@ func (pc *PerfCounter) TakeLast() (sim.Duration, bool) {
 	return d, true
 }
 
+// Register-file layout: a BAR divides into 4 KiB register blocks
+// (the XDMA engine, IRQ, config and SGDMA blocks), and a block's
+// registers sit in its first 0x100 bytes. Those aligned offsets of a
+// 64 KiB BAR are stored densely; every other offset lives in a map.
+const (
+	regBlockShift = 12 // off>>regBlockShift is the block
+	regBlocks     = 16 // blocks in a 64 KiB BAR
+	regBlockWords = 64 // 32-bit registers in a block's first 0x100 bytes
+	// regSparseMask holds the offset bits outside the dense layout:
+	// misalignment, 0x100..0xfff inside a block, and >= 64 KiB.
+	regSparseMask = ^uint64(regBlocks<<regBlockShift-1) | 0xf03
+)
+
 // RegFile is a small helper for 32-bit device register blocks: storage
 // plus optional per-offset write hooks, used by the device models to
-// implement their BAR handlers.
+// implement their BAR handlers. Storage and hook lookups for dense
+// offsets index arrays (4 KiB of words and a hook bit per word), so
+// the per-access cost of a register touched on every packet is a few
+// loads; the maps hold the rest.
 type RegFile struct {
-	regs    map[uint64]uint32
+	words [regBlocks][regBlockWords]uint32
+	// readHooked/writeHooked[b] bit w is set when dense word w of
+	// block b has an OnRead/OnWrite hook.
+	readHooked, writeHooked [regBlocks]uint64
+
+	regs    map[uint64]uint32 // offsets outside the dense layout
 	onWrite map[uint64]func(v uint32)
 	onRead  map[uint64]func() uint32
 }
@@ -167,30 +188,64 @@ func NewRegFile() *RegFile {
 	}
 }
 
+// dense reports the block and word of off in the dense layout, or
+// ok == false when off is stored in the map.
+func dense(off uint64) (block, word uint64, ok bool) {
+	return off >> regBlockShift, off & 0xff >> 2, off&regSparseMask == 0
+}
+
 // Set stores a register value without invoking hooks.
-func (r *RegFile) Set(off uint64, v uint32) { r.regs[off] = v }
+func (r *RegFile) Set(off uint64, v uint32) {
+	if b, w, ok := dense(off); ok {
+		r.words[b][w] = v
+		return
+	}
+	r.regs[off] = v
+}
 
 // Get loads a register value without invoking hooks.
-func (r *RegFile) Get(off uint64) uint32 { return r.regs[off] }
-
-// OnWrite installs a side-effect hook for writes to off.
-func (r *RegFile) OnWrite(off uint64, fn func(v uint32)) { r.onWrite[off] = fn }
-
-// OnRead installs a compute hook for reads of off (overrides storage).
-func (r *RegFile) OnRead(off uint64, fn func() uint32) { r.onRead[off] = fn }
-
-// Read services a bus read of a 32-bit register.
-func (r *RegFile) Read(off uint64) uint32 {
-	if fn, ok := r.onRead[off]; ok {
-		return fn()
+func (r *RegFile) Get(off uint64) uint32 {
+	if b, w, ok := dense(off); ok {
+		return r.words[b][w]
 	}
 	return r.regs[off]
 }
 
+// OnWrite installs a side-effect hook for writes to off.
+func (r *RegFile) OnWrite(off uint64, fn func(v uint32)) {
+	if b, w, ok := dense(off); ok {
+		r.writeHooked[b] |= 1 << w
+	}
+	r.onWrite[off] = fn
+}
+
+// OnRead installs a compute hook for reads of off (overrides storage).
+func (r *RegFile) OnRead(off uint64, fn func() uint32) {
+	if b, w, ok := dense(off); ok {
+		r.readHooked[b] |= 1 << w
+	}
+	r.onRead[off] = fn
+}
+
+// Read services a bus read of a 32-bit register.
+func (r *RegFile) Read(off uint64) uint32 {
+	b, w, ok := dense(off)
+	if ok && r.readHooked[b]&(1<<w) == 0 {
+		return r.words[b][w]
+	}
+	if fn, hooked := r.onRead[off]; hooked {
+		return fn()
+	}
+	return r.Get(off)
+}
+
 // Write services a bus write of a 32-bit register.
 func (r *RegFile) Write(off uint64, v uint32) {
-	r.regs[off] = v
-	if fn, ok := r.onWrite[off]; ok {
+	r.Set(off, v)
+	if b, w, ok := dense(off); ok && r.writeHooked[b]&(1<<w) == 0 {
+		return
+	}
+	if fn, hooked := r.onWrite[off]; hooked {
 		fn(v)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 
+	"fpgavirtio/internal/fvassert"
 	"fpgavirtio/internal/mem"
 	"fpgavirtio/internal/pcie"
 	"fpgavirtio/internal/sim"
@@ -132,11 +133,10 @@ type Host struct {
 	rng *sim.RNG
 	met hostMetrics
 
-	// preemptD/preemptP memoize CPUWork's preemption hazard for the
-	// last charged duration: busy-poll loops charge the same SpinCost
-	// on every iteration, and the hazard is a pure function of it.
-	preemptD sim.Duration
-	preemptP float64
+	// hazards caches CPUWork's preemption hazard per charged duration;
+	// hazardComputes counts the hazards computed (see hazard).
+	hazards        [hazardSlots]hazardEntry
+	hazardComputes int64
 
 	metrics     *telemetry.Registry
 	irqHandlers map[irqKey]*irqAction
@@ -253,10 +253,7 @@ func (h *Host) preemption(d sim.Duration) sim.Duration {
 	if h.cfg.PreemptMeanGap <= 0 {
 		return 0
 	}
-	if d != h.preemptD {
-		h.preemptD, h.preemptP = d, 1-math.Exp(-float64(d)/float64(h.cfg.PreemptMeanGap))
-	}
-	if !h.rng.Bool(h.preemptP) {
+	if !h.rng.Bool(h.hazard(d)) {
 		return 0
 	}
 	cost := h.cfg.PreemptBase + sim.NsF(h.rng.Exp(h.cfg.PreemptExpMean.Nanoseconds()))
@@ -264,6 +261,59 @@ func (h *Host) preemption(d sim.Duration) sim.Duration {
 	h.met.preemptNs.Add(int64(cost / sim.Nanosecond))
 	return cost
 }
+
+// hazardSlots is the size of the preemption-hazard table: a power of
+// two at least twice the number of distinct segment lengths a session
+// charges (26 at most on the measured workloads: net busy-poll under
+// the chaos plan), so linear probing stays short and every length
+// finds a slot.
+const (
+	hazardBits  = 6
+	hazardSlots = 1 << hazardBits
+)
+
+// hazardEntry is one hazard-table slot; d == 0 marks it empty (CPUWork
+// never charges a zero-length segment).
+type hazardEntry struct {
+	d sim.Duration
+	p float64
+}
+
+// hazard returns the probability that a d-long segment is preempted.
+// The value is a pure function of d (hazardOf), computed once per
+// distinct d into an open-addressed table keyed on d exactly; once the
+// table is full, a length with no slot is recomputed on every call.
+func (h *Host) hazard(d sim.Duration) float64 {
+	i := uint64(d) * 0x9e3779b97f4a7c15 >> (64 - hazardBits) // Fibonacci hashing
+	for n := uint64(0); n < hazardSlots; n++ {
+		e := &h.hazards[(i+n)%hazardSlots]
+		if e.d == d {
+			if fvassert.Enabled && e.p != h.hazardOf(d) {
+				fvassert.Failf("hostos: cached preemption hazard %v for %v is not the formula's", e.p, d)
+			}
+			return e.p
+		}
+		if e.d == 0 {
+			h.hazardComputes++
+			e.d, e.p = d, h.hazardOf(d)
+			return e.p
+		}
+	}
+	h.hazardComputes++
+	return h.hazardOf(d)
+}
+
+// hazardOf is the preemption hazard of a d-long segment: the chance
+// that a Poisson process with mean gap PreemptMeanGap fires within d.
+func (h *Host) hazardOf(d sim.Duration) float64 {
+	return 1 - math.Exp(-float64(d)/float64(h.cfg.PreemptMeanGap))
+}
+
+// HazardComputes reports how many preemption hazards the host has
+// computed rather than read from its table: a host-cost diagnostic
+// that stops growing once every segment length a run charges is
+// cached.
+func (h *Host) HazardComputes() int64 { return h.hazardComputes }
 
 // SyscallEnter charges the user-to-kernel transition.
 func (h *Host) SyscallEnter(p *sim.Proc) {

@@ -6,6 +6,7 @@
 package netstack
 
 import (
+	"encoding/binary"
 	"fmt"
 )
 
@@ -53,14 +54,27 @@ const (
 )
 
 // Checksum computes the Internet checksum (RFC 1071) over b with an
-// initial partial sum.
+// initial partial sum. It adds b as big-endian 32-bit words into a
+// 64-bit sum and folds once at the end: each word is congruent to the
+// sum of its two 16-bit halves modulo 0xffff (2^16 ≡ 1), and the sum is
+// zero exactly when every 16-bit word is, so the folded result equals
+// the byte-pair-at-a-time sum for every input.
 func Checksum(b []byte, initial uint32) uint16 {
-	sum := initial
-	for i := 0; i+1 < len(b); i += 2 {
-		sum += uint32(b[i])<<8 | uint32(b[i+1])
+	sum := uint64(initial)
+	for ; len(b) >= 8; b = b[8:] {
+		w := binary.BigEndian.Uint64(b)
+		sum += w>>32 + w&0xffffffff
 	}
-	if len(b)%2 == 1 {
-		sum += uint32(b[len(b)-1]) << 8
+	if len(b) >= 4 {
+		sum += uint64(binary.BigEndian.Uint32(b))
+		b = b[4:]
+	}
+	if len(b) >= 2 {
+		sum += uint64(binary.BigEndian.Uint16(b))
+		b = b[2:]
+	}
+	if len(b) == 1 {
+		sum += uint64(b[0]) << 8
 	}
 	for sum>>16 != 0 {
 		sum = sum&0xffff + sum>>16

@@ -104,6 +104,11 @@ type Link struct {
 
 	// Labels of the TLPs the root complex and the endpoint exchange.
 	mrd, mwr, cpld, cpl, cfgRd, cfgWr *WireLabel
+
+	// bytesPerNs is cfg.BytesPerNs(); ser[n] is the serialization time
+	// of a TLP with an n-byte payload, for n up to MPS (see serTime).
+	bytesPerNs float64
+	ser        []sim.Duration
 }
 
 // NewLink returns a link driven by s with configuration cfg.
@@ -121,6 +126,11 @@ func NewLink(s *sim.Sim, cfg LinkConfig) *Link {
 	l.cpl = l.Label("Cpl")
 	l.cfgRd = l.Label(TLPConfigRead.String())
 	l.cfgWr = l.Label(TLPConfigWrite.String())
+	l.bytesPerNs = cfg.BytesPerNs()
+	l.ser = make([]sim.Duration, cfg.MPS+1)
+	for n := range l.ser {
+		l.ser[n] = l.serFormula(n)
+	}
 	return l
 }
 
@@ -138,10 +148,19 @@ func (l *Link) Label(what string) *WireLabel {
 // Config returns the link configuration.
 func (l *Link) Config() LinkConfig { return l.cfg }
 
-// serTime is the wire occupancy of a TLP with the given payload size.
+// serTime is the wire occupancy of a TLP with the given payload size:
+// a table read for payloads up to MPS (every data TLP the link
+// carries), the formula itself beyond.
 func (l *Link) serTime(payload int) sim.Duration {
-	ns := float64(WireBytes(payload)) / l.cfg.BytesPerNs()
-	return sim.NsF(ns)
+	if uint(payload) < uint(len(l.ser)) {
+		return l.ser[payload]
+	}
+	return l.serFormula(payload)
+}
+
+// serFormula prices payload bytes at the link's byte rate.
+func (l *Link) serFormula(payload int) sim.Duration {
+	return sim.NsF(float64(WireBytes(payload)) / l.bytesPerNs)
 }
 
 // timing reports when a TLP with the given payload, queued on dir

@@ -3,8 +3,6 @@
 //fvlint:hotpath
 package sim
 
-import "sort"
-
 // calendarWindow is the width of the near tier. Events scheduled within
 // this horizon land in the sorted near bucket; everything further out
 // (watchdog timers, coalesce deadlines armed milliseconds ahead) parks
@@ -29,8 +27,9 @@ const calendarWindow = Time(32 * Microsecond)
 //	       (at, seq) so the soonest event is at the tail: pop is a
 //	       slice shrink with no sift, and a same-timestamp burst
 //	       drains as consecutive tail pops with no per-event fix-ups.
-//	       Inserts binary-search, but the common "fires next" case is
-//	       a pure append.
+//	       Inserts scan from the tail, where a new event (the largest
+//	       seq so far) sorts among the soonest; the common "fires
+//	       next" case is a pure append.
 //	far  — a plain binary min-heap for at > horizon. Only long timers
 //	       land here, so its log(n) cost is off the per-packet path.
 //
@@ -68,16 +67,21 @@ func (q *equeue) push(e *event, now Time) {
 		q.farPush(e)
 		return
 	}
-	n := len(q.near)
-	if n == 0 || eventLess(e, q.near[n-1]) {
-		// Soonest event so far: the dominant hot-path case.
-		q.near = append(q.near, e)
-		return
+	q.nearInsert(e)
+}
+
+// nearInsert inserts e into near, keeping it sorted descending. The
+// slot is found by scanning from the tail and the later events shift
+// up in place: a pushed event carries the largest seq so far, so it
+// lands after every queued event at or before its timestamp — the
+// soonest event so far (the dominant hot-path case) is a pure append.
+func (q *equeue) nearInsert(e *event) {
+	q.near = append(q.near, e)
+	i := len(q.near) - 1
+	for ; i > 0 && eventLess(q.near[i-1], e); i-- {
+		q.near[i] = q.near[i-1]
 	}
-	k := sort.Search(n, func(i int) bool { return eventLess(q.near[i], e) })
-	q.near = append(q.near, nil)
-	copy(q.near[k+1:], q.near[k:])
-	q.near[k] = e
+	q.near[i] = e
 }
 
 // pop removes and returns the (at, seq)-minimal event if its timestamp
@@ -159,11 +163,7 @@ func (q *equeue) flushCurr() {
 		e := q.curr[q.currHead]
 		q.curr[q.currHead] = nil
 		q.currHead++
-		n := len(q.near)
-		k := sort.Search(n, func(i int) bool { return eventLess(q.near[i], e) })
-		q.near = append(q.near, nil)
-		copy(q.near[k+1:], q.near[k:])
-		q.near[k] = e
+		q.nearInsert(e)
 	}
 	q.curr = q.curr[:0]
 	q.currHead = 0

@@ -13,11 +13,21 @@ var switchSizes = []int{64, 128, 256, 512, 1024}
 // switchPackets is the number of packets the switch counts run over.
 const switchPackets = 200 * 5
 
-// switchesPerPacket warms a session up with one pass over switchSizes,
-// then reports its coroutine switch-ins over switchPackets packets,
+// hostCounters are the host-cost diagnostics a session exposes to
+// tests (export_test.go).
+type hostCounters interface {
+	SimSwitches() int64
+	HazardComputes() int64
+}
+
+// switches reads a session's coroutine switch-ins.
+func switches(c hostCounters) int64 { return c.SimSwitches() }
+
+// countPerRound warms a session up with one pass over switchSizes,
+// then reports how much counter grows over switchPackets packets,
 // switchPackets/len(switchSizes) of each size. run sends n packets of
 // the given payload size.
-func switchesPerPacket(t *testing.T, switches func() int64, run func(size, n int) error) int64 {
+func countPerRound(t *testing.T, counter func() int64, run func(size, n int) error) int64 {
 	t.Helper()
 	n := switchPackets / len(switchSizes)
 	for _, size := range switchSizes {
@@ -25,30 +35,30 @@ func switchesPerPacket(t *testing.T, switches func() int64, run func(size, n int
 			t.Fatal(err)
 		}
 	}
-	before := switches()
+	before := counter()
 	for _, size := range switchSizes {
 		if err := run(size, n); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return switches() - before
+	return counter() - before
 }
 
-func netSwitches(t *testing.T, cfg fpgavirtio.Config) int64 {
+func netCount(t *testing.T, cfg fpgavirtio.Config, read func(hostCounters) int64) int64 {
 	ns, err := fpgavirtio.OpenNet(fpgavirtio.NetConfig{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return switchesPerPacket(t, ns.SimSwitches, func(size, n int) error {
+	return countPerRound(t, func() int64 { return read(ns) }, func(size, n int) error {
 		return ns.PingSeries(make([]byte, size), n, nil)
 	})
 }
 
-// netStreamSwitches streams through the net-stream workload's
+// netStreamCount streams through the net-stream workload's
 // configuration: packed ring, EVENT_IDX, kick and IRQ batching of 8, two
 // queue pairs, window 32, every packet 1024 B whatever size the cycle
 // names.
-func netStreamSwitches(t *testing.T, cfg fpgavirtio.Config) int64 {
+func netStreamCount(t *testing.T, cfg fpgavirtio.Config, read func(hostCounters) int64) int64 {
 	ns, err := fpgavirtio.OpenNet(fpgavirtio.NetConfig{
 		Config:          cfg,
 		UsePackedRing:   true,
@@ -60,18 +70,18 @@ func netStreamSwitches(t *testing.T, cfg fpgavirtio.Config) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return switchesPerPacket(t, ns.SimSwitches, func(_, n int) error {
+	return countPerRound(t, func() int64 { return read(ns) }, func(_, n int) error {
 		_, err := ns.Stream(fpgavirtio.StreamConfig{Packets: n, PayloadSize: 1024, Window: 32})
 		return err
 	})
 }
 
-func xdmaSwitches(t *testing.T, cfg fpgavirtio.Config) int64 {
+func xdmaCount(t *testing.T, cfg fpgavirtio.Config, read func(hostCounters) int64) int64 {
 	xs, err := fpgavirtio.OpenXDMA(fpgavirtio.XDMAConfig{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return switchesPerPacket(t, xs.SimSwitches, func(size, n int) error {
+	return countPerRound(t, func() int64 { return read(xs) }, func(size, n int) error {
 		return xs.RoundTripSeries(make([]byte, size), n, nil)
 	})
 }
@@ -96,11 +106,11 @@ func TestSwitchesPerPacket(t *testing.T) {
 		max     int64 // per switchPackets packets
 		exactly bool
 	}{
-		{"net poll", netSwitches(t, chaos), 27 * switchPackets, false},
-		{"net stream", netStreamSwitches(t, irq), 51 * switchPackets, false},
-		{"xdma poll", xdmaSwitches(t, chaos), 6 * switchPackets, false},
-		{"net irq", netSwitches(t, irq), 19342, true},
-		{"xdma irq", xdmaSwitches(t, irq), 6005, true},
+		{"net poll", netCount(t, chaos, switches), 27 * switchPackets, false},
+		{"net stream", netStreamCount(t, irq, switches), 51 * switchPackets, false},
+		{"xdma poll", xdmaCount(t, chaos, switches), 6 * switchPackets, false},
+		{"net irq", netCount(t, irq, switches), 19342, true},
+		{"xdma irq", xdmaCount(t, irq, switches), 6005, true},
 	} {
 		if c.got > c.max || c.exactly && c.got != c.max {
 			want := "at most"
@@ -109,6 +119,29 @@ func TestSwitchesPerPacket(t *testing.T) {
 			}
 			t.Errorf("%s: %.3f switch-ins per packet, want %s %.3f", c.name,
 				float64(c.got)/switchPackets, want, float64(c.max)/switchPackets)
+		}
+	}
+}
+
+// TestHazardTableSteadyState checks that after the warm-up round a
+// session's host computes no preemption hazard: every segment length
+// the net irq, XDMA irq, net busy-poll under the chaos plan and
+// net-stream configurations charge fits the host's hazard table.
+func TestHazardTableSteadyState(t *testing.T) {
+	hazards := func(c hostCounters) int64 { return c.HazardComputes() }
+	chaos := fpgavirtio.Config{Seed: 3, PollMode: true, Faults: experiments.DefaultChaosPlan}
+	irq := fpgavirtio.Config{Seed: 3}
+	for _, c := range []struct {
+		name string
+		got  int64
+	}{
+		{"net irq", netCount(t, irq, hazards)},
+		{"xdma irq", xdmaCount(t, irq, hazards)},
+		{"net poll chaos", netCount(t, chaos, hazards)},
+		{"net stream", netStreamCount(t, irq, hazards)},
+	} {
+		if c.got != 0 {
+			t.Errorf("%s: %d preemption hazards computed over %d packets after warm-up, want 0", c.name, c.got, switchPackets)
 		}
 	}
 }
