@@ -75,16 +75,16 @@ var Classes = []Class{
 }
 
 var classNames = [numClasses]string{
-	TLPDrop: "tlpdrop",
-	CplPoison: "cplpoison",
-	CplTimeout: "cpltimeout",
-	DMAReadErr: "dmarderr",
+	TLPDrop:     "tlpdrop",
+	CplPoison:   "cplpoison",
+	CplTimeout:  "cpltimeout",
+	DMAReadErr:  "dmarderr",
 	DMAWriteErr: "dmawrerr",
-	IRQDrop: "irqdrop",
+	IRQDrop:     "irqdrop",
 	IRQSpurious: "irqspurious",
-	Stall: "stall",
-	NeedsReset: "needsreset",
-	EngineErr: "engineerr",
+	Stall:       "stall",
+	NeedsReset:  "needsreset",
+	EngineErr:   "engineerr",
 }
 
 // String returns the class's plan-syntax spelling.

@@ -6,6 +6,8 @@ package fpga
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"fpgavirtio/internal/mem"
 	"fpgavirtio/internal/sim"
@@ -163,28 +165,33 @@ const (
 )
 
 // RegFile is a small helper for 32-bit device register blocks: storage
-// plus optional per-offset write hooks, used by the device models to
-// implement their BAR handlers. Storage and hook lookups for dense
-// offsets index arrays (4 KiB of words and a hook bit per word), so
-// the per-access cost of a register touched on every packet is a few
-// loads; the maps hold the rest.
+// plus optional per-offset read and write hooks, used by the device
+// models to implement their BAR handlers. Dense offsets keep their
+// values and hooks in arrays and slices, so a register touched on every
+// packet costs a few loads; the maps hold every other offset.
 type RegFile struct {
 	words [regBlocks][regBlockWords]uint32
-	// readHooked/writeHooked[b] bit w is set when dense word w of
-	// block b has an OnRead/OnWrite hook.
-	readHooked, writeHooked [regBlocks]uint64
+	// hooked[b] bit w is set when dense word w of block b has hooks;
+	// they are hooks[hookBase[b] + the set bits of hooked[b] below w].
+	hooked   [regBlocks]uint64
+	hookBase [regBlocks]uint16
+	hooks    []regHooks
 
-	regs    map[uint64]uint32 // offsets outside the dense layout
-	onWrite map[uint64]func(v uint32)
-	onRead  map[uint64]func() uint32
+	regs        map[uint64]uint32    // offsets outside the dense layout
+	sparseHooks map[uint64]*regHooks // their hooks
+}
+
+// regHooks are one register's hooks; either may be nil.
+type regHooks struct {
+	read  func() uint32
+	write func(v uint32)
 }
 
 // NewRegFile returns an empty register file.
 func NewRegFile() *RegFile {
 	return &RegFile{
-		regs:    make(map[uint64]uint32),
-		onWrite: make(map[uint64]func(v uint32)),
-		onRead:  make(map[uint64]func() uint32),
+		regs:        make(map[uint64]uint32),
+		sparseHooks: make(map[uint64]*regHooks),
 	}
 }
 
@@ -211,30 +218,49 @@ func (r *RegFile) Get(off uint64) uint32 {
 	return r.regs[off]
 }
 
-// OnWrite installs a side-effect hook for writes to off.
-func (r *RegFile) OnWrite(off uint64, fn func(v uint32)) {
-	if b, w, ok := dense(off); ok {
-		r.writeHooked[b] |= 1 << w
+// hooksAt returns off's hooks, or nil if it has none.
+func (r *RegFile) hooksAt(off uint64) *regHooks {
+	b, w, ok := dense(off)
+	if !ok {
+		return r.sparseHooks[off]
 	}
-	r.onWrite[off] = fn
+	bit := uint64(1) << w
+	if r.hooked[b]&bit == 0 {
+		return nil
+	}
+	return &r.hooks[int(r.hookBase[b])+bits.OnesCount64(r.hooked[b]&(bit-1))]
 }
 
-// OnRead installs a compute hook for reads of off (overrides storage).
-func (r *RegFile) OnRead(off uint64, fn func() uint32) {
-	if b, w, ok := dense(off); ok {
-		r.readHooked[b] |= 1 << w
+// addHooks returns off's hooks, adding empty ones if it has none.
+func (r *RegFile) addHooks(off uint64) *regHooks {
+	if h := r.hooksAt(off); h != nil {
+		return h
 	}
-	r.onRead[off] = fn
+	b, w, ok := dense(off)
+	if !ok {
+		h := &regHooks{}
+		r.sparseHooks[off] = h
+		return h
+	}
+	r.hooked[b] |= 1 << w
+	for later := b + 1; later < regBlocks; later++ {
+		r.hookBase[later]++
+	}
+	i := int(r.hookBase[b]) + bits.OnesCount64(r.hooked[b]&(1<<w-1))
+	r.hooks = slices.Insert(r.hooks, i, regHooks{})
+	return &r.hooks[i]
 }
+
+// OnWrite installs a side-effect hook for writes to off.
+func (r *RegFile) OnWrite(off uint64, fn func(v uint32)) { r.addHooks(off).write = fn }
+
+// OnRead installs a compute hook for reads of off (overrides storage).
+func (r *RegFile) OnRead(off uint64, fn func() uint32) { r.addHooks(off).read = fn }
 
 // Read services a bus read of a 32-bit register.
 func (r *RegFile) Read(off uint64) uint32 {
-	b, w, ok := dense(off)
-	if ok && r.readHooked[b]&(1<<w) == 0 {
-		return r.words[b][w]
-	}
-	if fn, hooked := r.onRead[off]; hooked {
-		return fn()
+	if h := r.hooksAt(off); h != nil && h.read != nil {
+		return h.read()
 	}
 	return r.Get(off)
 }
@@ -242,10 +268,7 @@ func (r *RegFile) Read(off uint64) uint32 {
 // Write services a bus write of a 32-bit register.
 func (r *RegFile) Write(off uint64, v uint32) {
 	r.Set(off, v)
-	if b, w, ok := dense(off); ok && r.writeHooked[b]&(1<<w) == 0 {
-		return
-	}
-	if fn, hooked := r.onWrite[off]; hooked {
-		fn(v)
+	if h := r.hooksAt(off); h != nil && h.write != nil {
+		h.write(v)
 	}
 }
