@@ -98,7 +98,7 @@ func TestPreemptionHazard(t *testing.T) {
 	}
 }
 
-// cpuWorkRef is CPUWork without the preemption-hazard memo: it
+// cpuWorkRef is CPUWork without the preemption-hazard table: it
 // recomputes math.Exp on every call.
 func cpuWorkRef(h *Host, p *sim.Proc, d sim.Duration) {
 	if d <= 0 {
@@ -121,7 +121,7 @@ func cpuWorkRef(h *Host, p *sim.Proc, d sim.Duration) {
 // TestCPUWorkPreemptMemoExact drives two identically seeded hosts with
 // the same interleaved durations — busy-poll spins with a yield every
 // 64, syscall and copy costs, repeats and changes of d — one through
-// CPUWork and one through the memo-free reference. The slept sequence,
+// CPUWork and one through the table-free reference. The slept sequence,
 // the RNG state and the noise counters must be identical.
 func TestCPUWorkPreemptMemoExact(t *testing.T) {
 	hazard := DefaultConfig()
