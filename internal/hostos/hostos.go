@@ -138,9 +138,9 @@ type Host struct {
 	hazards        [hazardSlots]hazardEntry
 	hazardComputes int64
 
-	metrics     *telemetry.Registry
-	irqHandlers map[irqKey]*irqAction
-	chardevs    map[string]CharDev
+	metrics    *telemetry.Registry
+	irqActions [][]*irqAction // by endpoint index, then vector; see RegisterIRQ
+	chardevs   map[string]CharDev
 
 	spanEnter, spanExit sim.SpanKind
 }
@@ -166,11 +166,6 @@ type hostMetrics struct {
 	wakeLatNs   *telemetry.HDRHistogram
 }
 
-type irqKey struct {
-	ep     *pcie.Endpoint
-	vector int
-}
-
 // New builds a host with the given memory size and cost model, wiring
 // itself up as the root complex's interrupt sink.
 func New(s *sim.Sim, memBytes int, cfg Config, seed uint64) *Host {
@@ -180,11 +175,10 @@ func New(s *sim.Sim, memBytes int, cfg Config, seed uint64) *Host {
 		Mem: m,
 		// Low memory is reserved so address 0 never looks like a valid
 		// DMA target; allocations start at 64 KiB.
-		Alloc:       mem.NewAllocator(m, 0x10000, memBytes-0x10000),
-		cfg:         cfg,
-		rng:         sim.NewRNG(seed).Fork("hostos"),
-		irqHandlers: make(map[irqKey]*irqAction),
-		chardevs:    make(map[string]CharDev),
+		Alloc:    mem.NewAllocator(m, 0x10000, memBytes-0x10000),
+		cfg:      cfg,
+		rng:      sim.NewRNG(seed).Fork("hostos"),
+		chardevs: make(map[string]CharDev),
 	}
 	h.metrics = telemetry.NewRegistry()
 	h.met = hostMetrics{
@@ -371,12 +365,25 @@ func (h *Host) RegisterIRQ(ep *pcie.Endpoint, vector int, handler func(p *sim.Pr
 		handler(p)
 		sp.End()
 	}
-	h.irqHandlers[irqKey{ep, vector}] = act
+	i := ep.Index()
+	if eps := h.RC.Endpoints(); i >= len(eps) || eps[i] != ep {
+		panic(fmt.Sprintf("hostos: IRQ handler for %s, which is not attached to this host", ep.Name()))
+	}
+	if i >= len(h.irqActions) {
+		h.irqActions = append(h.irqActions, make([][]*irqAction, i+1-len(h.irqActions))...)
+	}
+	if vector >= len(h.irqActions[i]) {
+		h.irqActions[i] = append(h.irqActions[i], make([]*irqAction, vector+1-len(h.irqActions[i]))...)
+	}
+	h.irqActions[i][vector] = act
 }
 
 func (h *Host) deliverIRQ(ep *pcie.Endpoint, vector int) {
-	act, ok := h.irqHandlers[irqKey{ep, vector}]
-	if !ok {
+	var act *irqAction
+	if i := ep.Index(); i < len(h.irqActions) && vector < len(h.irqActions[i]) {
+		act = h.irqActions[i][vector]
+	}
+	if act == nil {
 		panic(fmt.Sprintf("hostos: unhandled IRQ %s vector %d", ep.Name(), vector))
 	}
 	h.met.irqs.Inc()

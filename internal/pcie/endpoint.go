@@ -24,6 +24,7 @@ type BarHandlers struct {
 // controller) are built on top of exactly this surface.
 type Endpoint struct {
 	sim   *sim.Sim
+	index int // attach order on rc
 	name  string
 	cfg   *ConfigSpace
 	link  *Link
@@ -41,11 +42,15 @@ type Endpoint struct {
 	msixMasked  []bool
 	msixOps     []*msixOp
 
-	readOps  []*dmaReadOp
+	readOps  []*DMARead
 	writeOps []*dmaWriteOp
 
 	spans struct{ dmaRead, dmaWrite, msix sim.SpanKind }
 }
+
+// Index reports the endpoint's position in its root complex's
+// Endpoints, a dense index for per-endpoint tables.
+func (ep *Endpoint) Index() int { return ep.index }
 
 // Name reports the endpoint's name.
 func (ep *Endpoint) Name() string { return ep.name }
@@ -125,19 +130,21 @@ func growBytes(b []byte, n int) []byte {
 	return b[:n]
 }
 
-// dmaReadOp is the pooled state machine behind DMAReadInto. The link
-// serializes TLPs in FIFO order per direction, so the completions of
-// one read request arrive in transfer order and a single pre-built
-// arrival callback can advance an offset cursor instead of allocating
-// one closure per completion chunk.
+// DMARead is one bus-mastered read from host memory, a pooled state
+// machine that BeginDMARead starts and the reading device process
+// drives with Await and Advance. The link serializes TLPs in FIFO order
+// per direction, so the completions of one read request arrive in
+// transfer order and a single pre-built arrival callback can advance an
+// offset cursor instead of allocating one closure per completion chunk.
 //
 //fvlint:hotpath
-type dmaReadOp struct {
+type DMARead struct {
 	ep       *Endpoint
 	done     *sim.Trigger
+	sp       sim.SpanRef
 	dst      []byte
 	stage    []byte   // request data captured at host-memory read time
-	addr     mem.Addr // host address of the current request
+	base     mem.Addr // host address of dst[0]
 	reqOff   int      // offset of the current request within dst
 	reqLen   int
 	chunkOff int // next completion's offset within the request
@@ -146,14 +153,14 @@ type dmaReadOp struct {
 	onCplD   func()
 }
 
-func (ep *Endpoint) getReadOp() *dmaReadOp {
+func (ep *Endpoint) getReadOp() *DMARead {
 	if n := len(ep.readOps); n > 0 {
 		op := ep.readOps[n-1]
 		ep.readOps[n-1] = nil
 		ep.readOps = ep.readOps[:n-1]
 		return op
 	}
-	op := &dmaReadOp{ep: ep, done: sim.NewTrigger(ep.sim, ep.name+":dmard")}
+	op := &DMARead{ep: ep, done: sim.NewTrigger(ep.sim, ep.name+":dmard")}
 	op.onMRd = func() {
 		// Root-complex side: memory access latency, then stream
 		// completions back down the link.
@@ -164,7 +171,7 @@ func (ep *Endpoint) getReadOp() *dmaReadOp {
 		// region before the completions land — then stream them back as
 		// MPS-sized CplDs.
 		op.stage = growBytes(op.stage, op.reqLen)
-		op.ep.rc.Mem.ReadInto(op.addr, op.stage[:op.reqLen])
+		op.ep.rc.Mem.ReadInto(op.base+mem.Addr(op.reqOff), op.stage[:op.reqLen])
 		if op.ep.rc.faults.Fire(faults.DMAReadErr) {
 			// Poisoned read completion: the device receives corrupted
 			// data for this request.
@@ -196,52 +203,67 @@ func (ep *Endpoint) getReadOp() *dmaReadOp {
 	return op
 }
 
-// DMAReadInto fetches len(dst) bytes from host memory at a into dst,
-// blocking the calling device process for the bus round trips: one MRd
-// per MRRS-sized request, answered by MPS-sized completions. It is the
-// allocation-free form of DMARead.
-func (ep *Endpoint) DMAReadInto(p *sim.Proc, a mem.Addr, dst []byte) {
+// BeginDMARead starts fetching len(dst) bytes from host memory at a
+// into dst, for a device process: it opens the read's span and issues
+// the first read request. The read takes one MRd per MRRS-sized
+// request, answered by MPS-sized completions, and the process waits for
+// each through Await and moves on with Advance:
+//
+//	rd := ep.BeginDMARead(a, dst)
+//	for {
+//		if rd.Await(p) {
+//			... block until the resume (return sim.Blocked from a step)
+//		}
+//		if !rd.Advance() {
+//			break
+//		}
+//	}
+//
+// dst must not be empty.
+func (ep *Endpoint) BeginDMARead(a mem.Addr, dst []byte) *DMARead {
 	ep.requireBusMaster("DMARead")
-	n := len(dst)
-	if n == 0 {
-		return
+	if len(dst) == 0 {
+		panic(fmt.Sprintf("pcie: %s: empty DMA read", ep.name))
 	}
-	sp := ep.sim.BeginSpan(ep.spans.dmaRead)
 	op := ep.getReadOp()
-	op.dst = dst
-	mrrs := ep.link.cfg.MRRS
-	for off := 0; off < n; off += mrrs {
-		req := n - off
-		if req > mrrs {
-			req = mrrs
-		}
-		op.addr = a + mem.Addr(off)
-		op.reqOff, op.reqLen, op.chunkOff = off, req, 0
-		ep.countUp(TLPMemRead, 0)
-		ep.link.Up(0, ep.link.mrd, op.onMRd)
-		op.done.Wait(p)
-		op.done.Reset()
+	op.sp = ep.sim.BeginSpan(ep.spans.dmaRead) // ends in Advance
+	op.dst, op.base = dst, a
+	op.issue(0)
+	return op
+}
+
+// issue sends the read request for dst[off:], at most MRRS bytes.
+func (op *DMARead) issue(off int) {
+	ep := op.ep
+	op.reqOff, op.reqLen, op.chunkOff = off, min(len(op.dst)-off, ep.link.cfg.MRRS), 0
+	ep.countUp(TLPMemRead, 0)
+	ep.link.Up(0, ep.link.mrd, op.onMRd)
+}
+
+// Await registers p to be resumed when the current request's last
+// completion lands and reports true, or reports false when it already
+// has (see sim.Trigger.Await).
+func (op *DMARead) Await(p *sim.Proc) bool { return op.done.Await(p) }
+
+// Advance moves on once the current request has completed: it issues
+// the next request and reports true, or ends the read and reports
+// false. The ended read is recycled and must not be used again.
+func (op *DMARead) Advance() bool {
+	op.done.Reset()
+	if off := op.reqOff + op.reqLen; off < len(op.dst) {
+		op.issue(off)
+		return true
 	}
-	op.dst = nil
-	ep.readOps = append(ep.readOps, op)
+	sp := op.sp
+	op.sp, op.dst = sim.SpanRef{}, nil
+	op.ep.readOps = append(op.ep.readOps, op)
 	sp.End()
+	return false
 }
 
-// DMARead fetches n bytes from host memory at a, blocking the calling
-// device process like DMAReadInto but returning a fresh buffer.
-func (ep *Endpoint) DMARead(p *sim.Proc, a mem.Addr, n int) []byte {
-	ep.requireBusMaster("DMARead")
-	if n == 0 {
-		return nil
-	}
-	out := make([]byte, n)
-	ep.DMAReadInto(p, a, out)
-	return out
-}
-
-// dmaWriteOp is the pooled state machine behind DMAWrite: the payload
-// is staged into an owned buffer at issue time and landed chunk by
-// chunk as the posted writes arrive, again relying on per-direction
+// dmaWriteOp is the pooled state machine behind PostDMAWrite: the
+// payload is staged into an owned buffer at issue time and landed chunk
+// by chunk as the posted writes arrive, again relying on per-direction
 // FIFO delivery.
 //
 //fvlint:hotpath
@@ -287,14 +309,15 @@ func (ep *Endpoint) getWriteOp() *dmaWriteOp {
 	return op
 }
 
-// DMAWrite pushes data into host memory at a with posted writes. The
-// calling device process is blocked while its data mover occupies the
-// upstream half of the link; the bytes land in host memory one
-// propagation delay later.
-func (ep *Endpoint) DMAWrite(p *sim.Proc, a mem.Addr, data []byte) {
+// PostDMAWrite pushes data into host memory at a with posted writes,
+// MPS bytes per MWr, and returns when the upstream half of the link
+// finishes serializing the last of them: the device's data mover is
+// busy until then. The bytes land in host memory one propagation delay
+// later; the caller may reuse data at once.
+func (ep *Endpoint) PostDMAWrite(a mem.Addr, data []byte) sim.Time {
 	ep.requireBusMaster("DMAWrite")
 	if len(data) == 0 {
-		return
+		return ep.sim.Now()
 	}
 	op := ep.getWriteOp()
 	//fvlint:ignore metricname span ends in the pooled op's final MWr arrival callback
@@ -313,9 +336,7 @@ func (ep *Endpoint) DMAWrite(p *sim.Proc, a mem.Addr, data []byte) {
 		ep.countUp(TLPMemWrite, c)
 		lastSer = ep.link.Up(c, ep.link.mwr, op.onMWr)
 	}
-	if d := lastSer.Sub(p.Now()); d > 0 {
-		p.Sleep(d)
-	}
+	return lastSer
 }
 
 // msixOp carries the pre-built delivery chain for one MSI-X vector so

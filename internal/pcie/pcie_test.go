@@ -2,6 +2,7 @@ package pcie
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"fpgavirtio/internal/faults"
@@ -228,6 +229,30 @@ func TestMMIOWriteIsPosted(t *testing.T) {
 	}
 }
 
+// dmaRead fetches n bytes from host memory at a into a fresh buffer,
+// blocking device process p for the bus round trips.
+func dmaRead(p *sim.Proc, ep *Endpoint, a mem.Addr, n int) []byte {
+	out := make([]byte, n)
+	rd := ep.BeginDMARead(a, out)
+	p.SleepSteps(func() sim.Duration {
+		for !rd.Await(p) {
+			if !rd.Advance() {
+				return 0
+			}
+		}
+		return sim.Blocked
+	})
+	return out
+}
+
+// dmaWrite posts data to host memory at a, blocking device process p
+// while the link serializes the writes.
+func dmaWrite(p *sim.Proc, ep *Endpoint, a mem.Addr, data []byte) {
+	if d := ep.PostDMAWrite(a, data).Sub(p.Now()); d > 0 {
+		p.Sleep(d)
+	}
+}
+
 func TestDMAReadWriteRoundTrip(t *testing.T) {
 	s, rc, ep, _ := newTestbed(t)
 	payload := make([]byte, 1000)
@@ -238,8 +263,8 @@ func TestDMAReadWriteRoundTrip(t *testing.T) {
 	var got []byte
 	s.Go("host", func(p *sim.Proc) { rc.Enumerate(p) })
 	s.GoAfter(sim.Us(100), "dev", func(p *sim.Proc) {
-		got = ep.DMARead(p, 0x4000, len(payload))
-		ep.DMAWrite(p, 0x8000, got)
+		got = dmaRead(p, ep, 0x4000, len(payload))
+		dmaWrite(p, ep, 0x8000, got)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -252,13 +277,36 @@ func TestDMAReadWriteRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDMAReadDeadlockNamesTrigger: a device process whose read
+// completion never comes, waiting through a SleepSteps step, is named
+// in Run's deadlock report with the read's trigger.
+func TestDMAReadDeadlockNamesTrigger(t *testing.T) {
+	s, rc, ep, _ := newTestbed(t)
+	s.Go("host", func(p *sim.Proc) { rc.Enumerate(p) })
+	s.GoAfter(sim.Us(100), "dev", func(p *sim.Proc) {
+		rd := ep.BeginDMARead(0, make([]byte, 4))
+		rd.onMem = func() {} // the host never answers the request
+		p.SleepSteps(func() sim.Duration {
+			if rd.Await(p) {
+				return sim.Blocked
+			}
+			return 0
+		})
+	})
+	err := s.Run()
+	want := "dev: trigger:" + ep.Name() + ":dmard"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Run error %v, want a deadlock naming %q", err, want)
+	}
+}
+
 func TestDMAReadSplitsRequests(t *testing.T) {
 	s, rc, ep, _ := newTestbed(t)
 	n := 1024 // MRRS=512 -> 2 MRd; MPS=128 -> 8 CplD
 	rc.Mem.Fill(0, n, 0x55)
 	s.Go("host", func(p *sim.Proc) { rc.Enumerate(p) })
 	s.GoAfter(sim.Us(100), "dev", func(p *sim.Proc) {
-		ep.DMARead(p, 0, n)
+		dmaRead(p, ep, 0, n)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -283,7 +331,7 @@ func TestDMAWithoutBusMasterPanics(t *testing.T) {
 				panicked = true
 			}
 		}()
-		ep.DMARead(p, 0, 4)
+		dmaRead(p, ep, 0, 4)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -407,7 +455,7 @@ func TestDMABandwidthScalesWithLink(t *testing.T) {
 		s.Go("host", func(p *sim.Proc) { rc.Enumerate(p) })
 		s.GoAfter(sim.Us(10), "dev", func(p *sim.Proc) {
 			t0 := p.Now()
-			ep.DMARead(p, 0, 64<<10)
+			dmaRead(p, ep, 0, 64<<10)
 			dur = p.Now().Sub(t0)
 		})
 		if err := s.Run(); err != nil {

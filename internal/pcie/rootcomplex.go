@@ -92,6 +92,7 @@ func (rc *RootComplex) SetIRQSink(fn func(ep *Endpoint, vector int)) { rc.irqSin
 func (rc *RootComplex) Attach(name string, cfg *ConfigSpace, link LinkConfig) *Endpoint {
 	ep := &Endpoint{
 		sim:   rc.sim,
+		index: len(rc.eps),
 		name:  name,
 		cfg:   cfg,
 		link:  NewLink(rc.sim, link),

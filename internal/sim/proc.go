@@ -57,6 +57,7 @@ type Proc struct {
 	parkIdx int                     // index in sim.parked while parked
 	step    func() Duration         // the running SleepSteps continuation, or nil
 	onStack bool                    // on the switch stack, see suspend
+	armed   bool                    // a resume was arranged during the running step (fvinvariants builds)
 }
 
 // Go spawns a process that starts executing at the current simulation
@@ -233,54 +234,76 @@ func (p *Proc) Sleep(d Duration) {
 	p.park("sleeping")
 }
 
-// SleepSteps sleeps for each duration step returns until it returns 0.
-// It means exactly
+// Blocked is the SleepSteps step result of a step that has arranged
+// its own resume, as Trigger.Await does: no wake is queued and the step
+// runs again on the event that resumes the process.
+const Blocked = Duration(-1 << 63)
+
+// SleepSteps sleeps for each duration step returns until it returns 0,
+// and waits on a trigger whenever it returns Blocked. It means exactly
 //
 //	for d := step(); d != 0; d = step() {
-//		p.Sleep(d)
+//		if d == Blocked {
+//			p.Park(why) // the trigger step Awaited resumes p
+//		} else {
+//			p.Sleep(d)
+//		}
 //	}
 //
 // with one difference: after a wake that went through the queue, step
 // runs on whichever context fires that wake — the scheduler loop or
 // another process's coroutine, where a callback would run — and p's
 // coroutine is switched into only once step returns 0. A busy loop
-// whose iterations only draw noise, bump counters and sleep then costs
-// no coroutine switches while other processes run between its wakes.
+// whose iterations only draw noise, bump counters and sleep, or a data
+// mover that waits on one bus completion after another, then costs no
+// coroutine switches while other processes run between its wakes.
 // Every wake keeps its (at, seq), every step call runs at the same
 // event in the same order as in the loop, and run-ahead applies to the
 // continuation's wakes under the same rule as Sleep's.
 //
-// step must not block and must not use p: it must not Sleep, Park or
-// Wait on any process (p's coroutine may be suspended while it runs).
-// It may read and write plain state and schedule events. Builds with
-// -tags fvinvariants fail a step that blocks, naming both processes.
+// step must not block: it must not Sleep, Park or Wait on any process
+// (p's coroutine may be suspended while it runs), and it may use p only
+// to Await a trigger. It may read and write plain state and schedule
+// events. Builds with -tags fvinvariants fail a step that blocks,
+// naming both processes, and one that returns Blocked without having
+// arranged a resume of p.
 func (p *Proc) SleepSteps(step func() Duration) {
 	s := p.sim
 	if fvassert.Enabled && s.stepping != nil {
 		fvassert.Failf("sim: %s sleeps inside the SleepSteps step of %s", p.name, s.stepping.name)
 	}
-	p.step = step
+	p.step, p.why = step, "sleeping"
 	if !s.runSteps(p) {
-		p.park("sleeping")
+		p.park(p.why)
 	}
 	p.step = nil
 }
 
 // runSteps runs p's SleepSteps step until it returns 0, reporting
-// true, or until its wake cannot run ahead: it then queues the wake, as
-// Sleep does, and reports false.
+// true, or until it blocks: it then reports false, after queueing the
+// wake, as Sleep does, when the step's sleep cannot run ahead. p.why
+// names the trigger a Blocked step awaits; it goes stale once a later
+// step sleeps, but is only read when nothing is queued, so not while a
+// wake of p is.
 func (s *Sim) runSteps(p *Proc) bool {
 	for {
 		var d Duration
 		if fvassert.Enabled {
 			s.stepping = p
+			p.armed = false
 			d = p.step()
 			s.stepping = nil
+			if d == Blocked && !p.armed {
+				fvassert.Failf("sim: the SleepSteps step of %s returned Blocked with no resume arranged", p.name)
+			}
 		} else {
 			d = p.step()
 		}
 		if d == 0 {
 			return true
+		}
+		if d == Blocked {
+			return false
 		}
 		if d < 0 {
 			panic(fmt.Sprintf("sim: %s: negative sleep %v", p.name, d))
@@ -319,11 +342,25 @@ func (t *Trigger) Fired() bool { return t.fired }
 // Wait suspends p until the trigger fires. If it already fired, Wait
 // returns immediately without yielding.
 func (t *Trigger) Wait(p *Proc) {
+	if t.Await(p) {
+		p.park(t.parkName)
+	}
+}
+
+// Await is Wait without the park, for a SleepSteps step: it registers
+// p to be resumed when t fires and reports true, and the step then
+// returns Blocked. If t already fired it registers nothing and reports
+// false.
+func (t *Trigger) Await(p *Proc) bool {
 	if t.fired {
-		return
+		return false
 	}
 	t.waiters = append(t.waiters, p)
-	p.park(t.parkName)
+	p.why = t.parkName
+	if fvassert.Enabled {
+		p.armed = true
+	}
+	return true
 }
 
 // Fire marks the trigger fired and wakes all waiters in FIFO order.

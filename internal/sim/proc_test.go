@@ -360,6 +360,57 @@ func TestNestedDispatchStepBlocks(t *testing.T) {
 	}
 }
 
+// TestStepBlockedWithoutResume: built with -tags fvinvariants, a
+// SleepSteps step that returns Blocked without arranging a resume of
+// its process fails naming the process, whether the step runs on the
+// process's coroutine (its first call) or as a continuation on the
+// wake that ends an Await, which itself passes.
+func TestStepBlockedWithoutResume(t *testing.T) {
+	if !fvassert.Enabled {
+		t.Skip("the check is compiled in only with -tags fvinvariants")
+	}
+	for _, first := range []bool{true, false} {
+		for _, d := range runModes {
+			t.Run(fmt.Sprintf("%s/first=%v", d.name, first), func(t *testing.T) {
+				s := New()
+				s.Go("device", func(p *Proc) {
+					for i := 0; i < 8; i++ {
+						p.Sleep(Ns(3))
+					}
+				})
+				calls := 0
+				s.Go("mover", func(p *Proc) {
+					done := NewTrigger(s, "done")
+					s.After(Ns(5), "done", done.Fire)
+					p.SleepSteps(func() Duration {
+						calls++
+						if calls == 1 && !first && done.Await(p) {
+							return Blocked
+						}
+						return Blocked // with no resume arranged
+					})
+				})
+				got := func() (r any) {
+					defer func() { r = recover() }()
+					d.run(s)
+					return nil
+				}()
+				msg, _ := got.(string)
+				if !strings.HasPrefix(msg, "fvinvariant: ") || !strings.Contains(msg, "mover") || !strings.Contains(msg, "Blocked") {
+					t.Fatalf("%s recovered %#v, want an fvinvariant failure naming mover", d.name, got)
+				}
+				want := 2
+				if first {
+					want = 1
+				}
+				if calls != want {
+					t.Fatalf("failed in step call %d, want call %d", calls, want)
+				}
+			})
+		}
+	}
+}
+
 // TestNestedDispatchDepth runs randomized process programs under Run,
 // RunUntil slices and Stops, and checks the switch-stack invariant:
 // through progRun.observe, that every running process is on the stack,
@@ -402,7 +453,14 @@ type progOp struct {
 	kind  int        // see runProgram
 	d     Duration   // the step's delay
 	d2    Duration   // a second delay, for steps that need two
-	steps []Duration // kind 8's sleeps, see withStepOps
+	steps []stepOp // kind 8's steps, see withStepOps
+}
+
+// stepOp is one step of a kind-8 op: a sleep of d, or, with await set,
+// a wait on a trigger that another process fires d after the op began.
+type stepOp struct {
+	d     Duration
+	await bool
 }
 
 // genPrograms draws a process program per process from seed. The
@@ -430,9 +488,11 @@ func genPrograms(seed int64, procs, steps int) [][]progOp {
 }
 
 // withStepOps turns about a quarter of each program's steps into
-// kind 8: a run of 1 to 6 sleeps of 1 to 60 ns, the same range as the
-// programs' own short delays, so the sleeps' wakes collide with the
-// peers' wakes and callbacks. Its own source keeps genPrograms' draws,
+// kind 8: a run of 1 to 6 steps, each a sleep of 1 to 60 ns, the same
+// range as the programs' own short delays, so the sleeps' wakes collide
+// with the peers' wakes and callbacks, or, one time in three, a wait on
+// a trigger fired 0 to 120 ns after the op began, which may come before
+// or after the wait starts. Its own source keeps genPrograms' draws,
 // and so the programs of the other tests, unchanged.
 func withStepOps(progs [][]progOp, seed int64) [][]progOp {
 	rng := rand.New(rand.NewSource(-seed))
@@ -445,7 +505,11 @@ func withStepOps(progs [][]progOp, seed int64) [][]progOp {
 			}
 			op := progOp{kind: 8}
 			for k := rng.Intn(6); k >= 0; k-- {
-				op.steps = append(op.steps, Duration(rng.Intn(60)+1)*Nanosecond)
+				if rng.Intn(3) == 0 {
+					op.steps = append(op.steps, stepOp{Duration(rng.Intn(121)) * Nanosecond, true})
+				} else {
+					op.steps = append(op.steps, stepOp{Duration(rng.Intn(60)+1) * Nanosecond, false})
+				}
 			}
 			out[i][j] = op
 		}
@@ -456,10 +520,11 @@ func withStepOps(progs [][]progOp, seed int64) [][]progOp {
 // progRun is the shared state of one run of a set of programs.
 type progRun struct {
 	stops    bool   // whether step kind 7 calls Stop
-	steps    bool   // whether step kind 8 calls SleepSteps or loops over Sleep
+	steps    bool   // whether step kind 8 calls SleepSteps or loops over Sleep and Trigger.Wait
 	stepAt   []Time // clock at every kind-8 step call
 	stopAt   Time   // clock at the latest Stop, -1 when none since Run began
 	eligible int    // Sleeps that could skip the queue
+	waits    [2]int // kind-8 trigger waits that blocked, and that found it fired
 
 	// Switch-stack bookkeeping, see observe.
 	nestedRan int   // observations above the bottom of the stack
@@ -494,9 +559,9 @@ func (r *progRun) observe(p *Proc) {
 // way an event reaches the queue: a Sleep, a callback (which may nest
 // another), a cancelled callback, a wake from a child process firing a
 // trigger, a resume scheduled by a callback, a Cond signalled by a
-// child, a Stop followed by a Sleep, and a run of sleeps through
-// SleepSteps (or the loop it stands for) whose steps schedule callbacks
-// at their own wake times.
+// child, a Stop followed by a Sleep, and a run of sleeps and trigger
+// waits through SleepSteps (or the loop it stands for) whose steps
+// schedule callbacks at their own wake times.
 func runProgram(p *Proc, prog []progOp, r *progRun) {
 	s := p.sim
 	sleep := func(d Duration) {
@@ -559,27 +624,54 @@ func runProgram(p *Proc, prog []progOp, r *progRun) {
 			}
 			sleep(op.d)
 		case 8:
+			// Each await step's trigger is fired by its own process,
+			// started when the op begins.
+			trigs := make([]*Trigger, len(op.steps))
+			for j, st := range op.steps {
+				if st.await {
+					t := NewTrigger(s, "step")
+					trigs[j] = t
+					s.GoAfter(st.d, p.name+".firer", func(c *Proc) {
+						r.observe(c)
+						t.Fire()
+					})
+				}
+			}
 			k := 0
+			var waitOn *Trigger // the loop's next Wait
 			step := func() Duration {
 				r.stepAt = append(r.stepAt, s.now)
-				if k == len(op.steps) {
-					return 0
+				for k < len(op.steps) {
+					st, t := op.steps[k], trigs[k]
+					k++
+					if !st.await {
+						if k%2 == 0 {
+							// Queued before the wake, so it fires first at
+							// the same time, and nests a callback at that
+							// time.
+							s.After(st.d, "step.cb", func() { s.After(0, "step.cb.nested", func() {}) })
+						}
+						return st.d
+					}
+					if r.steps && t.Await(p) || !r.steps && !t.Fired() {
+						r.waits[0]++
+						waitOn = t
+						return Blocked
+					}
+					r.waits[1]++
 				}
-				d := op.steps[k]
-				k++
-				if k%2 == 0 {
-					// Queued before the wake, so it fires first at the
-					// same time, and nests a callback at that time.
-					s.After(d, "step.cb", func() { s.After(0, "step.cb.nested", func() {}) })
-				}
-				return d
+				return 0
 			}
 			if r.steps {
 				p.SleepSteps(step)
 			} else {
 				for d := step(); d != 0; d = step() {
 					r.observe(p)
-					sleep(d)
+					if d == Blocked {
+						waitOn.Wait(p)
+					} else {
+						sleep(d)
+					}
 				}
 			}
 		}
@@ -676,8 +768,10 @@ func TestSleepRunAheadMatchesQueuePath(t *testing.T) {
 }
 
 // TestSleepStepsMatchesSleepLoop runs randomized process programs with
-// kind-8 runs of sleeps under every dispatch mode twice: once through
-// SleepSteps, once through the plain Sleep loop it stands for. The
+// kind-8 runs of sleeps and trigger waits under every dispatch mode
+// twice: once through SleepSteps, where a wait is a step that Awaits
+// the trigger and returns Blocked, once through the loop of Sleep and
+// Trigger.Wait it stands for. The
 // traced event sequences, the queue counters and the clock at every
 // step call must be identical across all six runs; the final clock, and
 // whether any process ran above the bottom of the switch stack, must
@@ -690,6 +784,7 @@ func TestSleepStepsMatchesSleepLoop(t *testing.T) {
 		stats    QueueStats
 		now      Time
 		stepAt   []Time
+		waits    [2]int
 		nested   bool
 		switches int64
 	}
@@ -708,10 +803,11 @@ func TestSleepStepsMatchesSleepLoop(t *testing.T) {
 		if r.stackErr != nil {
 			t.Fatalf("seed %d %s (SleepSteps %v): %v", seed, m.name, steps, r.stackErr)
 		}
-		return outcome{tr.Records, s.Stats(), s.Now(), r.stepAt, r.nestedRan > 0, s.Switches()}
+		return outcome{tr.Records, s.Stats(), s.Now(), r.stepAt, r.waits, r.nestedRan > 0, s.Switches()}
 	}
 	var loopSwitches, stepSwitches int64
 	stepCalls := 0
+	var waits [2]int
 	for seed := int64(1); seed <= 100; seed++ {
 		progs := withStepOps(genPrograms(seed, 1+int(seed%4), 40), seed)
 		var first outcome
@@ -722,6 +818,8 @@ func TestSleepStepsMatchesSleepLoop(t *testing.T) {
 				loopSwitches += loop.switches
 				stepSwitches += stepped.switches
 				stepCalls += len(loop.stepAt)
+				waits[0] += loop.waits[0]
+				waits[1] += loop.waits[1]
 			}
 			for _, got := range []outcome{loop, stepped} {
 				if !slices.Equal(got.trace, first.trace) {
@@ -732,6 +830,9 @@ func TestSleepStepsMatchesSleepLoop(t *testing.T) {
 				}
 				if !slices.Equal(got.stepAt, first.stepAt) {
 					t.Fatalf("seed %d %s: step calls at %v, Run loop at %v", seed, m.name, got.stepAt, first.stepAt)
+				}
+				if got.waits != first.waits {
+					t.Fatalf("seed %d %s: %v trigger waits blocked and found it fired, Run loop %v", seed, m.name, got.waits, first.waits)
 				}
 			}
 			if stepped.now != loop.now {
@@ -744,6 +845,9 @@ func TestSleepStepsMatchesSleepLoop(t *testing.T) {
 	}
 	if stepCalls == 0 {
 		t.Fatal("no step ran; the test exercises nothing")
+	}
+	if waits[0] == 0 || waits[1] == 0 {
+		t.Fatalf("%d trigger waits blocked and %d found it fired; the test must exercise both", waits[0], waits[1])
 	}
 	if stepSwitches >= loopSwitches {
 		t.Fatalf("SleepSteps switched into processes %d times under Run, the loop %d", stepSwitches, loopSwitches)

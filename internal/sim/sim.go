@@ -209,6 +209,9 @@ func (s *Sim) atProc(at Time, label string, p *Proc) EventID {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", label, at, s.now))
 	}
+	if fvassert.Enabled {
+		p.armed = true
+	}
 	e := s.alloc()
 	e.at, e.seq, e.name, e.proc, e.pgen = at, s.seq, label, p, p.gen
 	s.seq++

@@ -53,10 +53,11 @@ func (l PackedLayout) slotAddr(i int) mem.Addr {
 	return l.Ring + mem.Addr(i)*descEntrySize
 }
 
-// packedChain records one outstanding chain, keyed by buffer ID.
+// packedChain records one chain, indexed by buffer ID.
 type packedChain struct {
-	token any
-	n     int
+	token    any
+	n        int
+	inFlight bool
 }
 
 // PackedDriverQueue is the driver-side packed virtqueue.
@@ -70,7 +71,7 @@ type PackedDriverQueue struct {
 	usedWrap bool // driver used wrap counter (starts true)
 	numFree  int
 
-	chains map[uint16]packedChain
+	chains []packedChain // by buffer ID, which is below QueueSize
 
 	kickArmed bool // a doorbell is owed for chains added since KickDone
 }
@@ -84,7 +85,7 @@ func NewPackedDriverQueue(m *mem.Memory, lay PackedLayout) *PackedDriverQueue {
 		wrap:     true,
 		usedWrap: true,
 		numFree:  lay.QueueSize,
-		chains:   make(map[uint16]packedChain),
+		chains:   make([]packedChain, lay.QueueSize),
 	}
 	for i := 0; i < lay.QueueSize; i++ {
 		m.Fill(lay.slotAddr(i), descEntrySize, 0)
@@ -161,11 +162,11 @@ func (q *PackedDriverQueue) Add(segs []BufSeg, token any) (uint16, error) {
 	q.nextIdx, q.wrap = idx, wrap
 	q.numFree -= len(segs)
 	if fvassert.Enabled {
-		if _, busy := q.chains[id]; busy {
+		if q.chains[id].inFlight {
 			fvassert.Failf("packed ring re-published buffer id %d while in flight", id)
 		}
 	}
-	q.chains[id] = packedChain{token: token, n: len(segs)}
+	q.chains[id] = packedChain{token: token, n: len(segs), inFlight: true}
 	q.kickArmed = true
 	return id, nil
 }
@@ -194,11 +195,11 @@ func (q *PackedDriverQueue) GetUsed() (Used, bool) {
 	if !ok {
 		return Used{}, false
 	}
-	ch, known := q.chains[id]
-	if !known {
+	if int(id) >= len(q.chains) || !q.chains[id].inFlight {
 		panic(fmt.Sprintf("virtio: packed completion for unknown buffer id %d", id))
 	}
-	delete(q.chains, id)
+	ch := q.chains[id]
+	q.chains[id] = packedChain{}
 	q.usedIdx += ch.n
 	if q.usedIdx >= q.lay.QueueSize {
 		q.usedIdx -= q.lay.QueueSize

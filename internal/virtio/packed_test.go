@@ -2,6 +2,7 @@ package virtio
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -286,5 +287,47 @@ func TestPackedDeterministicProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPackedUnknownCompletionPanics: a used descriptor naming a buffer
+// id with no chain in flight, or an id past the ring, panics with the
+// same message either way; a completed id is unknown again.
+func TestPackedUnknownCompletionPanics(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		id   uint16
+		add  bool // publish and complete chain 0 first
+	}{
+		{"idle id", 5, false},
+		{"out of range", 999, false},
+		{"completed id", 0, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m, al, dq, _, _ := newPacked(t, 8)
+			slot := dq.Layout().slotAddr(0)
+			if c.add {
+				if _, err := dq.Add([]BufSeg{{Addr: al.Alloc(16, 4), Len: 16}}, "tok"); err != nil {
+					t.Fatal(err)
+				}
+				m.PutU16(slot+14, usedBits(true))
+				if u, ok := dq.GetUsed(); !ok || u.Token != "tok" {
+					t.Fatalf("GetUsed = %+v, %v", u, ok)
+				}
+				// Mark slot 1 used in the same lap, naming chain 0 again.
+				slot = dq.Layout().slotAddr(1)
+			}
+			m.PutU16(slot+12, c.id)
+			m.PutU16(slot+14, usedBits(true))
+			want := fmt.Sprintf("virtio: packed completion for unknown buffer id %d", c.id)
+			got := func() (r any) {
+				defer func() { r = recover() }()
+				dq.GetUsed()
+				return nil
+			}()
+			if got != want {
+				t.Fatalf("GetUsed panicked with %#v, want %q", got, want)
+			}
+		})
 	}
 }

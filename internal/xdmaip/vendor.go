@@ -52,6 +52,8 @@ type VendorDevice struct {
 	regs *fpga.RegFile
 	cfg  Config
 
+	movers *movers
+
 	h2c *channel
 	c2h *channel
 }
@@ -109,6 +111,7 @@ func NewVendor(s *sim.Sim, rc *pcie.RootComplex, name string, cfg Config) *Vendo
 		regs: fpga.NewRegFile(),
 		cfg:  cfg,
 	}
+	d.movers = newMovers(s, ep, clk)
 	d.h2c = d.newChannel("h2c0", true, H2CChannelBase, H2CSGDMABase, VecH2C, 1<<0)
 	d.c2h = d.newChannel("c2h0", false, C2HChannelBase, C2HSGDMABase, VecC2H, 1<<1)
 
@@ -208,8 +211,7 @@ func (ch *channel) run(p *sim.Proc) {
 			descAddr := mem.Addr(uint64(d.regs.Get(ch.sgdma+RegDescLo)) | uint64(d.regs.Get(ch.sgdma+RegDescHi))<<32)
 			completed := uint32(0)
 			for {
-				p.Sleep(d.clk.Cycles(descFetchSetupCycles))
-				chunkedReadInto(p, d.ep, d.clk, descAddr, ch.descBuf[:])
+				d.movers.move(p, d.clk.Cycles(descFetchSetupCycles), descAddr, ch.descBuf[:], false)
 				desc, err := DecodeDescriptor(ch.descBuf[:])
 				if err != nil {
 					if d.ep.Faults() != nil {
@@ -224,19 +226,19 @@ func (ch *channel) run(p *sim.Proc) {
 				n := int(desc.Len)
 				ch.descs.Inc()
 				ch.dataBytes.Add(int64(n))
-				p.Sleep(d.clk.Cycles(programCycles))
 				if cap(ch.dataBuf) < n {
 					ch.dataBuf = make([]byte, n)
 				}
 				data := ch.dataBuf[:n]
+				program, axi := d.clk.Cycles(programCycles), d.clk.Cycles(d.clk.CyclesFor(n, AXIWidthBytes))
 				if ch.h2c {
-					chunkedReadInto(p, d.ep, d.clk, mem.Addr(desc.Src), data)
-					p.Sleep(d.clk.Cycles(d.clk.CyclesFor(n, AXIWidthBytes)))
+					d.movers.move(p, program, mem.Addr(desc.Src), data, false)
+					p.Sleep(axi)
 					d.bram.Write(mem.Addr(desc.Dst), data)
 				} else {
+					p.Sleep(program)
 					d.bram.ReadInto(mem.Addr(desc.Src), data)
-					p.Sleep(d.clk.Cycles(d.clk.CyclesFor(n, AXIWidthBytes)))
-					chunkedWrite(p, d.ep, d.clk, mem.Addr(desc.Dst), data)
+					d.movers.move(p, axi, mem.Addr(desc.Dst), data, true)
 				}
 				completed++
 				d.regs.Set(ch.base+RegChanCompleted, completed)
@@ -269,7 +271,7 @@ func (ch *channel) run(p *sim.Proc) {
 			ch.wbBuf[2] = byte(wb >> 16)
 			ch.wbBuf[3] = byte(wb >> 24)
 			wbAddr := mem.Addr(uint64(d.regs.Get(ch.base+RegPollWbLo)) | uint64(d.regs.Get(ch.base+RegPollWbHi))<<32)
-			chunkedWrite(p, d.ep, d.clk, wbAddr, ch.wbBuf[:])
+			d.movers.move(p, 0, wbAddr, ch.wbBuf[:], true)
 		}
 		if ch.ctrl()&CtrlIEDescComplete != 0 &&
 			d.regs.Get(IRQBlockBase+RegIRQChanEnable)&ch.irqBit != 0 {

@@ -191,9 +191,10 @@ const (
 // controller supplies host addresses itself instead of having the
 // engine walk an XDMA descriptor list.
 type Port struct {
-	sim *sim.Sim
-	ep  *pcie.Endpoint
-	clk *fpga.Clock
+	sim     *sim.Sim
+	clk     *fpga.Clock
+	movers  *movers
+	program sim.Duration // engine programming per transfer
 
 	reads, writes, readBytes, writeBytes *telemetry.Counter
 	readSpan, writeSpan                  sim.SpanKind
@@ -203,7 +204,9 @@ type Port struct {
 func NewPort(s *sim.Sim, ep *pcie.Endpoint, clk *fpga.Clock) *Port {
 	reg := ep.Metrics()
 	return &Port{
-		sim: s, ep: ep, clk: clk,
+		sim: s, clk: clk,
+		movers:     newMovers(s, ep, clk),
+		program:    clk.Cycles(programCycles),
 		readSpan:   s.SpanKind(telemetry.LayerDMAEngine, "", "port.read"),
 		writeSpan:  s.SpanKind(telemetry.LayerDMAEngine, "", "port.write"),
 		reads:      reg.Counter(telemetry.MetricDMAPortReads),
@@ -229,8 +232,7 @@ func (pt *Port) HostReadInto(p *sim.Proc, addr mem.Addr, dst []byte) {
 	pt.reads.Inc()
 	pt.readBytes.Add(int64(len(dst)))
 	sp := pt.sim.BeginSpan(pt.readSpan)
-	p.Sleep(pt.clk.Cycles(programCycles))
-	chunkedReadInto(p, pt.ep, pt.clk, addr, dst)
+	pt.movers.move(p, pt.program, addr, dst, false)
 	sp.End()
 }
 
@@ -240,37 +242,132 @@ func (pt *Port) HostWrite(p *sim.Proc, addr mem.Addr, data []byte) {
 	pt.writes.Inc()
 	pt.writeBytes.Add(int64(len(data)))
 	sp := pt.sim.BeginSpan(pt.writeSpan)
-	p.Sleep(pt.clk.Cycles(programCycles))
-	chunkedWrite(p, pt.ep, pt.clk, addr, data)
+	pt.movers.move(p, pt.program, addr, data, true)
 	sp.End()
 }
 
 // Clock returns the port's fabric clock.
 func (pt *Port) Clock() *fpga.Clock { return pt.clk }
 
-// chunkedReadInto issues one non-posted read round trip per MPS chunk,
-// landing the bytes directly in dst.
-func chunkedReadInto(p *sim.Proc, ep *pcie.Endpoint, clk *fpga.Clock, addr mem.Addr, dst []byte) {
-	mps := ep.Link().Config().MPS
-	for off := 0; off < len(dst); off += mps {
-		c := len(dst) - off
-		if c > mps {
-			c = mps
-		}
-		p.Sleep(clk.Cycles(chunkReadCycles))
-		ep.DMAReadInto(p, addr+mem.Addr(off), dst[off:off+c])
+// movers is an endpoint's pool of card-side data movers. A transfer is
+// split into MPS-sized chunks, each charged the engine's per-chunk
+// overhead: a read chunk is then a full bus round trip (the engine
+// keeps one request in flight), a write chunk a posted write that
+// holds the engine while the link serializes it. Each transfer runs as
+// one pooled step machine under sim.Proc.SleepSteps, so its waits run
+// on whichever context fires the wake that ends them and the calling
+// fabric process is switched into once, when the transfer ends.
+type movers struct {
+	sim        *sim.Sim
+	ep         *pcie.Endpoint
+	mps        int
+	chunkRead  sim.Duration // engine overhead per read chunk
+	chunkWrite sim.Duration // engine overhead per write chunk
+	free       *mover       // idle movers, linked through next
+
+	// blocking, set only by tests, runs each transfer through the
+	// blocking chunk loop the step machine is checked against.
+	blocking func(p *sim.Proc, m *mover)
+}
+
+// mover is one transfer's step machine, see movers.
+//
+//fvlint:hotpath
+type mover struct {
+	ms    *movers
+	p     *sim.Proc
+	pc    uint8 // where the step resumes: moveLead, moveChunk, ...
+	write bool
+	lead  sim.Duration // slept before the first chunk
+	addr  mem.Addr
+	buf   []byte        // the read's destination or the write's data
+	off   int           // offset of the next chunk within buf
+	rd    *pcie.DMARead // the chunk read in flight
+	step  func() sim.Duration
+	next  *mover // next idle mover
+}
+
+// The points a mover's step resumes at.
+const (
+	moveLead  = iota // sleep the lead
+	moveChunk        // charge the next chunk's engine overhead, or end
+	moveIssue        // issue the chunk's read or write
+	moveAwait        // wait for the chunk read's completions
+)
+
+func newMovers(s *sim.Sim, ep *pcie.Endpoint, clk *fpga.Clock) *movers {
+	return &movers{
+		sim:        s,
+		ep:         ep,
+		mps:        ep.Link().Config().MPS,
+		chunkRead:  clk.Cycles(chunkReadCycles),
+		chunkWrite: clk.Cycles(chunkWriteCycles),
 	}
 }
 
-// chunkedWrite issues posted writes with per-chunk engine overhead.
-func chunkedWrite(p *sim.Proc, ep *pcie.Endpoint, clk *fpga.Clock, addr mem.Addr, data []byte) {
-	mps := ep.Link().Config().MPS
-	for off := 0; off < len(data); off += mps {
-		c := len(data) - off
-		if c > mps {
-			c = mps
+// move blocks p for lead, then moves buf between the card and host
+// memory at addr: reading into buf from the host, or writing buf to it.
+func (ms *movers) move(p *sim.Proc, lead sim.Duration, addr mem.Addr, buf []byte, write bool) {
+	m := ms.free
+	if m != nil {
+		ms.free = m.next
+	} else {
+		m = &mover{ms: ms}
+		m.step = m.run
+	}
+	m.p, m.pc, m.write, m.lead, m.addr, m.buf, m.off = p, moveLead, write, lead, addr, buf, 0
+	if ms.blocking != nil {
+		ms.blocking(p, m)
+	} else {
+		p.SleepSteps(m.step)
+	}
+	m.buf = nil
+	m.next = ms.free
+	ms.free = m
+}
+
+// run is the mover's SleepSteps step: the lead, then per chunk the
+// engine overhead and the chunk's bus time, a read's completions or a
+// write's serialization.
+func (m *mover) run() sim.Duration {
+	ms := m.ms
+	for {
+		switch m.pc {
+		case moveLead:
+			m.pc = moveChunk
+			if m.lead != 0 {
+				return m.lead
+			}
+		case moveChunk:
+			if m.off == len(m.buf) {
+				return 0
+			}
+			m.pc = moveIssue
+			if m.write {
+				return ms.chunkWrite
+			}
+			return ms.chunkRead
+		case moveIssue:
+			c := min(len(m.buf)-m.off, ms.mps)
+			a, chunk := m.addr+mem.Addr(m.off), m.buf[m.off:m.off+c]
+			m.off += c
+			if m.write {
+				m.pc = moveChunk
+				if d := ms.ep.PostDMAWrite(a, chunk).Sub(ms.sim.Now()); d > 0 {
+					return d
+				}
+				continue
+			}
+			m.rd = ms.ep.BeginDMARead(a, chunk)
+			m.pc = moveAwait
+		case moveAwait:
+			if m.rd.Await(m.p) {
+				return sim.Blocked
+			}
+			if !m.rd.Advance() {
+				m.rd = nil
+				m.pc = moveChunk
+			}
 		}
-		p.Sleep(clk.Cycles(chunkWriteCycles))
-		ep.DMAWrite(p, addr+mem.Addr(off), data[off:off+c])
 	}
 }

@@ -95,8 +95,12 @@ func xdmaCount(t *testing.T, cfg fpgavirtio.Config, read func(hostCounters) int6
 // other above the application process, pay one switch per wake instead
 // of two. That took net irq from 33.942 to 19.342 switch-ins per
 // packet, net poll under the chaos plan from 39.78 to 26.48 and the
-// net-stream configuration from 65.84 to 50.51. XDMA's counts did not
-// move and must not.
+// net-stream configuration from 65.84 to 50.51. Card-side DMA transfers
+// run as SleepSteps continuations (xdmaip's movers), so a fabric process
+// is switched into once per port transfer instead of once per MPS
+// chunk's wait. That took net irq from 19.342 to 9.605, net-stream from
+// 50.51 to 14.741, net poll under the chaos plan from 26.48 to 13.126
+// and XDMA poll from 5.77 to 5.567. XDMA irq did not move and must not.
 func TestSwitchesPerPacket(t *testing.T) {
 	chaos := fpgavirtio.Config{Seed: 3, PollMode: true, Faults: experiments.DefaultChaosPlan}
 	irq := fpgavirtio.Config{Seed: 3}
@@ -106,12 +110,13 @@ func TestSwitchesPerPacket(t *testing.T) {
 		max     int64 // per switchPackets packets
 		exactly bool
 	}{
-		{"net poll", netCount(t, chaos, switches), 27 * switchPackets, false},
-		{"net stream", netStreamCount(t, irq, switches), 51 * switchPackets, false},
+		{"net poll", netCount(t, chaos, switches), 14 * switchPackets, false},
+		{"net stream", netStreamCount(t, irq, switches), 15 * switchPackets, false},
 		{"xdma poll", xdmaCount(t, chaos, switches), 6 * switchPackets, false},
-		{"net irq", netCount(t, irq, switches), 19342, true},
+		{"net irq", netCount(t, irq, switches), 9605, true},
 		{"xdma irq", xdmaCount(t, irq, switches), 6005, true},
 	} {
+		t.Logf("%s: %.3f switch-ins per packet", c.name, float64(c.got)/switchPackets)
 		if c.got > c.max || c.exactly && c.got != c.max {
 			want := "at most"
 			if c.exactly {
