@@ -27,8 +27,9 @@ const calendarWindow = Time(32 * Microsecond)
 //	       (at, seq) so the soonest event is at the tail: pop is a
 //	       slice shrink with no sift, and a same-timestamp burst
 //	       drains as consecutive tail pops with no per-event fix-ups.
-//	       The common "fires next" insert is a pure append; any other
-//	       binary-searches its slot and shifts the sooner events up.
+//	       Inserts scan from the tail, where a new event (the largest
+//	       seq so far) sorts among the soonest; the common "fires
+//	       next" case is a pure append.
 //	far  — a plain binary min-heap for at > horizon. Only long timers
 //	       land here, so its log(n) cost is off the per-packet path.
 //
@@ -69,29 +70,18 @@ func (q *equeue) push(e *event, now Time) {
 	q.nearInsert(e)
 }
 
-// nearInsert inserts e into near, keeping it sorted descending. A
-// pushed event carries the largest seq so far, so the soonest event so
-// far (the dominant hot-path case) is a pure append. Otherwise the slot
-// is found by binary search and the sooner events shift up by one copy.
+// nearInsert inserts e into near, keeping it sorted descending. The
+// slot is found by scanning from the tail and the later events shift
+// up in place: a pushed event carries the largest seq so far, so it
+// lands after every queued event at or before its timestamp — the
+// soonest event so far (the dominant hot-path case) is a pure append.
 func (q *equeue) nearInsert(e *event) {
-	n := len(q.near)
-	if n == 0 || eventLess(e, q.near[n-1]) {
-		q.near = append(q.near, e)
-		return
+	q.near = append(q.near, e)
+	i := len(q.near) - 1
+	for ; i > 0 && eventLess(q.near[i-1], e); i-- {
+		q.near[i] = q.near[i-1]
 	}
-	// near[hi] < e; find the first index whose event is less than e.
-	lo, hi := 0, n-1
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if eventLess(q.near[m], e) {
-			hi = m
-		} else {
-			lo = m + 1
-		}
-	}
-	q.near = append(q.near, nil)
-	copy(q.near[lo+1:], q.near[lo:n])
-	q.near[lo] = e
+	q.near[i] = e
 }
 
 // pop removes and returns the (at, seq)-minimal event if its timestamp
