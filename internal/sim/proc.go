@@ -281,10 +281,10 @@ func (p *Proc) SleepSteps(step func() Duration) {
 
 // runSteps runs p's SleepSteps step until it returns 0, reporting
 // true, or until it blocks: it then reports false, after queueing the
-// wake, as Sleep does, when the step's sleep cannot run ahead. p.why
-// names the trigger a Blocked step awaits; it goes stale once a later
-// step sleeps, but is only read when nothing is queued, so not while a
-// wake of p is.
+// wake, as Sleep does, when the step's sleep cannot run ahead. A
+// Blocked step's Await has named the trigger in p.why. A later queued
+// sleep leaves that name in place, which no report can show: only a
+// deadlock report reads p.why, and then no wake of p is queued.
 func (s *Sim) runSteps(p *Proc) bool {
 	for {
 		var d Duration

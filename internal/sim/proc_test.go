@@ -450,9 +450,9 @@ func TestNestedDispatchDepth(t *testing.T) {
 
 // progOp is one step of a randomized process program.
 type progOp struct {
-	kind  int        // see runProgram
-	d     Duration   // the step's delay
-	d2    Duration   // a second delay, for steps that need two
+	kind  int      // see runProgram
+	d     Duration // the step's delay
+	d2    Duration // a second delay, for steps that need two
 	steps []stepOp // kind 8's steps, see withStepOps
 }
 

@@ -104,14 +104,14 @@ func NewVendor(s *sim.Sim, rc *pcie.RootComplex, name string, cfg Config) *Vendo
 	ep.ConfigureMSIX(vectors)
 
 	d := &VendorDevice{
-		sim:  s,
-		clk:  clk,
-		ep:   ep,
-		bram: fpga.NewBRAM(name+".bram", cfg.BRAMBytes),
-		regs: fpga.NewRegFile(),
-		cfg:  cfg,
+		sim:    s,
+		clk:    clk,
+		ep:     ep,
+		bram:   fpga.NewBRAM(name+".bram", cfg.BRAMBytes),
+		regs:   fpga.NewRegFile(),
+		cfg:    cfg,
+		movers: newMovers(ep, clk),
 	}
-	d.movers = newMovers(s, ep, clk)
 	d.h2c = d.newChannel("h2c0", true, H2CChannelBase, H2CSGDMABase, VecH2C, 1<<0)
 	d.c2h = d.newChannel("c2h0", false, C2HChannelBase, C2HSGDMABase, VecC2H, 1<<1)
 

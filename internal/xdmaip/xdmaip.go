@@ -205,7 +205,7 @@ func NewPort(s *sim.Sim, ep *pcie.Endpoint, clk *fpga.Clock) *Port {
 	reg := ep.Metrics()
 	return &Port{
 		sim: s, clk: clk,
-		movers:     newMovers(s, ep, clk),
+		movers:     newMovers(ep, clk),
 		program:    clk.Cycles(programCycles),
 		readSpan:   s.SpanKind(telemetry.LayerDMAEngine, "", "port.read"),
 		writeSpan:  s.SpanKind(telemetry.LayerDMAEngine, "", "port.write"),
@@ -258,7 +258,6 @@ func (pt *Port) Clock() *fpga.Clock { return pt.clk }
 // on whichever context fires the wake that ends them and the calling
 // fabric process is switched into once, when the transfer ends.
 type movers struct {
-	sim        *sim.Sim
 	ep         *pcie.Endpoint
 	mps        int
 	chunkRead  sim.Duration // engine overhead per read chunk
@@ -295,9 +294,8 @@ const (
 	moveAwait        // wait for the chunk read's completions
 )
 
-func newMovers(s *sim.Sim, ep *pcie.Endpoint, clk *fpga.Clock) *movers {
+func newMovers(ep *pcie.Endpoint, clk *fpga.Clock) *movers {
 	return &movers{
-		sim:        s,
 		ep:         ep,
 		mps:        ep.Link().Config().MPS,
 		chunkRead:  clk.Cycles(chunkReadCycles),
@@ -353,7 +351,7 @@ func (m *mover) run() sim.Duration {
 			m.off += c
 			if m.write {
 				m.pc = moveChunk
-				if d := ms.ep.PostDMAWrite(a, chunk).Sub(ms.sim.Now()); d > 0 {
+				if d := ms.ep.PostDMAWrite(a, chunk).Sub(m.p.Now()); d > 0 {
 					return d
 				}
 				continue
