@@ -275,6 +275,55 @@ func TestUnhandledIRQPanics(t *testing.T) {
 	_ = s.Run()
 }
 
+// TestIRQHandlerTable: a vector with no handler panics with the
+// "unhandled IRQ" text whether the endpoint has no handlers, has one
+// on a higher vector only, or has one on a lower vector only; an
+// endpoint of another root complex cannot register a handler.
+func TestIRQHandlerTable(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		registered []int
+	}{
+		{"none", nil},
+		{"higher only", []int{2}},
+		{"lower only", []int{0}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, h := newHost(t, quiet(), 7)
+			cs := pcie.NewConfigSpace(1, 2, 0, 0, 0)
+			cs.SetBARSize(0, 4096)
+			ep := h.RC.Attach("dev", cs, pcie.DefaultGen2x2())
+			ep.SetBarHandlers(0, pcie.BarHandlers{})
+			ep.ConfigureMSIX(3)
+			for _, v := range c.registered {
+				h.RegisterIRQ(ep, v, func(p *sim.Proc) {})
+			}
+			s.Go("enum", func(p *sim.Proc) { h.RC.Enumerate(p) })
+			s.GoAfter(sim.Us(10), "dev", func(p *sim.Proc) { ep.RaiseMSIX(1) })
+			got := func() (r any) {
+				defer func() { r = recover() }()
+				_ = s.Run()
+				return nil
+			}()
+			if want := "hostos: unhandled IRQ dev vector 1"; got != want {
+				t.Fatalf("recovered %#v, want %q", got, want)
+			}
+		})
+	}
+	t.Run("foreign endpoint", func(t *testing.T) {
+		_, h := newHost(t, quiet(), 7)
+		_, other := newHost(t, quiet(), 8)
+		cs := pcie.NewConfigSpace(1, 2, 0, 0, 0)
+		ep := other.RC.Attach("dev", cs, pcie.DefaultGen2x2())
+		defer func() {
+			if r := recover(); r == nil {
+				t.Fatal("RegisterIRQ accepted an endpoint of another root complex")
+			}
+		}()
+		h.RegisterIRQ(ep, 0, func(p *sim.Proc) {})
+	})
+}
+
 func TestWaitQueueWakeLatency(t *testing.T) {
 	s, h := newHost(t, quiet(), 8)
 	wq := h.NewWaitQueue("test")
