@@ -235,16 +235,18 @@ func (p *Proc) Sleep(d Duration) {
 }
 
 // Blocked is the SleepSteps step result of a step that has arranged
-// its own resume, as Trigger.Await does: no wake is queued and the step
-// runs again on the event that resumes the process.
+// its own resume, as Trigger.Await and Cond.Await do: no wake is
+// queued and the step runs again on the event that resumes the
+// process.
 const Blocked = Duration(-1 << 63)
 
 // SleepSteps sleeps for each duration step returns until it returns 0,
-// and waits on a trigger whenever it returns Blocked. It means exactly
+// and waits on a trigger or a Cond whenever it returns Blocked. It
+// means exactly
 //
 //	for d := step(); d != 0; d = step() {
 //		if d == Blocked {
-//			p.Park(why) // the trigger step Awaited resumes p
+//			p.Park(why) // the trigger or Cond step Awaited resumes p
 //		} else {
 //			p.Sleep(d)
 //		}
@@ -254,19 +256,20 @@ const Blocked = Duration(-1 << 63)
 // runs on whichever context fires that wake — the scheduler loop or
 // another process's coroutine, where a callback would run — and p's
 // coroutine is switched into only once step returns 0. A busy loop
-// whose iterations only draw noise, bump counters and sleep, or a data
-// mover that waits on one bus completion after another, then costs no
-// coroutine switches while other processes run between its wakes.
+// whose iterations only draw noise, bump counters and sleep, a data
+// mover that waits on one bus completion after another, or an engine
+// that never returns 0 and waits on its kick between runs, then costs
+// no coroutine switches while other processes run between its wakes.
 // Every wake keeps its (at, seq), every step call runs at the same
 // event in the same order as in the loop, and run-ahead applies to the
 // continuation's wakes under the same rule as Sleep's.
 //
 // step must not block: it must not Sleep, Park or Wait on any process
 // (p's coroutine may be suspended while it runs), and it may use p only
-// to Await a trigger. It may read and write plain state and schedule
-// events. Builds with -tags fvinvariants fail a step that blocks,
-// naming both processes, and one that returns Blocked without having
-// arranged a resume of p.
+// to Await a trigger or a Cond. It may read and write plain state and
+// schedule events. Builds with -tags fvinvariants fail a step that
+// blocks, naming both processes, and one that returns Blocked without
+// having arranged a resume of p.
 func (p *Proc) SleepSteps(step func() Duration) {
 	s := p.sim
 	if fvassert.Enabled && s.stepping != nil {
@@ -282,9 +285,9 @@ func (p *Proc) SleepSteps(step func() Duration) {
 // runSteps runs p's SleepSteps step until it returns 0, reporting
 // true, or until it blocks: it then reports false, after queueing the
 // wake, as Sleep does, when the step's sleep cannot run ahead. A
-// Blocked step's Await has named the trigger in p.why. A later queued
-// sleep leaves that name in place, which no report can show: only a
-// deadlock report reads p.why, and then no wake of p is queued.
+// Blocked step's Await has named the trigger or Cond in p.why. A later
+// queued sleep leaves that name in place, which no report can show:
+// only a deadlock report reads p.why, and then no wake of p is queued.
 func (s *Sim) runSteps(p *Proc) bool {
 	for {
 		var d Duration
@@ -404,8 +407,19 @@ func NewCond(s *Sim, name string) *Cond {
 // occur, but callers that wait on shared state should still re-check
 // their predicate in a loop, as several waiters may be released at once.
 func (c *Cond) Wait(p *Proc) {
-	c.waiters = append(c.waiters, p)
+	c.Await(p)
 	p.park(c.parkName)
+}
+
+// Await is Wait without the park, for a SleepSteps step: it registers
+// p to be resumed by the Broadcast or Signal that releases it, and the
+// step then returns Blocked.
+func (c *Cond) Await(p *Proc) {
+	c.waiters = append(c.waiters, p)
+	p.why = c.parkName
+	if fvassert.Enabled {
+		p.armed = true
+	}
 }
 
 // Signal wakes the longest-waiting process, if any.

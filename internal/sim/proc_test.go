@@ -364,14 +364,30 @@ func TestNestedDispatchStepBlocks(t *testing.T) {
 // SleepSteps step that returns Blocked without arranging a resume of
 // its process fails naming the process, whether the step runs on the
 // process's coroutine (its first call) or as a continuation on the
-// wake that ends an Await, which itself passes.
+// wake that ends a Trigger.Await or a Cond.Await, which itself passes.
 func TestStepBlockedWithoutResume(t *testing.T) {
 	if !fvassert.Enabled {
 		t.Skip("the check is compiled in only with -tags fvinvariants")
 	}
-	for _, first := range []bool{true, false} {
+	firsts := []struct {
+		name  string
+		await func(s *Sim, p *Proc) // arranges a resume of p 5 ns on, or nil
+	}{
+		{"first", nil},
+		{"after-trigger", func(s *Sim, p *Proc) {
+			done := NewTrigger(s, "done")
+			s.After(Ns(5), "done", done.Fire)
+			done.Await(p)
+		}},
+		{"after-cond", func(s *Sim, p *Proc) {
+			c := NewCond(s, "kick")
+			s.After(Ns(5), "kick", c.Broadcast)
+			c.Await(p)
+		}},
+	}
+	for _, f := range firsts {
 		for _, d := range runModes {
-			t.Run(fmt.Sprintf("%s/first=%v", d.name, first), func(t *testing.T) {
+			t.Run(d.name+"/"+f.name, func(t *testing.T) {
 				s := New()
 				s.Go("device", func(p *Proc) {
 					for i := 0; i < 8; i++ {
@@ -380,11 +396,10 @@ func TestStepBlockedWithoutResume(t *testing.T) {
 				})
 				calls := 0
 				s.Go("mover", func(p *Proc) {
-					done := NewTrigger(s, "done")
-					s.After(Ns(5), "done", done.Fire)
 					p.SleepSteps(func() Duration {
 						calls++
-						if calls == 1 && !first && done.Await(p) {
+						if calls == 1 && f.await != nil {
+							f.await(s, p)
 							return Blocked
 						}
 						return Blocked // with no resume arranged
@@ -400,7 +415,7 @@ func TestStepBlockedWithoutResume(t *testing.T) {
 					t.Fatalf("%s recovered %#v, want an fvinvariant failure naming mover", d.name, got)
 				}
 				want := 2
-				if first {
+				if f.await == nil {
 					want = 1
 				}
 				if calls != want {
@@ -408,6 +423,48 @@ func TestStepBlockedWithoutResume(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestCondAwaitDeadlockNamesCond: a step machine that never returns 0
+// and Awaits its kick Cond between runs, like an idle XDMA engine, is
+// reported by Run's deadlock error as waiting on that Cond, whether it
+// is idle from its first step call or after a run that a Broadcast
+// started.
+func TestCondAwaitDeadlockNamesCond(t *testing.T) {
+	for _, kicked := range []bool{false, true} {
+		t.Run(fmt.Sprintf("kicked=%v", kicked), func(t *testing.T) {
+			s := New()
+			kick := NewCond(s, "h2c0.kick")
+			running, runs := false, 0
+			s.Go("xdma0.h2c0", func(p *Proc) {
+				p.SleepSteps(func() Duration {
+					if running {
+						running = false
+						runs++
+						return Ns(40) // the run's sleep
+					}
+					kick.Await(p)
+					running = true
+					return Blocked
+				})
+			})
+			if kicked {
+				s.After(Ns(10), "kick", kick.Broadcast)
+			}
+			err := s.Run()
+			want := "[xdma0.h2c0: wait:h2c0.kick]"
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Run error %v, want a deadlock naming %s", err, want)
+			}
+			wantRuns := 0
+			if kicked {
+				wantRuns = 1
+			}
+			if runs != wantRuns {
+				t.Fatalf("%d runs, want %d", runs, wantRuns)
+			}
+		})
 	}
 }
 
@@ -456,12 +513,21 @@ type progOp struct {
 	steps []stepOp // kind 8's steps, see withStepOps
 }
 
-// stepOp is one step of a kind-8 op: a sleep of d, or, with await set,
-// a wait on a trigger that another process fires d after the op began.
+// stepOp is one step of a kind-8 op: a sleep of d, or a wait that
+// another process ends d after the op began, by firing a trigger or by
+// setting a flag and signalling or broadcasting a Cond.
 type stepOp struct {
-	d     Duration
-	await bool
+	d    Duration
+	wait int // stepSleep, stepTrigger, stepSignal or stepBroadcast
 }
+
+// The kinds of step a stepOp is.
+const (
+	stepSleep = iota
+	stepTrigger
+	stepSignal
+	stepBroadcast
+)
 
 // genPrograms draws a process program per process from seed. The
 // programs are fixed before any run, so every dispatch mode executes
@@ -490,10 +556,11 @@ func genPrograms(seed int64, procs, steps int) [][]progOp {
 // withStepOps turns about a quarter of each program's steps into
 // kind 8: a run of 1 to 6 steps, each a sleep of 1 to 60 ns, the same
 // range as the programs' own short delays, so the sleeps' wakes collide
-// with the peers' wakes and callbacks, or, one time in three, a wait on
-// a trigger fired 0 to 120 ns after the op began, which may come before
-// or after the wait starts. Its own source keeps genPrograms' draws,
-// and so the programs of the other tests, unchanged.
+// with the peers' wakes and callbacks, or, one time in six each, a wait
+// on a trigger or on a Cond ended 0 to 120 ns after the op began, which
+// may come before or after the wait starts. A Cond is signalled or
+// broadcast, one time in two each. Its own source keeps genPrograms'
+// draws, and so the programs of the other tests, unchanged.
 func withStepOps(progs [][]progOp, seed int64) [][]progOp {
 	rng := rand.New(rand.NewSource(-seed))
 	out := make([][]progOp, len(progs))
@@ -505,10 +572,13 @@ func withStepOps(progs [][]progOp, seed int64) [][]progOp {
 			}
 			op := progOp{kind: 8}
 			for k := rng.Intn(6); k >= 0; k-- {
-				if rng.Intn(3) == 0 {
-					op.steps = append(op.steps, stepOp{Duration(rng.Intn(121)) * Nanosecond, true})
-				} else {
-					op.steps = append(op.steps, stepOp{Duration(rng.Intn(60)+1) * Nanosecond, false})
+				switch rng.Intn(6) {
+				case 0:
+					op.steps = append(op.steps, stepOp{Duration(rng.Intn(121)) * Nanosecond, stepTrigger})
+				case 1:
+					op.steps = append(op.steps, stepOp{Duration(rng.Intn(121)) * Nanosecond, stepSignal + rng.Intn(2)})
+				default:
+					op.steps = append(op.steps, stepOp{Duration(rng.Intn(60)+1) * Nanosecond, stepSleep})
 				}
 			}
 			out[i][j] = op
@@ -519,12 +589,13 @@ func withStepOps(progs [][]progOp, seed int64) [][]progOp {
 
 // progRun is the shared state of one run of a set of programs.
 type progRun struct {
-	stops    bool   // whether step kind 7 calls Stop
-	steps    bool   // whether step kind 8 calls SleepSteps or loops over Sleep and Trigger.Wait
-	stepAt   []Time // clock at every kind-8 step call
-	stopAt   Time   // clock at the latest Stop, -1 when none since Run began
-	eligible int    // Sleeps that could skip the queue
-	waits    [2]int // kind-8 trigger waits that blocked, and that found it fired
+	stops     bool   // whether step kind 7 calls Stop
+	steps     bool   // whether step kind 8 calls SleepSteps or loops over Sleep, Trigger.Wait and Cond.Wait
+	stepAt    []Time // clock at every kind-8 step call
+	stopAt    Time   // clock at the latest Stop, -1 when none since Run began
+	eligible  int    // Sleeps that could skip the queue
+	waits     [2]int // kind-8 trigger waits that blocked, and that found it fired
+	condWaits [2]int // kind-8 Cond waits that blocked, ended by Signal and by Broadcast
 
 	// Switch-stack bookkeeping, see observe.
 	nestedRan int   // observations above the bottom of the stack
@@ -624,27 +695,44 @@ func runProgram(p *Proc, prog []progOp, r *progRun) {
 			}
 			sleep(op.d)
 		case 8:
-			// Each await step's trigger is fired by its own process,
-			// started when the op begins.
+			// Each wait step's trigger or Cond is ended by its own
+			// process, started when the op begins.
 			trigs := make([]*Trigger, len(op.steps))
+			conds := make([]*Cond, len(op.steps))
+			done := make([]bool, len(op.steps))
 			for j, st := range op.steps {
-				if st.await {
+				switch st.wait {
+				case stepTrigger:
 					t := NewTrigger(s, "step")
 					trigs[j] = t
 					s.GoAfter(st.d, p.name+".firer", func(c *Proc) {
 						r.observe(c)
 						t.Fire()
 					})
+				case stepSignal, stepBroadcast:
+					c := NewCond(s, "step")
+					conds[j] = c
+					s.GoAfter(st.d, p.name+".waker", func(q *Proc) {
+						r.observe(q)
+						done[j] = true
+						if st.wait == stepSignal {
+							c.Signal()
+						} else {
+							c.Broadcast()
+						}
+					})
 				}
 			}
 			k := 0
-			var waitOn *Trigger // the loop's next Wait
+			var waitOn *Trigger // the loop's next Trigger.Wait
+			var waitCond *Cond  // the loop's next Cond.Wait
 			step := func() Duration {
 				r.stepAt = append(r.stepAt, s.now)
 				for k < len(op.steps) {
-					st, t := op.steps[k], trigs[k]
-					k++
-					if !st.await {
+					st := op.steps[k]
+					switch st.wait {
+					case stepSleep:
+						k++
 						if k%2 == 0 {
 							// Queued before the wake, so it fires first at
 							// the same time, and nests a callback at that
@@ -652,13 +740,28 @@ func runProgram(p *Proc, prog []progOp, r *progRun) {
 							s.After(st.d, "step.cb", func() { s.After(0, "step.cb.nested", func() {}) })
 						}
 						return st.d
+					case stepTrigger:
+						t := trigs[k]
+						k++
+						if r.steps && t.Await(p) || !r.steps && !t.Fired() {
+							r.waits[0]++
+							waitOn, waitCond = t, nil
+							return Blocked
+						}
+						r.waits[1]++
+					default:
+						// The predicate loop a Cond wait needs: the step
+						// runs again on the wake and finds done set.
+						if !done[k] {
+							r.condWaits[st.wait-stepSignal]++
+							if r.steps {
+								conds[k].Await(p)
+							}
+							waitOn, waitCond = nil, conds[k]
+							return Blocked
+						}
+						k++
 					}
-					if r.steps && t.Await(p) || !r.steps && !t.Fired() {
-						r.waits[0]++
-						waitOn = t
-						return Blocked
-					}
-					r.waits[1]++
 				}
 				return 0
 			}
@@ -667,10 +770,13 @@ func runProgram(p *Proc, prog []progOp, r *progRun) {
 			} else {
 				for d := step(); d != 0; d = step() {
 					r.observe(p)
-					if d == Blocked {
-						waitOn.Wait(p)
-					} else {
+					switch {
+					case d != Blocked:
 						sleep(d)
+					case waitCond != nil:
+						waitCond.Wait(p)
+					default:
+						waitOn.Wait(p)
 					}
 				}
 			}
@@ -768,10 +874,10 @@ func TestSleepRunAheadMatchesQueuePath(t *testing.T) {
 }
 
 // TestSleepStepsMatchesSleepLoop runs randomized process programs with
-// kind-8 runs of sleeps and trigger waits under every dispatch mode
-// twice: once through SleepSteps, where a wait is a step that Awaits
-// the trigger and returns Blocked, once through the loop of Sleep and
-// Trigger.Wait it stands for. The
+// kind-8 runs of sleeps, trigger waits and Cond waits under every
+// dispatch mode twice: once through SleepSteps, where a wait is a step
+// that Awaits the trigger or the Cond and returns Blocked, once through
+// the loop of Sleep, Trigger.Wait and Cond.Wait it stands for. The
 // traced event sequences, the queue counters and the clock at every
 // step call must be identical across all six runs; the final clock, and
 // whether any process ran above the bottom of the switch stack, must
@@ -780,13 +886,14 @@ func TestSleepRunAheadMatchesQueuePath(t *testing.T) {
 // continuations never ran.
 func TestSleepStepsMatchesSleepLoop(t *testing.T) {
 	type outcome struct {
-		trace    []TraceRecord
-		stats    QueueStats
-		now      Time
-		stepAt   []Time
-		waits    [2]int
-		nested   bool
-		switches int64
+		trace     []TraceRecord
+		stats     QueueStats
+		now       Time
+		stepAt    []Time
+		waits     [2]int
+		condWaits [2]int
+		nested    bool
+		switches  int64
 	}
 	run := func(seed int64, progs [][]progOp, mode int, steps bool) outcome {
 		m := dispatchModes[mode]
@@ -803,11 +910,11 @@ func TestSleepStepsMatchesSleepLoop(t *testing.T) {
 		if r.stackErr != nil {
 			t.Fatalf("seed %d %s (SleepSteps %v): %v", seed, m.name, steps, r.stackErr)
 		}
-		return outcome{tr.Records, s.Stats(), s.Now(), r.stepAt, r.waits, r.nestedRan > 0, s.Switches()}
+		return outcome{tr.Records, s.Stats(), s.Now(), r.stepAt, r.waits, r.condWaits, r.nestedRan > 0, s.Switches()}
 	}
 	var loopSwitches, stepSwitches int64
 	stepCalls := 0
-	var waits [2]int
+	var waits, condWaits [2]int
 	for seed := int64(1); seed <= 100; seed++ {
 		progs := withStepOps(genPrograms(seed, 1+int(seed%4), 40), seed)
 		var first outcome
@@ -820,6 +927,8 @@ func TestSleepStepsMatchesSleepLoop(t *testing.T) {
 				stepCalls += len(loop.stepAt)
 				waits[0] += loop.waits[0]
 				waits[1] += loop.waits[1]
+				condWaits[0] += loop.condWaits[0]
+				condWaits[1] += loop.condWaits[1]
 			}
 			for _, got := range []outcome{loop, stepped} {
 				if !slices.Equal(got.trace, first.trace) {
@@ -833,6 +942,9 @@ func TestSleepStepsMatchesSleepLoop(t *testing.T) {
 				}
 				if got.waits != first.waits {
 					t.Fatalf("seed %d %s: %v trigger waits blocked and found it fired, Run loop %v", seed, m.name, got.waits, first.waits)
+				}
+				if got.condWaits != first.condWaits {
+					t.Fatalf("seed %d %s: %v Cond waits blocked until Signal and Broadcast, Run loop %v", seed, m.name, got.condWaits, first.condWaits)
 				}
 			}
 			if stepped.now != loop.now {
@@ -848,6 +960,9 @@ func TestSleepStepsMatchesSleepLoop(t *testing.T) {
 	}
 	if waits[0] == 0 || waits[1] == 0 {
 		t.Fatalf("%d trigger waits blocked and %d found it fired; the test must exercise both", waits[0], waits[1])
+	}
+	if condWaits[0] == 0 || condWaits[1] == 0 {
+		t.Fatalf("%d Cond waits blocked until a Signal and %d until a Broadcast; the test must exercise both", condWaits[0], condWaits[1])
 	}
 	if stepSwitches >= loopSwitches {
 		t.Fatalf("SleepSteps switched into processes %d times under Run, the loop %d", stepSwitches, loopSwitches)

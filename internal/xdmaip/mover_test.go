@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"fpgavirtio/internal/faults"
 	"fpgavirtio/internal/fpga"
 	"fpgavirtio/internal/mem"
 	"fpgavirtio/internal/pcie"
@@ -43,6 +44,100 @@ func blockingMove(p *sim.Proc, m *mover) {
 				break
 			}
 		}
+	}
+}
+
+// blockingRun is the blocking engine loop the channels' step machine
+// replaced, kept as its oracle: wait for a rising Run edge, walk the
+// descriptor list, move data through movers.move, then report and
+// interrupt. It counts each finished run in *runs.
+func blockingRun(p *sim.Proc, ch *channel, runs *int) {
+	d := ch.dev
+	for {
+		for ch.ctrl()&CtrlRun != 0 { // require Run low first (edge semantics)
+			ch.kick.Wait(p)
+		}
+		for ch.ctrl()&CtrlRun == 0 {
+			ch.kick.Wait(p)
+		}
+		ch.counter.Begin(p.Now())
+		sp := d.sim.BeginSpan(ch.span)
+		ch.runs.Inc()
+		ch.setStatus(StatusBusy)
+		p.Sleep(d.clk.Cycles(engineStartCycles))
+		failed := d.ep.Faults().Fire(faults.EngineErr)
+		if !failed {
+			descAddr := mem.Addr(uint64(d.regs.Get(ch.sgdma+RegDescLo)) | uint64(d.regs.Get(ch.sgdma+RegDescHi))<<32)
+			completed := uint32(0)
+			for {
+				d.movers.move(p, d.clk.Cycles(descFetchSetupCycles), descAddr, ch.descBuf[:], false)
+				desc, err := DecodeDescriptor(ch.descBuf[:])
+				if err != nil {
+					if d.ep.Faults() != nil {
+						failed = true
+						break
+					}
+					panic(fmt.Sprintf("xdmaip: %s: %v", ch.name, err))
+				}
+				n := int(desc.Len)
+				ch.descs.Inc()
+				ch.dataBytes.Add(int64(n))
+				if cap(ch.dataBuf) < n {
+					ch.dataBuf = make([]byte, n)
+				}
+				data := ch.dataBuf[:n]
+				program, axi := d.clk.Cycles(programCycles), d.clk.Cycles(d.clk.CyclesFor(n, AXIWidthBytes))
+				if ch.h2c {
+					d.movers.move(p, program, mem.Addr(desc.Src), data, false)
+					p.Sleep(axi)
+					d.bram.Write(mem.Addr(desc.Dst), data)
+				} else {
+					p.Sleep(program)
+					d.bram.ReadInto(mem.Addr(desc.Src), data)
+					d.movers.move(p, axi, mem.Addr(desc.Dst), data, true)
+				}
+				completed++
+				d.regs.Set(ch.base+RegChanCompleted, completed)
+				if desc.Control&DescStop != 0 {
+					break
+				}
+				descAddr = mem.Addr(desc.Next)
+			}
+		}
+		p.Sleep(d.clk.Cycles(writebackCycles))
+		if failed {
+			ch.setStatus(StatusDescStopped | StatusDescError)
+		} else {
+			ch.setStatus(StatusDescStopped | StatusDescComplete)
+		}
+		ch.counter.End(p.Now())
+		sp.End()
+		if ch.ctrl()&CtrlPollModeWB != 0 {
+			wb := uint32(WbDone)
+			if failed {
+				wb |= WbErr
+			}
+			ch.wbBuf[0] = byte(wb)
+			ch.wbBuf[1] = byte(wb >> 8)
+			ch.wbBuf[2] = byte(wb >> 16)
+			ch.wbBuf[3] = byte(wb >> 24)
+			wbAddr := mem.Addr(uint64(d.regs.Get(ch.base+RegPollWbLo)) | uint64(d.regs.Get(ch.base+RegPollWbHi))<<32)
+			d.movers.move(p, 0, wbAddr, ch.wbBuf[:], true)
+		}
+		if ch.ctrl()&CtrlIEDescComplete != 0 &&
+			d.regs.Get(IRQBlockBase+RegIRQChanEnable)&ch.irqBit != 0 {
+			d.ep.RaiseMSIX(ch.vector)
+		}
+		if ch.h2c && d.cfg.NotifyOnH2CComplete && !failed {
+			delay := d.cfg.UserLogicDelayCycles
+			if delay == 0 {
+				delay = 250
+			}
+			d.sim.After(d.clk.Cycles(delay), ch.name+".userirq", func() {
+				d.RaiseUserIRQ(0)
+			})
+		}
+		*runs++
 	}
 }
 
@@ -133,13 +228,50 @@ func runPortMoves(t *testing.T, blocking bool) moveOutcome {
 	return done(hostMem.Read(0x80000, 0x10000))
 }
 
-// runVendorMoves runs an H2C descriptor chain signalled by MSI-X, then
-// a C2H run that reports by poll-mode writeback, on the step machine or
-// through the oracle loop.
-func runVendorMoves(t *testing.T, blocking bool) moveOutcome {
-	s, rc, dev, info := newVendorTestbed(t)
-	if blocking {
-		dev.movers.blocking = blockingMove
+// vendorArm is one vendor run TestMoversMatchBlockingLoop compares.
+type vendorArm struct {
+	name   string
+	notify bool   // NotifyOnH2CComplete
+	plan   string // fault plan, "" for none
+	errs   int    // H2C runs that must end in the descriptor-error status
+}
+
+// vendorArms: a clean run; an injected engine error; a descriptor a
+// fault corrupted (the tenth DMA read request is the second H2C
+// descriptor's fetch: its flipped control byte clears DescStop, so the
+// engine fetches a zeroed descriptor with no magic); and the
+// data-ready user interrupt.
+var vendorArms = []vendorArm{
+	{name: "clean"},
+	{name: "engineerr", plan: "engineerr:every=1:count=1", errs: 1},
+	{name: "corrupt", plan: "dmarderr:every=10:count=1", errs: 1},
+	{name: "notify", notify: true},
+}
+
+// runVendorMoves runs an H2C descriptor chain signalled by MSI-X,
+// restarted until it ends without a descriptor error, then a C2H run
+// that reports by poll-mode writeback. It runs the engines on their
+// step machine, or with oracle set through blockingRun and
+// blockingMove, and then fails unless the oracle loop finished every
+// run.
+func runVendorMoves(t *testing.T, arm vendorArm, oracle bool) moveOutcome {
+	cfg := DefaultConfig()
+	cfg.NotifyOnH2CComplete = arm.notify
+	oracleRuns := 0
+	var setup func(d *VendorDevice)
+	if oracle {
+		setup = func(d *VendorDevice) {
+			d.movers.blocking = blockingMove
+			d.engineLoop = func(p *sim.Proc, ch *channel) { blockingRun(p, ch, &oracleRuns) }
+		}
+	}
+	s, rc, _, info := newVendorBed(t, cfg, setup)
+	if arm.plan != "" {
+		plan, err := faults.Parse(arm.plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc.SetFaults(faults.NewInjector(plan, sim.NewRNG(1), telemetry.NewRegistry()))
 	}
 	bar1 := info.BAR[1]
 	const src, wb, back = 0x10000, 0x40000, 0x30000
@@ -149,15 +281,30 @@ func runVendorMoves(t *testing.T, blocking bool) moveOutcome {
 	Descriptor{Len: 1000, Src: src, Dst: 0x100, Next: 0x20020}.Encode(rc.Mem, 0x20000)
 	Descriptor{Control: DescStop | DescEOP, Len: 12, Src: src + 1000, Dst: 0x100 + 1000}.Encode(rc.Mem, 0x20020)
 	Descriptor{Control: DescStop | DescEOP, Len: 1012, Src: 0x100, Dst: back}.Encode(rc.Mem, 0x20040)
+	var irqs [VecUserBase + 1]int
 	irq := sim.NewCond(s, "irq")
-	rc.SetIRQSink(func(ep *pcie.Endpoint, vec int) { irq.Broadcast() })
+	rc.SetIRQSink(func(ep *pcie.Endpoint, vec int) {
+		irqs[vec]++
+		irq.Broadcast()
+	})
+	errs := 0
 	done := watch(s)
 	s.Go("driver", func(p *sim.Proc) {
 		rc.MMIOWrite(p, bar1+IRQBlockBase+RegIRQChanEnable, 4, 0x1)
+		rc.MMIOWrite(p, bar1+IRQBlockBase+RegIRQUserEnable, 4, 0x1)
 		rc.MMIOWrite(p, bar1+H2CSGDMABase+RegDescLo, 4, 0x20000)
-		rc.MMIOWrite(p, bar1+H2CChannelBase+RegChanControl, 4, CtrlRun|CtrlIEDescComplete)
-		irq.Wait(p)
-		rc.MMIOWrite(p, bar1+H2CChannelBase+RegChanControl, 4, 0)
+		for {
+			seen := irqs[VecH2C]
+			rc.MMIOWrite(p, bar1+H2CChannelBase+RegChanControl, 4, CtrlRun|CtrlIEDescComplete)
+			for irqs[VecH2C] == seen {
+				irq.Wait(p)
+			}
+			rc.MMIOWrite(p, bar1+H2CChannelBase+RegChanControl, 4, 0)
+			if rc.MMIORead(p, bar1+H2CChannelBase+RegChanStatus+4, 4)&StatusDescError == 0 {
+				break
+			}
+			errs++
+		}
 		rc.MMIOWrite(p, bar1+C2HSGDMABase+RegDescLo, 4, 0x20040)
 		rc.MMIOWrite(p, bar1+C2HChannelBase+RegPollWbLo, 4, wb)
 		rc.MMIOWrite(p, bar1+C2HChannelBase+RegChanControl, 4, CtrlRun|CtrlPollModeWB)
@@ -165,6 +312,7 @@ func runVendorMoves(t *testing.T, blocking bool) moveOutcome {
 			p.Sleep(sim.Ns(100))
 		}
 		rc.MMIOWrite(p, bar1+C2HChannelBase+RegChanControl, 4, 0)
+		p.Sleep(sim.Us(3)) // past the data-ready interrupt
 		s.Stop()
 	})
 	if err := s.Run(); err != nil {
@@ -173,26 +321,40 @@ func runVendorMoves(t *testing.T, blocking bool) moveOutcome {
 	if got := rc.Mem.Read(back, 1012); !bytes.Equal(got, rc.Mem.Read(src, 1012)) {
 		t.Fatal("the C2H run did not return the H2C chain's bytes")
 	}
+	if errs != arm.errs {
+		t.Fatalf("%d H2C runs ended in a descriptor error, want %d", errs, arm.errs)
+	}
+	wantUser := 0
+	if arm.notify {
+		wantUser = 1
+	}
+	if irqs[VecUserBase] != wantUser {
+		t.Fatalf("%d data-ready interrupts, want %d", irqs[VecUserBase], wantUser)
+	}
+	if want := 2 + errs; oracle && oracleRuns != want {
+		t.Fatalf("the oracle loop finished %d runs, want %d", oracleRuns, want)
+	}
 	return done(rc.Mem.Read(back, 1012))
 }
 
 // TestMoversMatchBlockingLoop: port reads and writes of every size from
-// two processes at once, and a vendor channel's descriptor fetches,
-// H2C and C2H data moves and poll-mode writeback, give the same event
-// trace, spans, queue counters, end clock and data on the step machine
-// as through the blocking chunk loop.
+// two processes at once, and a vendor device's engine runs (descriptor
+// fetches, H2C and C2H data moves, poll-mode writeback, an injected
+// engine error, a fault-corrupted descriptor, the data-ready user
+// interrupt), give the same event trace, spans, queue counters, end
+// clock and data on the step machines as through the blocking loops
+// they replaced.
 func TestMoversMatchBlockingLoop(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		run  func(t *testing.T, blocking bool) moveOutcome
-	}{
-		{"port", runPortMoves},
-		{"vendor", runVendorMoves},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			compareMoves(t, c.run(t, false), c.run(t, true))
-		})
-	}
+	t.Run("port", func(t *testing.T) {
+		compareMoves(t, runPortMoves(t, false), runPortMoves(t, true))
+	})
+	t.Run("vendor", func(t *testing.T) {
+		for _, arm := range vendorArms {
+			t.Run(arm.name, func(t *testing.T) {
+				compareMoves(t, runVendorMoves(t, arm, false), runVendorMoves(t, arm, true))
+			})
+		}
+	})
 }
 
 // BenchmarkPortTransfer measures one port transfer on an idle link:
@@ -232,6 +394,57 @@ func BenchmarkPortTransfer(b *testing.B) {
 				})
 				if err := s.Run(); err != nil {
 					b.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkVendorRun measures one engine run of a one-descriptor list
+// on an idle link: the descriptor fetch, the data move (an H2C read
+// from the host into the BRAM, or a C2H write from the BRAM to the
+// host), the writeback and the completion interrupt. The IRQ sink
+// drops Run, and a callback queued behind the engine's wake raises it
+// again for the next run, so no process but the engine's step machine
+// takes part.
+func BenchmarkVendorRun(b *testing.B) {
+	for _, h2c := range []bool{true, false} {
+		for _, n := range []int{64, 1024} {
+			dir := "c2h"
+			if h2c {
+				dir = "h2c"
+			}
+			b.Run(fmt.Sprintf("%s/%dB", dir, n), func(b *testing.B) {
+				s, rc, dev, _ := newVendorTestbed(b)
+				ch := dev.c2h
+				desc := Descriptor{Control: DescStop | DescEOP, Len: uint32(n), Src: 0, Dst: 0x10000}
+				if h2c {
+					ch = dev.h2c
+					desc.Src, desc.Dst = 0x10000, 0
+				}
+				desc.Encode(rc.Mem, 0x20000)
+				dev.regs.Set(IRQBlockBase+RegIRQChanEnable, ch.irqBit)
+				dev.regs.Set(ch.sgdma+RegDescLo, 0x20000)
+				ctrl := ch.base + RegChanControl
+				start := func() { dev.regs.Write(ctrl, CtrlRun|CtrlIEDescComplete) }
+				left := b.N
+				rc.SetIRQSink(func(ep *pcie.Endpoint, vec int) {
+					dev.regs.Write(ctrl, 0)
+					if left--; left == 0 {
+						s.Stop()
+						return
+					}
+					s.After(0, "start", start)
+				})
+				b.ReportAllocs()
+				b.ResetTimer()
+				start()
+				if err := s.Run(); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if left != 0 {
+					b.Fatalf("%d runs left", left)
 				}
 			})
 		}

@@ -1,6 +1,7 @@
 package xdmaip
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"fpgavirtio/internal/faults"
@@ -56,6 +57,11 @@ type VendorDevice struct {
 
 	h2c *channel
 	c2h *channel
+
+	// engineLoop, set only by tests before the engines start, runs
+	// each engine through the blocking loop its step machine is
+	// checked against.
+	engineLoop func(p *sim.Proc, ch *channel)
 }
 
 // channel is one SGDMA engine (H2C or C2H).
@@ -81,7 +87,37 @@ type channel struct {
 	descBuf [DescSize]byte
 	dataBuf []byte
 	wbBuf   [WbSize]byte
+
+	// The step machine, see run, and the state it keeps across the
+	// resume points of one engine run.
+	p         *sim.Proc
+	step      func() sim.Duration
+	pc        uint8 // where the step resumes: engIdle, engArm, ...
+	sp        sim.SpanRef
+	failed    bool
+	descAddr  mem.Addr
+	completed uint32
+	desc      Descriptor // the descriptor being processed
+	m         *mover     // the data move in flight
 }
+
+// The points an engine's step resumes at.
+const (
+	engIdle      = iota // wait for Run low
+	engArm              // wait for Run high, then start a run
+	engStart            // draw the engine-error fault
+	engFetch            // start the next descriptor's fetch
+	engDecode           // decode it and start its data move
+	engH2CRead          // H2C: read the data from the host
+	engH2CStore         // H2C: store it in the BRAM
+	engC2HLoad          // C2H: load the data from the BRAM
+	engC2HWrite         // C2H: write it to the host
+	engNext             // count the descriptor, then fetch the next or end
+	engWriteback        // writeback time
+	engReport           // set the status, start a poll-mode writeback
+	engPollWb           // write the poll-mode writeback word
+	engSignal           // raise the completion and user interrupts
+)
 
 // NewVendor attaches a vendor XDMA device to the root complex and
 // starts its engines. The returned device is ready for enumeration.
@@ -176,7 +212,8 @@ func (d *VendorDevice) newChannel(name string, h2c bool, base, sgdma uint64, vec
 		d.regs.Set(base+RegChanStatus, v&StatusBusy)
 		return v
 	})
-	d.sim.Go(d.ep.Name()+"."+name, ch.run)
+	ch.step = ch.run
+	d.sim.Go(d.ep.Name()+"."+name, ch.start)
 	return ch
 }
 
@@ -186,105 +223,184 @@ func (ch *channel) setStatus(v uint32) {
 	ch.dev.regs.Set(ch.base+RegChanStatus, v)
 }
 
-// run is the engine finite-state machine: wait for a rising Run edge,
-// walk the descriptor list, move data, then report and interrupt.
-func (ch *channel) run(p *sim.Proc) {
+// start is the engine process: the engine runs as one SleepSteps step
+// machine whose step never returns 0, so its waits, sleeps and data
+// moves all run on the wakes that end them and the process's coroutine
+// is not switched into again.
+func (ch *channel) start(p *sim.Proc) {
+	if ch.dev.engineLoop != nil {
+		ch.dev.engineLoop(p, ch)
+		return
+	}
+	ch.p = p
+	p.SleepSteps(ch.step)
+}
+
+// run is the engine finite-state machine as a SleepSteps step: wait for
+// a rising Run edge, walk the descriptor list, move data, then report
+// and interrupt.
+func (ch *channel) run() sim.Duration {
 	d := ch.dev
 	for {
-		for ch.ctrl()&CtrlRun != 0 { // require Run low first (edge semantics)
-			ch.kick.Wait(p)
-		}
-		for ch.ctrl()&CtrlRun == 0 {
-			ch.kick.Wait(p)
-		}
-		// Counter and span bracket the same engine-run interval so
-		// span-derived hardware attribution matches the RTTSample math.
-		ch.counter.Begin(p.Now())
-		sp := d.sim.BeginSpan(ch.span)
-		ch.runs.Inc()
-		ch.setStatus(StatusBusy)
-		p.Sleep(d.clk.Cycles(engineStartCycles))
-		// Fault hook: an injected engine error aborts the run before any
-		// descriptor is fetched, exactly like a descriptor decode error.
-		failed := d.ep.Faults().Fire(faults.EngineErr)
-		if !failed {
-			descAddr := mem.Addr(uint64(d.regs.Get(ch.sgdma+RegDescLo)) | uint64(d.regs.Get(ch.sgdma+RegDescHi))<<32)
-			completed := uint32(0)
-			for {
-				d.movers.move(p, d.clk.Cycles(descFetchSetupCycles), descAddr, ch.descBuf[:], false)
-				desc, err := DecodeDescriptor(ch.descBuf[:])
-				if err != nil {
-					if d.ep.Faults() != nil {
-						// A fault (e.g. a corrupted DMA read) mangled the
-						// descriptor: halt with the error status instead
-						// of crashing — the driver resets the channel.
-						failed = true
-						break
-					}
-					panic(fmt.Sprintf("xdmaip: %s: %v", ch.name, err))
-				}
-				n := int(desc.Len)
-				ch.descs.Inc()
-				ch.dataBytes.Add(int64(n))
-				if cap(ch.dataBuf) < n {
-					ch.dataBuf = make([]byte, n)
-				}
-				data := ch.dataBuf[:n]
-				program, axi := d.clk.Cycles(programCycles), d.clk.Cycles(d.clk.CyclesFor(n, AXIWidthBytes))
-				if ch.h2c {
-					d.movers.move(p, program, mem.Addr(desc.Src), data, false)
-					p.Sleep(axi)
-					d.bram.Write(mem.Addr(desc.Dst), data)
-				} else {
-					p.Sleep(program)
-					d.bram.ReadInto(mem.Addr(desc.Src), data)
-					d.movers.move(p, axi, mem.Addr(desc.Dst), data, true)
-				}
-				completed++
-				d.regs.Set(ch.base+RegChanCompleted, completed)
-				if desc.Control&DescStop != 0 {
-					break
-				}
-				descAddr = mem.Addr(desc.Next)
+		switch ch.pc {
+		case engIdle:
+			if ch.ctrl()&CtrlRun != 0 { // require Run low first (edge semantics)
+				ch.kick.Await(ch.p)
+				return sim.Blocked
 			}
-		}
-		p.Sleep(d.clk.Cycles(writebackCycles))
-		if failed {
-			ch.setStatus(StatusDescStopped | StatusDescError)
-		} else {
-			ch.setStatus(StatusDescStopped | StatusDescComplete)
-		}
-		ch.counter.End(p.Now())
-		sp.End()
-		if ch.ctrl()&CtrlPollModeWB != 0 {
-			// Poll-mode writeback: DMA-write the run's outcome to the
-			// host slot the driver programmed, through the same posted
-			// write path data takes. No interrupt is involved — with the
-			// IE bits clear and the IRQ block disabled the conditional
-			// below stays false.
-			wb := uint32(WbDone)
-			if failed {
-				wb |= WbErr
+			ch.pc = engArm
+		case engArm:
+			if ch.ctrl()&CtrlRun == 0 {
+				ch.kick.Await(ch.p)
+				return sim.Blocked
 			}
-			ch.wbBuf[0] = byte(wb)
-			ch.wbBuf[1] = byte(wb >> 8)
-			ch.wbBuf[2] = byte(wb >> 16)
-			ch.wbBuf[3] = byte(wb >> 24)
-			wbAddr := mem.Addr(uint64(d.regs.Get(ch.base+RegPollWbLo)) | uint64(d.regs.Get(ch.base+RegPollWbHi))<<32)
-			d.movers.move(p, 0, wbAddr, ch.wbBuf[:], true)
-		}
-		if ch.ctrl()&CtrlIEDescComplete != 0 &&
-			d.regs.Get(IRQBlockBase+RegIRQChanEnable)&ch.irqBit != 0 {
-			d.ep.RaiseMSIX(ch.vector)
-		}
-		if ch.h2c && d.cfg.NotifyOnH2CComplete && !failed {
-			delay := d.cfg.UserLogicDelayCycles
-			if delay == 0 {
-				delay = 250
+			// Counter and span bracket the same engine-run interval so
+			// span-derived hardware attribution matches the RTTSample math.
+			ch.counter.Begin(ch.p.Now())
+			ch.sp = d.sim.BeginSpan(ch.span)
+			ch.runs.Inc()
+			ch.setStatus(StatusBusy)
+			ch.pc = engStart
+			return d.clk.Cycles(engineStartCycles)
+		case engStart:
+			// Fault hook: an injected engine error aborts the run before any
+			// descriptor is fetched, exactly like a descriptor decode error.
+			ch.failed = d.ep.Faults().Fire(faults.EngineErr)
+			if ch.failed {
+				ch.pc = engWriteback
+				continue
 			}
-			d.sim.After(d.clk.Cycles(delay), ch.name+".userirq", func() {
-				d.RaiseUserIRQ(0)
-			})
+			ch.descAddr = mem.Addr(uint64(d.regs.Get(ch.sgdma+RegDescLo)) | uint64(d.regs.Get(ch.sgdma+RegDescHi))<<32)
+			ch.completed = 0
+			ch.pc = engFetch
+		case engFetch:
+			ch.m = d.movers.get(ch.p, d.clk.Cycles(descFetchSetupCycles), ch.descAddr, ch.descBuf[:], false)
+			ch.pc = engDecode
+		case engDecode:
+			if st := ch.move(); st != 0 {
+				return st
+			}
+			desc, err := DecodeDescriptor(ch.descBuf[:])
+			if err != nil {
+				if d.ep.Faults() != nil {
+					// A fault (e.g. a corrupted DMA read) mangled the
+					// descriptor: halt with the error status instead
+					// of crashing — the driver resets the channel.
+					ch.failed = true
+					ch.pc = engWriteback
+					continue
+				}
+				panic(fmt.Sprintf("xdmaip: %s: %v", ch.name, err))
+			}
+			ch.desc = desc
+			n := int(desc.Len)
+			ch.descs.Inc()
+			ch.dataBytes.Add(int64(n))
+			if cap(ch.dataBuf) < n {
+				ch.dataBuf = make([]byte, n)
+			}
+			if ch.h2c {
+				ch.m = d.movers.get(ch.p, d.clk.Cycles(programCycles), mem.Addr(desc.Src), ch.data(), false)
+				ch.pc = engH2CRead
+				continue
+			}
+			ch.pc = engC2HLoad
+			return d.clk.Cycles(programCycles)
+		case engH2CRead:
+			if st := ch.move(); st != 0 {
+				return st
+			}
+			ch.pc = engH2CStore
+			if axi := ch.axi(); axi != 0 {
+				return axi
+			}
+		case engH2CStore:
+			d.bram.Write(mem.Addr(ch.desc.Dst), ch.data())
+			ch.pc = engNext
+		case engC2HLoad:
+			d.bram.ReadInto(mem.Addr(ch.desc.Src), ch.data())
+			ch.m = d.movers.get(ch.p, ch.axi(), mem.Addr(ch.desc.Dst), ch.data(), true)
+			ch.pc = engC2HWrite
+		case engC2HWrite:
+			if st := ch.move(); st != 0 {
+				return st
+			}
+			ch.pc = engNext
+		case engNext:
+			ch.completed++
+			d.regs.Set(ch.base+RegChanCompleted, ch.completed)
+			if ch.desc.Control&DescStop != 0 {
+				ch.pc = engWriteback
+			} else {
+				ch.descAddr = mem.Addr(ch.desc.Next)
+				ch.pc = engFetch
+			}
+		case engWriteback:
+			ch.pc = engReport
+			return d.clk.Cycles(writebackCycles)
+		case engReport:
+			if ch.failed {
+				ch.setStatus(StatusDescStopped | StatusDescError)
+			} else {
+				ch.setStatus(StatusDescStopped | StatusDescComplete)
+			}
+			ch.counter.End(ch.p.Now())
+			ch.sp.End()
+			ch.pc = engSignal
+			if ch.ctrl()&CtrlPollModeWB != 0 {
+				// Poll-mode writeback: DMA-write the run's outcome to the
+				// host slot the driver programmed, through the same posted
+				// write path data takes. No interrupt is involved — with the
+				// IE bits clear and the IRQ block disabled the conditional
+				// in engSignal stays false.
+				wb := uint32(WbDone)
+				if ch.failed {
+					wb |= WbErr
+				}
+				binary.LittleEndian.PutUint32(ch.wbBuf[:], wb)
+				wbAddr := mem.Addr(uint64(d.regs.Get(ch.base+RegPollWbLo)) | uint64(d.regs.Get(ch.base+RegPollWbHi))<<32)
+				ch.m = d.movers.get(ch.p, 0, wbAddr, ch.wbBuf[:], true)
+				ch.pc = engPollWb
+			}
+		case engPollWb:
+			if st := ch.move(); st != 0 {
+				return st
+			}
+			ch.pc = engSignal
+		case engSignal:
+			if ch.ctrl()&CtrlIEDescComplete != 0 &&
+				d.regs.Get(IRQBlockBase+RegIRQChanEnable)&ch.irqBit != 0 {
+				d.ep.RaiseMSIX(ch.vector)
+			}
+			if ch.h2c && d.cfg.NotifyOnH2CComplete && !ch.failed {
+				delay := d.cfg.UserLogicDelayCycles
+				if delay == 0 {
+					delay = 250
+				}
+				d.sim.After(d.clk.Cycles(delay), ch.name+".userirq", func() {
+					d.RaiseUserIRQ(0)
+				})
+			}
+			ch.pc = engIdle
 		}
 	}
+}
+
+// move steps the channel's data mover, returning its step result until
+// the transfer ends, and then the mover to the pool and 0.
+func (ch *channel) move() sim.Duration {
+	if st := ch.m.run(); st != 0 {
+		return st
+	}
+	ch.dev.movers.put(ch.m)
+	ch.m = nil
+	return 0
+}
+
+// data is the staging buffer slice of the current descriptor's bytes.
+func (ch *channel) data() []byte { return ch.dataBuf[:ch.desc.Len] }
+
+// axi is the AXI datapath time of the current descriptor's bytes.
+func (ch *channel) axi() sim.Duration {
+	return ch.dev.clk.Cycles(ch.dev.clk.CyclesFor(int(ch.desc.Len), AXIWidthBytes))
 }

@@ -254,9 +254,11 @@ func (pt *Port) Clock() *fpga.Clock { return pt.clk }
 // overhead: a read chunk is then a full bus round trip (the engine
 // keeps one request in flight), a write chunk a posted write that
 // holds the engine while the link serializes it. Each transfer runs as
-// one pooled step machine under sim.Proc.SleepSteps, so its waits run
-// on whichever context fires the wake that ends them and the calling
-// fabric process is switched into once, when the transfer ends.
+// one pooled step machine, so its waits run on whichever context fires
+// the wake that ends them. A port transfer runs it under
+// sim.Proc.SleepSteps (move), and the calling fabric process is
+// switched into once, when the transfer ends; an SGDMA engine drives
+// it from its own step (get, put), and is not switched into at all.
 type movers struct {
 	ep         *pcie.Endpoint
 	mps        int
@@ -303,9 +305,11 @@ func newMovers(ep *pcie.Endpoint, clk *fpga.Clock) *movers {
 	}
 }
 
-// move blocks p for lead, then moves buf between the card and host
-// memory at addr: reading into buf from the host, or writing buf to it.
-func (ms *movers) move(p *sim.Proc, lead sim.Duration, addr mem.Addr, buf []byte, write bool) {
+// get takes an idle mover and sets it to block p for lead, then move
+// buf between the card and host memory at addr: reading into buf from
+// the host, or writing buf to it. The caller drives the mover's step
+// until it returns 0, then returns it with put.
+func (ms *movers) get(p *sim.Proc, lead sim.Duration, addr mem.Addr, buf []byte, write bool) *mover {
 	m := ms.free
 	if m != nil {
 		ms.free = m.next
@@ -314,14 +318,26 @@ func (ms *movers) move(p *sim.Proc, lead sim.Duration, addr mem.Addr, buf []byte
 		m.step = m.run
 	}
 	m.p, m.pc, m.write, m.lead, m.addr, m.buf, m.off = p, moveLead, write, lead, addr, buf, 0
+	return m
+}
+
+// put returns a finished mover to the idle pool.
+func (ms *movers) put(m *mover) {
+	m.buf = nil
+	m.next = ms.free
+	ms.free = m
+}
+
+// move is get, the mover's step run by p.SleepSteps, and put: it
+// blocks p through the whole transfer.
+func (ms *movers) move(p *sim.Proc, lead sim.Duration, addr mem.Addr, buf []byte, write bool) {
+	m := ms.get(p, lead, addr, buf, write)
 	if ms.blocking != nil {
 		ms.blocking(p, m)
 	} else {
 		p.SleepSteps(m.step)
 	}
-	m.buf = nil
-	m.next = ms.free
-	ms.free = m
+	ms.put(m)
 }
 
 // run is the mover's SleepSteps step: the lead, then per chunk the

@@ -2,6 +2,7 @@ package xdmaip
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -59,12 +60,21 @@ func TestDecodeDescriptorErrors(t *testing.T) {
 }
 
 // newVendorTestbed brings up a vendor XDMA device behind a root complex.
-func newVendorTestbed(t *testing.T) (*sim.Sim, *pcie.RootComplex, *VendorDevice, *pcie.DeviceInfo) {
+func newVendorTestbed(t testing.TB) (*sim.Sim, *pcie.RootComplex, *VendorDevice, *pcie.DeviceInfo) {
+	return newVendorBed(t, DefaultConfig(), nil)
+}
+
+// newVendorBed is newVendorTestbed for a device configured by cfg;
+// setup, when not nil, runs on the device before its engines start.
+func newVendorBed(t testing.TB, cfg Config, setup func(d *VendorDevice)) (*sim.Sim, *pcie.RootComplex, *VendorDevice, *pcie.DeviceInfo) {
 	t.Helper()
 	s := sim.New()
 	hostMem := mem.New(1 << 20)
 	rc := pcie.NewRootComplex(s, hostMem, pcie.DefaultCosts())
-	dev := NewVendor(s, rc, "xdma0", DefaultConfig())
+	dev := NewVendor(s, rc, "xdma0", cfg)
+	if setup != nil {
+		setup(dev)
+	}
 	var info *pcie.DeviceInfo
 	s.Go("enum", func(p *sim.Proc) {
 		infos := rc.Enumerate(p)
@@ -82,6 +92,17 @@ func newVendorTestbed(t *testing.T) (*sim.Sim, *pcie.RootComplex, *VendorDevice,
 		t.Fatalf("IDs = %04x:%04x", info.VendorID, info.DeviceID)
 	}
 	return s, rc, dev, info
+}
+
+// TestIdleEnginesDeadlockNamesKick: with nothing left to run, Run's
+// deadlock report names both idle engines as waiting on their kick.
+func TestIdleEnginesDeadlockNamesKick(t *testing.T) {
+	s, _, _, _ := newVendorTestbed(t)
+	err := s.Run()
+	want := "[xdma0.c2h0: wait:c2h0.kick xdma0.h2c0: wait:h2c0.kick]"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Run error %v, want a deadlock naming %s", err, want)
+	}
 }
 
 func TestVendorH2CAndC2HTransfer(t *testing.T) {

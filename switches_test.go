@@ -100,7 +100,11 @@ func xdmaCount(t *testing.T, cfg fpgavirtio.Config, read func(hostCounters) int6
 // is switched into once per port transfer instead of once per MPS
 // chunk's wait. That took net irq from 19.342 to 9.605, net-stream from
 // 50.51 to 14.741, net poll under the chaos plan from 26.48 to 13.126
-// and XDMA poll from 5.77 to 5.567. XDMA irq did not move and must not.
+// and XDMA poll from 5.77 to 5.567; XDMA irq did not move. The XDMA
+// SGDMA engines run as SleepSteps step machines that never end, so an
+// engine process is not switched into after boot: that took XDMA irq
+// from 6.005 to 2.005, the two per-IRQ ISR spawns left, and XDMA poll
+// under the chaos plan from 5.567 to 0.005. The net arms did not move.
 func TestSwitchesPerPacket(t *testing.T) {
 	chaos := fpgavirtio.Config{Seed: 3, PollMode: true, Faults: experiments.DefaultChaosPlan}
 	irq := fpgavirtio.Config{Seed: 3}
@@ -112,9 +116,9 @@ func TestSwitchesPerPacket(t *testing.T) {
 	}{
 		{"net poll", netCount(t, chaos, switches), 14 * switchPackets, false},
 		{"net stream", netStreamCount(t, irq, switches), 15 * switchPackets, false},
-		{"xdma poll", xdmaCount(t, chaos, switches), 6 * switchPackets, false},
+		{"xdma poll", xdmaCount(t, chaos, switches), 1 * switchPackets, false},
 		{"net irq", netCount(t, irq, switches), 9605, true},
-		{"xdma irq", xdmaCount(t, irq, switches), 6005, true},
+		{"xdma irq", xdmaCount(t, irq, switches), 2005, true},
 	} {
 		t.Logf("%s: %.3f switch-ins per packet", c.name, float64(c.got)/switchPackets)
 		if c.got > c.max || c.exactly && c.got != c.max {
