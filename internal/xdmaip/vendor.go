@@ -101,21 +101,20 @@ type channel struct {
 	m         *mover     // the data move in flight
 }
 
-// The points an engine's step resumes at.
+// The points an engine's step resumes at, once the data move in
+// flight, if any, has ended.
 const (
 	engIdle      = iota // wait for Run low
 	engArm              // wait for Run high, then start a run
 	engStart            // draw the engine-error fault
 	engFetch            // start the next descriptor's fetch
 	engDecode           // decode it and start its data move
-	engH2CRead          // H2C: read the data from the host
-	engH2CStore         // H2C: store it in the BRAM
-	engC2HLoad          // C2H: load the data from the BRAM
-	engC2HWrite         // C2H: write it to the host
+	engH2CAXI           // H2C: the AXI time of the data read from the host
+	engH2CStore         // H2C: store the data in the BRAM
+	engC2HLoad          // C2H: load the data from the BRAM, start its write to the host
 	engNext             // count the descriptor, then fetch the next or end
 	engWriteback        // writeback time
 	engReport           // set the status, start a poll-mode writeback
-	engPollWb           // write the poll-mode writeback word
 	engSignal           // raise the completion and user interrupts
 )
 
@@ -238,10 +237,18 @@ func (ch *channel) start(p *sim.Proc) {
 
 // run is the engine finite-state machine as a SleepSteps step: wait for
 // a rising Run edge, walk the descriptor list, move data, then report
-// and interrupt.
+// and interrupt. A data move in flight is stepped first, and the step
+// resumes at ch.pc once it ends.
 func (ch *channel) run() sim.Duration {
 	d := ch.dev
 	for {
+		if m := ch.m; m != nil {
+			if st := m.run(); st != 0 {
+				return st
+			}
+			d.movers.put(m)
+			ch.m = nil
+		}
 		switch ch.pc {
 		case engIdle:
 			if ch.ctrl()&CtrlRun != 0 { // require Run low first (edge semantics)
@@ -277,9 +284,6 @@ func (ch *channel) run() sim.Duration {
 			ch.m = d.movers.get(ch.p, d.clk.Cycles(descFetchSetupCycles), ch.descAddr, ch.descBuf[:], false)
 			ch.pc = engDecode
 		case engDecode:
-			if st := ch.move(); st != 0 {
-				return st
-			}
 			desc, err := DecodeDescriptor(ch.descBuf[:])
 			if err != nil {
 				if d.ep.Faults() != nil {
@@ -301,15 +305,12 @@ func (ch *channel) run() sim.Duration {
 			}
 			if ch.h2c {
 				ch.m = d.movers.get(ch.p, d.clk.Cycles(programCycles), mem.Addr(desc.Src), ch.data(), false)
-				ch.pc = engH2CRead
+				ch.pc = engH2CAXI
 				continue
 			}
 			ch.pc = engC2HLoad
 			return d.clk.Cycles(programCycles)
-		case engH2CRead:
-			if st := ch.move(); st != 0 {
-				return st
-			}
+		case engH2CAXI:
 			ch.pc = engH2CStore
 			if axi := ch.axi(); axi != 0 {
 				return axi
@@ -320,11 +321,6 @@ func (ch *channel) run() sim.Duration {
 		case engC2HLoad:
 			d.bram.ReadInto(mem.Addr(ch.desc.Src), ch.data())
 			ch.m = d.movers.get(ch.p, ch.axi(), mem.Addr(ch.desc.Dst), ch.data(), true)
-			ch.pc = engC2HWrite
-		case engC2HWrite:
-			if st := ch.move(); st != 0 {
-				return st
-			}
 			ch.pc = engNext
 		case engNext:
 			ch.completed++
@@ -360,13 +356,7 @@ func (ch *channel) run() sim.Duration {
 				binary.LittleEndian.PutUint32(ch.wbBuf[:], wb)
 				wbAddr := mem.Addr(uint64(d.regs.Get(ch.base+RegPollWbLo)) | uint64(d.regs.Get(ch.base+RegPollWbHi))<<32)
 				ch.m = d.movers.get(ch.p, 0, wbAddr, ch.wbBuf[:], true)
-				ch.pc = engPollWb
 			}
-		case engPollWb:
-			if st := ch.move(); st != 0 {
-				return st
-			}
-			ch.pc = engSignal
 		case engSignal:
 			if ch.ctrl()&CtrlIEDescComplete != 0 &&
 				d.regs.Get(IRQBlockBase+RegIRQChanEnable)&ch.irqBit != 0 {
@@ -384,17 +374,6 @@ func (ch *channel) run() sim.Duration {
 			ch.pc = engIdle
 		}
 	}
-}
-
-// move steps the channel's data mover, returning its step result until
-// the transfer ends, and then the mover to the pool and 0.
-func (ch *channel) move() sim.Duration {
-	if st := ch.m.run(); st != 0 {
-		return st
-	}
-	ch.dev.movers.put(ch.m)
-	ch.m = nil
-	return 0
 }
 
 // data is the staging buffer slice of the current descriptor's bytes.
