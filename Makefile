@@ -26,8 +26,10 @@ fmt:
 # lint runs the project's static-analysis suite — the per-package
 # analyzers (ringorder, metricname, hotalloc) plus the interprocedural
 # ones over the whole-module call graph (kickflush, lockorder,
-# detsafe), printing the root→site call path under each cross-function
-# finding. It fails on any diagnostic that lacks an auditable
+# detsafe, and deadcode, which flags every internal/ function that no
+# main, init, public API, function value, interface conversion or
+# other package's test reaches), printing the root→site call path
+# under each cross-function finding. It fails on any diagnostic that lacks an auditable
 # `//fvlint:ignore <analyzer> <reason>` directive, and then audits
 # every suppression in the tree: one without a reason fails the build.
 lint:
@@ -47,7 +49,7 @@ vuln:
 # saved crashers under testdata/fuzz) as ordinary tests — no -fuzz time
 # budget needed, so it is cheap enough for every CI run.
 fuzzseed:
-	$(GO) test -run '^Fuzz' -v ./internal/virtio ./internal/pcie ./internal/faults ./internal/sim ./internal/netstack
+	$(GO) test -run '^Fuzz' -v ./internal/virtio ./internal/faults ./internal/sim ./internal/netstack
 
 # flake runs vet plus the race detector with -count=2: the second pass
 # reruns everything with warm caches and different goroutine timings,

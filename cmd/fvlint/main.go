@@ -1,10 +1,11 @@
 // Command fvlint runs the project's static-analysis suite — ringorder,
-// kickflush, metricname, lockorder, hotalloc, detsafe — over every
-// package of the module. The per-package analyzers check each package
-// in isolation; the interprocedural ones (kickflush, lockorder,
-// detsafe) run once over the whole-module call graph, so a blocking
-// helper, an out-of-order lock, or a wall-clock read hidden several
-// calls deep is still found.
+// kickflush, metricname, lockorder, hotalloc, detsafe, deadcode — over
+// every package of the module. The per-package analyzers check each
+// package in isolation; the interprocedural ones (kickflush, lockorder,
+// detsafe, deadcode) run once over the whole-module call graph, so a
+// blocking helper, an out-of-order lock, a wall-clock read hidden
+// several calls deep, or an internal/ function no program reaches is
+// still found.
 //
 // Usage:
 //
@@ -37,6 +38,7 @@ import (
 	"strings"
 
 	"fpgavirtio/internal/analysis"
+	"fpgavirtio/internal/analysis/deadcode"
 	"fpgavirtio/internal/analysis/detsafe"
 	"fpgavirtio/internal/analysis/hotalloc"
 	"fpgavirtio/internal/analysis/kickflush"
@@ -52,6 +54,7 @@ var analyzers = []*analysis.Analyzer{
 	lockorder.Analyzer,
 	hotalloc.Analyzer,
 	detsafe.Analyzer,
+	deadcode.Analyzer,
 }
 
 // options selects the fvlint mode and output shape.
@@ -88,30 +91,13 @@ func runLint(rootDir string, opts options, out, errw io.Writer) int {
 		fmt.Fprintln(errw, "fvlint:", err)
 		return 2
 	}
-	loader := analysis.NewLoader(modPath, root)
-
-	dirs, err := packageDirs(root)
+	pkgs, failed, err := loadModule(analysis.NewLoader(modPath, root), errw)
 	if err != nil {
 		fmt.Fprintln(errw, "fvlint:", err)
 		return 2
 	}
-
-	failed := false
-	var pkgs []*analysis.Package
 	var diags []analysis.Diagnostic
-	for _, dir := range dirs {
-		rel, _ := filepath.Rel(root, dir)
-		importPath := modPath
-		if rel != "." {
-			importPath = modPath + "/" + filepath.ToSlash(rel)
-		}
-		pkg, err := loader.LoadDir(dir, importPath)
-		if err != nil {
-			fmt.Fprintf(errw, "fvlint: %v\n", err)
-			failed = true
-			continue
-		}
-		pkgs = append(pkgs, pkg)
+	for _, pkg := range pkgs {
 		diags = append(diags, analysis.RunAnalyzers(pkg, analyzers)...)
 	}
 
@@ -152,6 +138,30 @@ func runLint(rootDir string, opts options, out, errw io.Writer) int {
 		return 2
 	}
 	return 0
+}
+
+// loadModule loads every package of the loader's module, printing each
+// package that fails to load to errw and reporting whether any did.
+func loadModule(loader *analysis.Loader, errw io.Writer) (pkgs []*analysis.Package, failed bool, err error) {
+	dirs, err := packageDirs(loader.ModuleRoot)
+	if err != nil {
+		return nil, false, err
+	}
+	for _, dir := range dirs {
+		rel, _ := filepath.Rel(loader.ModuleRoot, dir)
+		importPath := loader.ModulePath
+		if rel != "." {
+			importPath += "/" + filepath.ToSlash(rel)
+		}
+		pkg, err := loader.LoadDir(dir, importPath)
+		if err != nil {
+			fmt.Fprintf(errw, "fvlint: %v\n", err)
+			failed = true
+			continue
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	return pkgs, failed, nil
 }
 
 // runSuppressionsAudit parses every non-testdata Go file under the

@@ -7,6 +7,9 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"fpgavirtio/internal/analysis"
+	"fpgavirtio/internal/analysis/deadcode"
 )
 
 // repoRoot locates the module root from this test file's position, so
@@ -27,6 +30,31 @@ func TestLintRepoIsClean(t *testing.T) {
 	var out, errw bytes.Buffer
 	if code := runLint(repoRoot(t), options{}, &out, &errw); code != 0 {
 		t.Fatalf("fvlint on the repo exited %d, want 0\nstdout:\n%s\nstderr:\n%s", code, out.String(), errw.String())
+	}
+}
+
+// TestDeadcodeCleanUnderBuildTags runs deadcode over the module built
+// with each of the repo's build tags: a function reached only from
+// files one tag adds or drops must still be reached, or suppressed.
+func TestDeadcodeCleanUnderBuildTags(t *testing.T) {
+	root, modPath, err := analysis.FindModule(repoRoot(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tag := range []string{"fvinvariants", "simrefqueue"} {
+		loader := analysis.NewLoader(modPath, root)
+		loader.BuildTags = []string{tag}
+		var errw bytes.Buffer
+		pkgs, failed, err := loadModule(loader, &errw)
+		if err != nil || failed {
+			t.Fatalf("-tags %s: loading the module: %v\n%s", tag, err, errw.String())
+		}
+		graph := analysis.BuildCallGraph(pkgs)
+		for _, d := range analysis.RunModuleAnalyzers(graph, []*analysis.Analyzer{deadcode.Analyzer}) {
+			if !d.Suppressed {
+				t.Errorf("-tags %s: %s", tag, d)
+			}
+		}
 	}
 }
 

@@ -184,9 +184,6 @@ func (g *CallGraph) Functions() []*FuncNode {
 	return g.sorted
 }
 
-// NodeOf returns the graph node of a declared module function.
-func (g *CallGraph) NodeOf(obj *types.Func) *FuncNode { return g.nodes[obj] }
-
 // SitesAt returns the call sites whose call expression starts at pos.
 func (g *CallGraph) SitesAt(pos token.Pos) []*CallSite { return g.sites[pos] }
 

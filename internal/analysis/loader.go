@@ -36,9 +36,6 @@ type Loader struct {
 	// ModulePath and ModuleRoot identify the module being linted.
 	ModulePath string
 	ModuleRoot string
-	// IncludeTests adds _test.go files of the package under test (the
-	// in-package test files; external _test packages are not loaded).
-	IncludeTests bool
 	// BuildTags are additional build tags considered satisfied when
 	// evaluating //go:build lines (see keepFile).
 	BuildTags []string
@@ -102,12 +99,6 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	return p, nil
 }
 
-// Load loads a package of the loader's module by import path.
-func (l *Loader) Load(importPath string) (*Package, error) {
-	rel := strings.TrimPrefix(strings.TrimPrefix(importPath, l.ModulePath), "/")
-	return l.LoadDir(filepath.Join(l.ModuleRoot, filepath.FromSlash(rel)), importPath)
-}
-
 // keepFile evaluates the file's //go:build line, if any: release tags
 // (go1.N) hold up to the running Go version, the loader's BuildTags
 // hold, and every other tag — GOOS, GOARCH, experiments, cgo — is
@@ -140,10 +131,8 @@ func (l *Loader) load(dir, importPath string) (*Package, error) {
 	var names []string
 	for _, e := range entries {
 		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") {
-			continue
-		}
-		if !l.IncludeTests && strings.HasSuffix(n, "_test.go") {
+		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") ||
+			strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") {
 			continue
 		}
 		names = append(names, n)
@@ -160,11 +149,6 @@ func (l *Loader) load(dir, importPath string) (*Package, error) {
 			return nil, err
 		}
 		if !l.keepFile(f) {
-			continue
-		}
-		// In-package test files share the package name; external test
-		// packages (pkg_test) are skipped.
-		if strings.HasSuffix(f.Name.Name, "_test") {
 			continue
 		}
 		if pkgName == "" {
@@ -218,7 +202,8 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 func (m *moduleImporter) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.Package, error) {
 	l := m.l
 	if path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/") {
-		p, err := l.Load(path)
+		rel := strings.TrimPrefix(strings.TrimPrefix(path, l.ModulePath), "/")
+		p, err := l.LoadDir(filepath.Join(l.ModuleRoot, filepath.FromSlash(rel)), path)
 		if err != nil {
 			return nil, err
 		}

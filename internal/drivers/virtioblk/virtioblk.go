@@ -82,9 +82,6 @@ func Probe(p *sim.Proc, h *hostos.Host, info *pcie.DeviceInfo) (*Device, error) 
 	return d, nil
 }
 
-// Indirect reports whether indirect descriptors were negotiated.
-func (d *Device) Indirect() bool { return d.indirect }
-
 // CapacitySectors reports the device capacity from config space.
 func (d *Device) CapacitySectors() uint64 { return d.capacity }
 

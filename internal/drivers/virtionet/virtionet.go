@@ -796,9 +796,6 @@ func (d *Device) SetPromiscuous(p *sim.Proc, on bool) error {
 	return d.ctrlCommand(p, virtio.NetCtrlRx, virtio.NetCtrlRxPromisc, []byte{v})
 }
 
-// Resetting reports whether a device reset recovery is in progress.
-func (d *Device) Resetting() bool { return d.resetting }
-
 // onConfigIRQ handles the config-change interrupt (MSI-X vector 0):
 // the device uses it to announce DEVICE_NEEDS_RESET.
 func (d *Device) onConfigIRQ(p *sim.Proc) {

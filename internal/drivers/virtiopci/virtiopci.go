@@ -225,12 +225,6 @@ func (t *Transport) Negotiate(p *sim.Proc, want virtio.Feature) (virtio.Feature,
 	return t.features, nil
 }
 
-// Features returns the negotiated feature set.
-func (t *Transport) Features() virtio.Feature { return t.features }
-
-// NumQueues returns the device's queue count.
-func (t *Transport) NumQueues() int { return t.numQueues }
-
 // DriverOK completes bring-up.
 func (t *Transport) DriverOK(p *sim.Proc) {
 	st := virtio.StatusAcknowledge | virtio.StatusDriver | virtio.StatusFeaturesOK | virtio.StatusDriverOK

@@ -343,17 +343,3 @@ func (inj *Injector) Summary() map[string]int64 {
 	}
 	return out
 }
-
-// Armed lists the armed classes in canonical order. Nil-safe.
-func (inj *Injector) Armed() []Class {
-	if inj == nil {
-		return nil
-	}
-	out := make([]Class, 0, len(inj.plan.Rules))
-	for _, c := range Classes {
-		if inj.armed[c] != nil {
-			out = append(out, c)
-		}
-	}
-	return out
-}

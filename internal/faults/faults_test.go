@@ -97,7 +97,7 @@ func TestNilInjector(t *testing.T) {
 	if inj.Total() != 0 || inj.Injected(IRQDrop) != 0 {
 		t.Error("nil injector has counts")
 	}
-	if inj.Enabled(TLPDrop) || inj.Summary() != nil || inj.Armed() != nil || inj.Plan() != nil {
+	if inj.Enabled(TLPDrop) || inj.Summary() != nil || inj.Plan() != nil {
 		t.Error("nil injector reports armed state")
 	}
 	if NewInjector(nil, sim.NewRNG(1), telemetry.NewRegistry()) != nil {
@@ -212,9 +212,9 @@ func TestSummaryAndArmed(t *testing.T) {
 	if sum["needsreset"] != 1 || sum["irqdrop"] != 2 {
 		t.Errorf("summary = %v", sum)
 	}
-	armed := inj.Armed()
-	if len(armed) != 2 || armed[0] != IRQDrop || armed[1] != NeedsReset {
-		t.Errorf("armed = %v", armed)
+	if !inj.Enabled(IRQDrop) || !inj.Enabled(NeedsReset) || inj.Enabled(TLPDrop) {
+		t.Errorf("armed classes: irqdrop %v needsreset %v tlpdrop %v, want true true false",
+			inj.Enabled(IRQDrop), inj.Enabled(NeedsReset), inj.Enabled(TLPDrop))
 	}
 	if got := inj.Plan().String(); got != "needsreset:every=2:count=1,irqdrop:every=3" {
 		t.Errorf("plan = %q", got)

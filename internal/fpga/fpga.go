@@ -76,8 +76,6 @@ type PerfCounter struct {
 	started bool
 	begin   sim.Time
 	samples []sim.Duration
-	// accumulating mode: sub-intervals summed into one sample
-	accum sim.Duration
 }
 
 // NewPerfCounter returns an idle counter on clk.
@@ -104,22 +102,9 @@ func (pc *PerfCounter) End(now sim.Time) sim.Duration {
 		panic("fpga: perf counter " + pc.name + " not started")
 	}
 	pc.started = false
-	d := pc.quantize(now.Sub(pc.begin)) + pc.accum
-	pc.accum = 0
+	d := pc.quantize(now.Sub(pc.begin))
 	pc.samples = append(pc.samples, d)
 	return d
-}
-
-// Pause closes the current sub-interval, accumulating it into the
-// pending sample without emitting it; a later Begin/End continues the
-// same sample. This models gating the counter while the engine waits on
-// work that should not be attributed to hardware.
-func (pc *PerfCounter) Pause(now sim.Time) {
-	if !pc.started {
-		panic("fpga: perf counter " + pc.name + " not started")
-	}
-	pc.started = false
-	pc.accum += pc.quantize(now.Sub(pc.begin))
 }
 
 func (pc *PerfCounter) quantize(d sim.Duration) sim.Duration {
@@ -131,12 +116,11 @@ func (pc *PerfCounter) quantize(d sim.Duration) sim.Duration {
 // modify it).
 func (pc *PerfCounter) Samples() []sim.Duration { return pc.samples }
 
-// Reset discards recorded samples and accumulated sub-intervals. An
-// interval that is currently open stays open (the hardware may be mid-
-// operation); its eventual End lands in the fresh sample list.
+// Reset discards recorded samples. An interval that is currently open
+// stays open (the hardware may be mid-operation); its eventual End
+// lands in the fresh sample list.
 func (pc *PerfCounter) Reset() {
 	pc.samples = pc.samples[:0]
-	pc.accum = 0
 }
 
 // TakeLast removes and returns the most recent sample; ok is false if

@@ -71,18 +71,6 @@ func TestPerfCounterQuantizeProperty(t *testing.T) {
 	}
 }
 
-func TestPerfCounterPauseAccumulates(t *testing.T) {
-	clk := Default125MHz()
-	pc := NewPerfCounter(clk, "dma")
-	pc.Begin(0)
-	pc.Pause(sim.Time(sim.Ns(80))) // 10 cycles
-	pc.Begin(sim.Time(sim.Ns(1000)))
-	d := pc.End(sim.Time(sim.Ns(1080))) // +10 cycles
-	if d != sim.Ns(160) {
-		t.Fatalf("accumulated = %v, want 160ns", d)
-	}
-}
-
 func TestPerfCounterMisusePanics(t *testing.T) {
 	clk := Default125MHz()
 	pc := NewPerfCounter(clk, "x")

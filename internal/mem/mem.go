@@ -249,7 +249,3 @@ func (al *Allocator) Alloc(n int, align int) Addr {
 	al.mem.Fill(a, n, 0)
 	return a
 }
-
-// Remaining reports how many bytes are still available (ignoring
-// alignment waste of future allocations).
-func (al *Allocator) Remaining() int { return int(al.end - al.next) }

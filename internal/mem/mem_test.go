@@ -193,12 +193,12 @@ func TestAllocatorBadAlignPanics(t *testing.T) {
 func TestAllocatorRemaining(t *testing.T) {
 	m := New(128)
 	al := NewAllocator(m, 0, 128)
-	if al.Remaining() != 128 {
-		t.Fatalf("remaining = %d", al.Remaining())
+	if got := al.end - al.next; got != 128 {
+		t.Fatalf("remaining = %d", got)
 	}
 	al.Alloc(28, 1)
-	if al.Remaining() != 100 {
-		t.Fatalf("remaining = %d, want 100", al.Remaining())
+	if got := al.end - al.next; got != 100 {
+		t.Fatalf("remaining = %d, want 100", got)
 	}
 }
 

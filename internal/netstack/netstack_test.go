@@ -52,7 +52,7 @@ func sampleDatagram(payload []byte) UDPDatagram {
 
 func TestFrameRoundTrip(t *testing.T) {
 	d := sampleDatagram([]byte("the quick brown fox"))
-	f := d.EncodeFrame(true)
+	f := d.EncodeFrameInto(nil, true)
 	if !VerifyIPChecksum(f) || !VerifyUDPChecksum(f) {
 		t.Fatal("checksums invalid after encode")
 	}
@@ -79,7 +79,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 			SrcPort: sp, DstPort: dp,
 			Payload: payload,
 		}
-		fr := d.EncodeFrame(true)
+		fr := d.EncodeFrameInto(nil, true)
 		if !VerifyIPChecksum(fr) || !VerifyUDPChecksum(fr) {
 			return false
 		}
@@ -98,7 +98,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 
 func TestMinFramePadding(t *testing.T) {
 	d := sampleDatagram([]byte{1})
-	f := d.EncodeFrame(true)
+	f := d.EncodeFrameInto(nil, true)
 	if len(f) != MinFrameSize {
 		t.Fatalf("frame = %d bytes, want %d", len(f), MinFrameSize)
 	}
@@ -116,13 +116,13 @@ func TestDecodeErrors(t *testing.T) {
 		t.Fatal("short frame accepted")
 	}
 	d := sampleDatagram([]byte("x"))
-	f := d.EncodeFrame(true)
+	f := d.EncodeFrameInto(nil, true)
 	f[12] = 0x08
 	f[13] = 0x06 // ARP
 	if _, err := DecodeFrame(f); err == nil {
 		t.Fatal("non-IPv4 accepted")
 	}
-	f = d.EncodeFrame(true)
+	f = d.EncodeFrameInto(nil, true)
 	f[EthHdrSize+9] = 6 // TCP
 	if _, err := DecodeFrame(f); err == nil {
 		t.Fatal("non-UDP accepted")
@@ -131,7 +131,7 @@ func TestDecodeErrors(t *testing.T) {
 
 func TestZeroUDPChecksumPasses(t *testing.T) {
 	d := sampleDatagram([]byte("no checksum"))
-	f := d.EncodeFrame(false)
+	f := d.EncodeFrameInto(nil, false)
 	if !VerifyUDPChecksum(f) {
 		t.Fatal("zero checksum must pass per RFC 768")
 	}
@@ -150,7 +150,7 @@ func TestZeroUDPChecksumPasses(t *testing.T) {
 
 func TestCorruptedChecksumDetected(t *testing.T) {
 	d := sampleDatagram([]byte("payload-to-corrupt"))
-	f := d.EncodeFrame(true)
+	f := d.EncodeFrameInto(nil, true)
 	f[len(f)-1] ^= 0xff
 	if VerifyUDPChecksum(f) {
 		t.Fatal("corruption not detected")
@@ -159,8 +159,8 @@ func TestCorruptedChecksumDetected(t *testing.T) {
 
 func TestBuildEchoResponse(t *testing.T) {
 	d := sampleDatagram([]byte("ping"))
-	req := d.EncodeFrame(true)
-	resp, err := BuildEchoResponse(req)
+	req := d.EncodeFrameInto(nil, true)
+	resp, err := BuildEchoResponseInto(req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func (n *loopNIC) Xmit(p *sim.Proc, pkt TxPacket) error {
 			return err
 		}
 	}
-	resp, err := BuildEchoResponse(frame)
+	resp, err := BuildEchoResponseInto(frame, nil)
 	if err != nil {
 		return err
 	}
@@ -359,7 +359,7 @@ func TestInputDropsUnknownPort(t *testing.T) {
 	s, st, _ := buildStack(t, Offloads{})
 	d := sampleDatagram([]byte("stray"))
 	d.DstPort = 9999 // not bound
-	frame := d.EncodeFrame(true)
+	frame := d.EncodeFrameInto(nil, true)
 	var err error
 	s.Go("rx", func(p *sim.Proc) {
 		err = st.Input(p, RxPacket{Frame: frame})
@@ -377,7 +377,7 @@ func TestInputRejectsBadChecksum(t *testing.T) {
 	sock, _ := st.Bind(7777)
 	_ = sock
 	d := sampleDatagram([]byte("corrupt-me"))
-	frame := d.EncodeFrame(true)
+	frame := d.EncodeFrameInto(nil, true)
 	frame[EthHdrSize+IPv4HdrSize+UDPHdrSize] ^= 1 // flip a payload byte, not trailing pad
 	var errSW, errHW error
 	s.Go("rx", func(p *sim.Proc) {

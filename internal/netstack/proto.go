@@ -99,14 +99,6 @@ func pseudoHeaderSum(src, dst IPv4, udpLen int) uint32 {
 	return sum
 }
 
-// EncodeFrame renders the datagram as an Ethernet frame. When
-// computeUDPCsum is false the UDP checksum field is left zero (the
-// sender expects hardware offload to fill it, exactly the VirtIO
-// NET_F_CSUM contract).
-func (d UDPDatagram) EncodeFrame(computeUDPCsum bool) []byte {
-	return d.EncodeFrameInto(nil, computeUDPCsum)
-}
-
 // EncodeFrameInto renders the datagram into buf, reallocating only when
 // buf's capacity is too small, and returns the encoded frame. Callers
 // on the per-packet path keep the returned slice as their scratch for
@@ -256,16 +248,12 @@ func FillUDPChecksum(f []byte) error {
 	return nil
 }
 
-// BuildEchoResponse transforms a received UDP frame into its echo
+// BuildEchoResponseInto transforms a received UDP frame into its echo
 // reply: swap MACs, IPs and ports, keep the payload, recompute
 // checksums. This is what the paper's FPGA user logic does ("the user
-// logic on the FPGA responds with a UDP packet of the same size").
-func BuildEchoResponse(f []byte) ([]byte, error) {
-	return BuildEchoResponseInto(f, nil)
-}
-
-// BuildEchoResponseInto is BuildEchoResponse rendering into buf's
-// capacity (which must not alias f), reallocating only on growth.
+// logic on the FPGA responds with a UDP packet of the same size"). The
+// reply renders into buf's capacity (which must not alias f),
+// reallocating only on growth.
 func BuildEchoResponseInto(f, buf []byte) ([]byte, error) {
 	d, err := DecodeFrame(f)
 	if err != nil {

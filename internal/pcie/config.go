@@ -100,11 +100,6 @@ func (c *ConfigSpace) SetBARSize(i int, size uint32) {
 // BARSize reports the declared size of BAR i (0 if unimplemented).
 func (c *ConfigSpace) BARSize(i int) uint32 { return c.barSize[i] }
 
-// BARAddr reports the address programmed into BAR i.
-func (c *ConfigSpace) BARAddr(i int) uint32 {
-	return c.u32(CfgBAR0+4*i) &^ 0xf
-}
-
 // AddCapability appends a capability with the given ID and body (the
 // bytes following the 2-byte [id, next] header) to the chain and
 // returns its config-space offset.
@@ -176,30 +171,5 @@ func (c *ConfigSpace) Write32(off int, v uint32) {
 	}
 }
 
-// MemEnabled reports whether memory-space decoding is on.
-func (c *ConfigSpace) MemEnabled() bool { return c.u16(CfgCommand)&CmdMemEnable != 0 }
-
 // BusMaster reports whether the function may issue DMA.
 func (c *ConfigSpace) BusMaster() bool { return c.u16(CfgCommand)&CmdBusMaster != 0 }
-
-// Capabilities walks the capability chain, returning (id, offset) pairs.
-func (c *ConfigSpace) Capabilities() []CapabilityRef {
-	var out []CapabilityRef
-	if c.u16(CfgStatus)&StatusCapList == 0 {
-		return out
-	}
-	seen := map[int]bool{}
-	off := int(c.raw[CfgCapPtr])
-	for off != 0 && !seen[off] {
-		seen[off] = true
-		out = append(out, CapabilityRef{ID: c.raw[off], Offset: off})
-		off = int(c.raw[off+1])
-	}
-	return out
-}
-
-// CapabilityRef locates one capability in config space.
-type CapabilityRef struct {
-	ID     byte
-	Offset int
-}

@@ -39,7 +39,6 @@ type Endpoint struct {
 	cplErrs    *telemetry.Counter
 
 	msixVectors int
-	msixMasked  []bool
 	msixOps     []*msixOp
 
 	readOps  []*DMARead
@@ -76,7 +75,6 @@ func (ep *Endpoint) SetBarHandlers(i int, h BarHandlers) {
 // exposes (mirrored in the MSI-X capability added by the device model).
 func (ep *Endpoint) ConfigureMSIX(vectors int) {
 	ep.msixVectors = vectors
-	ep.msixMasked = make([]bool, vectors)
 	ep.msixOps = make([]*msixOp, vectors)
 	for v := 0; v < vectors; v++ {
 		op := &msixOp{ep: ep, vector: v, label: ep.link.Label("MSIX:" + strconv.Itoa(v))}
@@ -90,12 +88,6 @@ func (ep *Endpoint) ConfigureMSIX(vectors int) {
 		}
 		ep.msixOps[v] = op
 	}
-}
-
-// MaskMSIX masks or unmasks one vector (used by interrupt-suppression
-// ablations; the kernel masks vectors while servicing).
-func (ep *Endpoint) MaskMSIX(vector int, masked bool) {
-	ep.msixMasked[vector] = masked
 }
 
 // barRead services an inbound memory read at arrival time.
@@ -355,9 +347,6 @@ func (ep *Endpoint) RaiseMSIX(v int) {
 	ep.requireBusMaster("RaiseMSIX")
 	if v < 0 || v >= ep.msixVectors {
 		panic(fmt.Sprintf("pcie: %s: MSI-X vector %d out of range (%d configured)", ep.name, v, ep.msixVectors))
-	}
-	if ep.msixMasked[v] {
-		return
 	}
 	if inj := ep.Faults(); inj != nil {
 		if inj.Fire(faults.IRQDrop) {

@@ -79,9 +79,6 @@ func NewRootComplex(s *sim.Sim, m *mem.Memory, costs Costs) *RootComplex {
 	return rc
 }
 
-// Costs returns the platform latency constants.
-func (rc *RootComplex) Costs() Costs { return rc.costs }
-
 // SetIRQSink installs the platform interrupt handler (the host model's
 // interrupt controller).
 func (rc *RootComplex) SetIRQSink(fn func(ep *Endpoint, vector int)) { rc.irqSink = fn }

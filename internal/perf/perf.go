@@ -239,6 +239,3 @@ func (t *Table) String() string {
 // Us formats a duration as microseconds with one decimal, the unit the
 // paper's tables use.
 func Us(d sim.Duration) string { return fmt.Sprintf("%.1f", d.Microseconds()) }
-
-// Us2 formats with two decimals for small quantities.
-func Us2(d sim.Duration) string { return fmt.Sprintf("%.2f", d.Microseconds()) }

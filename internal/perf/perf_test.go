@@ -161,7 +161,4 @@ func TestUsFormat(t *testing.T) {
 	if Us(sim.NsF(35123)) != "35.1" {
 		t.Fatalf("Us = %q", Us(sim.NsF(35123)))
 	}
-	if Us2(sim.NsF(1234)) != "1.23" {
-		t.Fatalf("Us2 = %q", Us2(sim.NsF(1234)))
-	}
 }

@@ -339,9 +339,6 @@ func NewTrigger(s *Sim, name string) *Trigger {
 	return &Trigger{sim: s, name: name, parkName: s.internName("trigger", name)}
 }
 
-// Fired reports whether the trigger has fired.
-func (t *Trigger) Fired() bool { return t.fired }
-
 // Wait suspends p until the trigger fires. If it already fired, Wait
 // returns immediately without yielding.
 func (t *Trigger) Wait(p *Proc) {
@@ -423,6 +420,8 @@ func (c *Cond) Await(p *Proc) {
 }
 
 // Signal wakes the longest-waiting process, if any.
+//
+//fvlint:ignore deadcode wake-one half of Cond; TestSleepStepsMatchesSleepLoop checks Cond.Await against Cond.Wait under both Signal and Broadcast
 func (c *Cond) Signal() {
 	if len(c.waiters) == 0 {
 		return

@@ -743,7 +743,7 @@ func runProgram(p *Proc, prog []progOp, r *progRun) {
 					case stepTrigger:
 						t := trigs[k]
 						k++
-						if r.steps && t.Await(p) || !r.steps && !t.Fired() {
+						if r.steps && t.Await(p) || !r.steps && !t.fired {
 							r.waits[0]++
 							waitOn, waitCond = t, nil
 							return Blocked

@@ -76,12 +76,6 @@ func (r *RNG) Intn(n int) int {
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
 
-// Normal returns a standard normal variate (Box–Muller, polar form
-// avoided to keep consumption deterministic at two uniforms per call).
-func (r *RNG) Normal() float64 {
-	return boxMuller(r.uniformPair())
-}
-
 // LogNormal returns exp(N(mu, sigma)).
 func (r *RNG) LogNormal(mu, sigma float64) float64 {
 	u1, u2 := r.uniformPair()

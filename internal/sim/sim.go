@@ -330,6 +330,8 @@ func (s *Sim) runAhead(at Time, p *Proc) {
 // It reports whether an event was executed. Step always returns after
 // exactly one event: the chained fast path stays off, so a resumed
 // process yields control back to the scheduler as soon as it parks.
+//
+//fvlint:ignore deadcode unchained dispatch oracle of TestSleepRunAheadMatchesQueuePath and TestSleepStepsMatchesSleepLoop
 func (s *Sim) Step() bool {
 	s.deadline = maxTime
 	e := s.popLive(maxTime)

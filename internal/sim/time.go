@@ -37,9 +37,6 @@ func Ms(n int64) Duration { return Duration(n) * Millisecond }
 // rounding to the nearest picosecond.
 func NsF(ns float64) Duration { return Duration(ns*1000 + 0.5) }
 
-// UsF converts a floating-point microsecond count to a Duration.
-func UsF(us float64) Duration { return NsF(us * 1000) }
-
 // Nanoseconds reports d as a floating-point number of nanoseconds.
 func (d Duration) Nanoseconds() float64 { return float64(d) / float64(Nanosecond) }
 

@@ -8,16 +8,6 @@ import (
 	"strconv"
 )
 
-// WriteMetricsJSON dumps a metric snapshot as a JSON array.
-func WriteMetricsJSON(w io.Writer, snaps []MetricSnapshot) error {
-	if snaps == nil {
-		snaps = []MetricSnapshot{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(snaps)
-}
-
 // WriteMetricsCSV dumps a metric snapshot as CSV. Histograms flatten
 // to one row per bucket plus a summary row.
 func WriteMetricsCSV(w io.Writer, snaps []MetricSnapshot) error {

@@ -272,10 +272,6 @@ func (fr *FlightRecorder) Dumps() []FlightDump {
 	return out
 }
 
-// Captured reports the total spans pushed into the ring over the
-// recorder's lifetime (not just those currently resident).
-func (fr *FlightRecorder) Captured() int64 { return fr.captured.Value() }
-
 // Len reports the spans currently resident in the ring.
 func (fr *FlightRecorder) Len() int { return fr.n }
 

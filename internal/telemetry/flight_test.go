@@ -18,8 +18,8 @@ func TestFlightRingWrap(t *testing.T) {
 	if fr.Len() != 4 {
 		t.Fatalf("ring holds %d spans, want 4", fr.Len())
 	}
-	if fr.Captured() != 6 {
-		t.Fatalf("captured = %d, want 6", fr.Captured())
+	if got := fr.captured.Value(); got != 6 {
+		t.Fatalf("captured = %d, want 6", got)
 	}
 	if !fr.Snapshot("test", ps(10)) {
 		t.Fatal("snapshot refused with free slots")

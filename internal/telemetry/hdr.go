@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // HDR histogram: log-bucketed latency recording with bounded relative
 // error, replacing fixed-bucket histograms for per-layer latency. A
@@ -102,57 +99,6 @@ func (h *HDRHistogram) Max() int64 { return h.max }
 
 // Name reports the registered name.
 func (h *HDRHistogram) Name() string { return h.name }
-
-// Quantile estimates the q-th percentile (q in (0, 100]) by
-// nearest-rank over the bucket counts, returning the bucket's upper
-// bound clamped to the exact observed extremes — so Quantile(100)
-// equals Max exactly, and every estimate is within 1/64 relative error
-// of the true sample percentile.
-func (h *HDRHistogram) Quantile(q float64) int64 {
-	if h.count == 0 {
-		return 0
-	}
-	// Same nearest-rank arithmetic (and float-epsilon guard) as
-	// perf.Series.Percentile, so series and histogram views agree.
-	rank := int64(math.Ceil(q/100*float64(h.count) - 1e-9))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for i := range h.counts {
-		seen += h.counts[i]
-		if seen >= rank {
-			v := hdrUpperBound(i)
-			if v > h.max {
-				v = h.max
-			}
-			if h.min >= 0 && v < h.min {
-				v = h.min
-			}
-			return v
-		}
-	}
-	return h.max
-}
-
-// Merge folds other's counts into h (for aggregating per-session
-// instruments into a run-level view).
-func (h *HDRHistogram) Merge(other *HDRHistogram) {
-	if other == nil || other.count == 0 {
-		return
-	}
-	for i := range h.counts {
-		h.counts[i] += other.counts[i]
-	}
-	h.count += other.count
-	h.sum += other.sum
-	if h.min < 0 || (other.min >= 0 && other.min < h.min) {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-}
 
 // Buckets returns the non-empty buckets in ascending bound order as
 // snapshot buckets (non-cumulative counts, inclusive upper bounds).

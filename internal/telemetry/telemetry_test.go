@@ -172,8 +172,8 @@ func TestSnapshotSortedAndSerializable(t *testing.T) {
 	}
 	// Every bucket bound is finite, so the JSON dump round-trips.
 	var buf bytes.Buffer
-	if err := WriteMetricsJSON(&buf, snaps); err != nil {
-		t.Fatalf("WriteMetricsJSON: %v", err)
+	if err := json.NewEncoder(&buf).Encode(snaps); err != nil {
+		t.Fatalf("encoding the snapshot: %v", err)
 	}
 	if !strings.Contains(buf.String(), `e+06`) {
 		t.Errorf("large bucket bound not written in %%g form:\n%s", buf.String())

@@ -48,9 +48,6 @@ func NewBlk(s *sim.Sim, rc *pcie.RootComplex, name string, opt BlkOptions) *BlkD
 // Controller returns the underlying VirtIO controller.
 func (d *BlkDevice) Controller() *Controller { return d.ctrl }
 
-// Storage exposes the backing card memory (tests seed it directly).
-func (d *BlkDevice) Storage() *fpga.BRAM { return d.storage }
-
 // Stats reports completed read and write requests.
 func (d *BlkDevice) Stats() (reads, writes int) { return d.reads, d.writes }
 

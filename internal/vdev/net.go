@@ -248,10 +248,6 @@ func (d *NetDevice) handleCtrl(p *sim.Proc, data []byte) []byte {
 	return []byte{virtio.NetCtrlAckErr}
 }
 
-// ActiveQueuePairs reports the pair count the driver activated through
-// VIRTIO_NET_CTRL_MQ_VQ_PAIRS_SET (all offered pairs until then).
-func (d *NetDevice) ActiveQueuePairs() int { return d.curPairs }
-
 // Promiscuous reports the control-queue promiscuous setting.
 func (d *NetDevice) Promiscuous() bool { return d.promisc }
 
@@ -289,15 +285,10 @@ func (d *NetDevice) userLoop(p *sim.Proc) {
 	}
 }
 
-// Send delivers one frame to the host through the first receive queue,
-// prefixed with a virtio-net header. When the driver negotiated
-// GUEST_CSUM the device marks the frame's checksum as already validated.
-func (d *NetDevice) Send(p *sim.Proc, frame []byte) error {
-	return d.SendOn(p, 0, frame)
-}
-
-// SendOn delivers one frame through the receive queue of the given
-// queue pair — the device's receive-side steering.
+// SendOn delivers one frame to the host through the receive queue of
+// the given queue pair — the device's receive-side steering — prefixed
+// with a virtio-net header. When the driver negotiated GUEST_CSUM the
+// device marks the frame's checksum as already validated.
 func (d *NetDevice) SendOn(p *sim.Proc, pair int, frame []byte) error {
 	if pair < 0 || pair >= d.curPairs {
 		return fmt.Errorf("vdev: net: queue pair %d not active (%d pairs)", pair, d.curPairs)

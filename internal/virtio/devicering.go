@@ -66,9 +66,6 @@ func growBytes(b []byte, n int) []byte {
 	return b[:n]
 }
 
-// Layout returns the ring layout the queue operates on.
-func (q *DeviceQueue) Layout() RingLayout { return q.lay }
-
 func u16le(b []byte) uint16 { return uint16(b[0]) | uint16(b[1])<<8 }
 func u32le(b []byte) uint32 {
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
@@ -241,15 +238,4 @@ func (q *DeviceQueue) PushUsed(p *sim.Proc, head uint16, written int) {
 // whether VRING_AVAIL_F_NO_INTERRUPT is set.
 func (q *DeviceQueue) InterruptSuppressed(p *sim.Proc) bool {
 	return q.readU16(p, q.lay.Avail)&AvailFNoInterrupt != 0
-}
-
-// SetNoNotify publishes UsedFNoNotify, telling the driver doorbells may
-// be skipped while the device is actively polling.
-func (q *DeviceQueue) SetNoNotify(p *sim.Proc, on bool) {
-	v := uint16(0)
-	if on {
-		v = UsedFNoNotify
-	}
-	q.flagScratch[0], q.flagScratch[1] = byte(v), byte(v>>8)
-	q.dma.Write(p, q.lay.Used, q.flagScratch[:])
 }

@@ -38,9 +38,6 @@ func (q *DriverQueue) EnableEventIdx() {
 	q.mem.PutU16(q.lay.usedEventAddr(), q.lastUsedSeen)
 }
 
-// EventIdx reports whether event-index mode is enabled.
-func (q *DriverQueue) EventIdx() bool { return q.eventIdx }
-
 // NeedKick reports whether the device asked for a doorbell covering
 // the avail entries added since the last KickDone. Without EVENT_IDX
 // it falls back to the used-flags hint.
@@ -66,9 +63,6 @@ func (q *DriverQueue) armUsedEvent(idx uint16) {
 // EnableEventIdx switches the device-side queue to event-index mode.
 func (q *DeviceQueue) EnableEventIdx() { q.eventIdx = true }
 
-// EventIdx reports whether event-index mode is enabled.
-func (q *DeviceQueue) EventIdx() bool { return q.eventIdx }
-
 // ShouldInterruptAt decides, after publishing used entries up to newIdx
 // (from oldIdx), whether to raise an interrupt. In event-index mode it
 // reads the driver's used_event threshold; otherwise the avail flags.
@@ -88,6 +82,3 @@ func (q *DeviceQueue) PublishAvailEvent(p *sim.Proc, idx uint16) {
 	q.flagScratch[0], q.flagScratch[1] = byte(idx), byte(idx>>8)
 	q.dma.Write(p, q.lay.availEventAddr(), q.flagScratch[:])
 }
-
-// UsedIdx reports the device's next used index (entries published so far).
-func (q *DeviceQueue) UsedIdx() uint16 { return q.usedIdx }

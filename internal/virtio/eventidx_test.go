@@ -68,7 +68,7 @@ func TestEventIdxDriverSuppression(t *testing.T) {
 	lay := AllocRing(al, 8)
 	dq := NewDriverQueue(m, lay)
 	dq.EnableEventIdx()
-	if !dq.EventIdx() {
+	if !dq.eventIdx {
 		t.Fatal("event idx not enabled")
 	}
 	s := sim.New()
@@ -84,14 +84,14 @@ func TestEventIdxDriverSuppression(t *testing.T) {
 		ch, _ := dev.FetchChain(p, head)
 		_ = ch
 		dev.PushUsed(p, head, 0)
-		first = dev.ShouldInterruptAt(p, dev.UsedIdx()-1, dev.UsedIdx())
+		first = dev.ShouldInterruptAt(p, dev.usedIdx-1, dev.usedIdx)
 
 		// Driver suppresses (NAPI running): threshold behind.
 		dq.SetNoInterrupt(true)
 		dq.Add([]BufSeg{{Addr: buf, Len: 64}}, 2)
 		head = dev.NextAvailHead(p)
 		dev.PushUsed(p, head, 0)
-		second = dev.ShouldInterruptAt(p, dev.UsedIdx()-1, dev.UsedIdx())
+		second = dev.ShouldInterruptAt(p, dev.usedIdx-1, dev.usedIdx)
 
 		// Driver harvests and re-arms: next completion interrupts again.
 		for {
@@ -103,7 +103,7 @@ func TestEventIdxDriverSuppression(t *testing.T) {
 		dq.Add([]BufSeg{{Addr: buf, Len: 64}}, 3)
 		head = dev.NextAvailHead(p)
 		dev.PushUsed(p, head, 0)
-		third = dev.ShouldInterruptAt(p, dev.UsedIdx()-1, dev.UsedIdx())
+		third = dev.ShouldInterruptAt(p, dev.usedIdx-1, dev.usedIdx)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)

@@ -95,9 +95,6 @@ func NewPackedDriverQueue(m *mem.Memory, lay PackedLayout) *PackedDriverQueue {
 	return q
 }
 
-// Layout returns the ring layout.
-func (q *PackedDriverQueue) Layout() PackedLayout { return q.lay }
-
 // NumFree implements DriverRing.
 func (q *PackedDriverQueue) NumFree() int { return q.numFree }
 
@@ -262,9 +259,6 @@ type PackedDeviceQueue struct {
 func NewPackedDeviceQueue(dma DMA, lay PackedLayout) *PackedDeviceQueue {
 	return &PackedDeviceQueue{dma: dma, lay: lay, wrap: true, usedWrap: true}
 }
-
-// Layout returns the ring layout.
-func (q *PackedDeviceQueue) Layout() PackedLayout { return q.lay }
 
 // readSlot fetches one descriptor (16 bytes, one bus read). The packed
 // layout differs from the split one: the buffer ID sits at offset 12

@@ -212,7 +212,7 @@ func TestPackedHeadFlagsWrittenLast(t *testing.T) {
 	if _, err := dq.Add([]BufSeg{{Addr: a, Len: 8}, {Addr: b, Len: 8, DeviceWritten: true}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	lay := dq.Layout()
+	lay := dq.lay
 	head := m.U16(lay.slotAddr(0) + 14)
 	second := m.U16(lay.slotAddr(1) + 14)
 	if head&(PackedDescFAvail|PackedDescFUsed) != PackedDescFAvail {
@@ -305,7 +305,7 @@ func TestPackedUnknownCompletionPanics(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			m, al, dq, _, _ := newPacked(t, 8)
-			slot := dq.Layout().slotAddr(0)
+			slot := dq.lay.slotAddr(0)
 			if c.add {
 				if _, err := dq.Add([]BufSeg{{Addr: al.Alloc(16, 4), Len: 16}}, "tok"); err != nil {
 					t.Fatal(err)
@@ -315,7 +315,7 @@ func TestPackedUnknownCompletionPanics(t *testing.T) {
 					t.Fatalf("GetUsed = %+v, %v", u, ok)
 				}
 				// Mark slot 1 used in the same lap, naming chain 0 again.
-				slot = dq.Layout().slotAddr(1)
+				slot = dq.lay.slotAddr(1)
 			}
 			m.PutU16(slot+12, c.id)
 			m.PutU16(slot+14, usedBits(true))

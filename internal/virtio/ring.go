@@ -103,9 +103,6 @@ func NewDriverQueue(m *mem.Memory, lay RingLayout) *DriverQueue {
 	return q
 }
 
-// Layout returns the queue's memory layout.
-func (q *DriverQueue) Layout() RingLayout { return q.lay }
-
 // NumFree reports how many descriptors are unallocated.
 func (q *DriverQueue) NumFree() int { return q.numFree }
 
@@ -284,6 +281,3 @@ func (q *DriverQueue) SetNoInterrupt(on bool) {
 func (q *DriverQueue) DeviceNoNotify() bool {
 	return q.mem.U16(q.lay.Used)&UsedFNoNotify != 0
 }
-
-// AvailIdx returns the published avail index (driver shadow).
-func (q *DriverQueue) AvailIdx() uint16 { return q.availShadow }

@@ -164,10 +164,10 @@ func TestDriverQueueAddPublishes(t *testing.T) {
 	if q.NumFree() != 6 {
 		t.Fatalf("numFree = %d, want 6", q.NumFree())
 	}
-	if q.AvailIdx() != 1 {
-		t.Fatalf("avail idx = %d", q.AvailIdx())
+	if q.availShadow != 1 {
+		t.Fatalf("avail idx = %d", q.availShadow)
 	}
-	lay := q.Layout()
+	lay := q.lay
 	if got := m.U16(lay.Avail + 2); got != 1 {
 		t.Fatalf("published idx = %d", got)
 	}
@@ -203,7 +203,7 @@ func TestDriverQueueUsedHarvestAndReclaim(t *testing.T) {
 	m, q := newRing(t, 4)
 	h1, _ := q.Add([]BufSeg{{Addr: 0x100, Len: 10}}, "a")
 	h2, _ := q.Add([]BufSeg{{Addr: 0x200, Len: 20}, {Addr: 0x300, Len: 30, DeviceWritten: true}}, "b")
-	lay := q.Layout()
+	lay := q.lay
 	// Device publishes h2 then h1 (out of order completion).
 	pushUsed := func(i int, head uint16, written uint32) {
 		slot := lay.Used + 4 + mem.Addr(i%4)*8
@@ -238,17 +238,17 @@ func TestDriverQueueUsedHarvestAndReclaim(t *testing.T) {
 func TestDriverQueueFlags(t *testing.T) {
 	m, q := newRing(t, 4)
 	q.SetNoInterrupt(true)
-	if m.U16(q.Layout().Avail) != AvailFNoInterrupt {
+	if m.U16(q.lay.Avail) != AvailFNoInterrupt {
 		t.Fatal("no-interrupt flag not published")
 	}
 	q.SetNoInterrupt(false)
-	if m.U16(q.Layout().Avail) != 0 {
+	if m.U16(q.lay.Avail) != 0 {
 		t.Fatal("no-interrupt flag not cleared")
 	}
 	if q.DeviceNoNotify() {
 		t.Fatal("spurious no-notify")
 	}
-	m.PutU16(q.Layout().Used, UsedFNoNotify)
+	m.PutU16(q.lay.Used, UsedFNoNotify)
 	if !q.DeviceNoNotify() {
 		t.Fatal("no-notify flag not seen")
 	}
@@ -278,7 +278,7 @@ func TestDeviceQueueEndToEnd(t *testing.T) {
 	m, q := newRing(t, 8)
 	s := sim.New()
 	dma := &hostDMA{m: m, cost: sim.Ns(500)}
-	dq := NewDeviceQueue(dma, q.Layout())
+	dq := NewDeviceQueue(dma, q.lay)
 
 	payload := []byte("ping-payload")
 	m.Write(0x8000, payload)
@@ -338,7 +338,7 @@ func TestDeviceQueueManyRoundTripsProperty(t *testing.T) {
 		n := int(count)%32 + 1
 		m, q := newRing(t, 64)
 		s := sim.New()
-		dq := NewDeviceQueue(&hostDMA{m: m, cost: sim.Ns(100)}, q.Layout())
+		dq := NewDeviceQueue(&hostDMA{m: m, cost: sim.Ns(100)}, q.lay)
 		rng := sim.NewRNG(uint64(seed))
 		bufBase := mem.Addr(0x10000)
 		var sent [][]byte
@@ -392,7 +392,7 @@ func TestDeviceQueueManyRoundTripsProperty(t *testing.T) {
 func TestDeviceQueueSuppressionFlags(t *testing.T) {
 	m, q := newRing(t, 4)
 	s := sim.New()
-	dq := NewDeviceQueue(&hostDMA{m: m, cost: sim.Ns(10)}, q.Layout())
+	dq := NewDeviceQueue(&hostDMA{m: m, cost: sim.Ns(10)}, q.lay)
 	q.SetNoInterrupt(true)
 	var suppressed, cleared bool
 	s.Go("device", func(p *sim.Proc) {
@@ -412,9 +412,20 @@ func TestDeviceQueueSuppressionFlags(t *testing.T) {
 	}
 }
 
+// SetNoNotify publishes UsedFNoNotify, telling the driver doorbells may
+// be skipped while the device is actively polling.
+func (q *DeviceQueue) SetNoNotify(p *sim.Proc, on bool) {
+	v := uint16(0)
+	if on {
+		v = UsedFNoNotify
+	}
+	q.flagScratch[0], q.flagScratch[1] = byte(v), byte(v>>8)
+	q.dma.Write(p, q.lay.Used, q.flagScratch[:])
+}
+
 func TestFetchChainLoopDetected(t *testing.T) {
 	m, q := newRing(t, 4)
-	lay := q.Layout()
+	lay := q.lay
 	// Craft a self-looping descriptor.
 	m.PutU64(lay.Desc, 0x100)
 	m.PutU32(lay.Desc+8, 4)

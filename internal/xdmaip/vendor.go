@@ -75,6 +75,11 @@ type channel struct {
 	irqBit  uint32
 	kick    *sim.Cond
 	counter *fpga.PerfCounter
+	// userIRQ and its event name raise the user interrupt a completed
+	// H2C run schedules under NotifyOnH2CComplete, built once so the
+	// per-run schedule does not allocate.
+	userIRQ     func()
+	userIRQName string
 
 	span      sim.SpanKind
 	runs      *telemetry.Counter
@@ -168,9 +173,6 @@ func (d *VendorDevice) EP() *pcie.Endpoint { return d.ep }
 // BRAM returns the card memory the engines target.
 func (d *VendorDevice) BRAM() *fpga.BRAM { return d.bram }
 
-// Clock returns the fabric clock.
-func (d *VendorDevice) Clock() *fpga.Clock { return d.clk }
-
 // H2CCounter returns the hardware performance counter of the H2C engine.
 func (d *VendorDevice) H2CCounter() *fpga.PerfCounter { return d.h2c.counter }
 
@@ -211,13 +213,14 @@ func (d *VendorDevice) newChannel(name string, h2c bool, base, sgdma uint64, vec
 		d.regs.Set(base+RegChanStatus, v&StatusBusy)
 		return v
 	})
+	ch.userIRQ = func() { d.RaiseUserIRQ(0) }
+	ch.userIRQName = name + ".userirq"
 	ch.step = ch.run
 	d.sim.Go(d.ep.Name()+"."+name, ch.start)
 	return ch
 }
 
-func (ch *channel) ctrl() uint32   { return ch.dev.regs.Get(ch.base + RegChanControl) }
-func (ch *channel) status() uint32 { return ch.dev.regs.Get(ch.base + RegChanStatus) }
+func (ch *channel) ctrl() uint32 { return ch.dev.regs.Get(ch.base + RegChanControl) }
 func (ch *channel) setStatus(v uint32) {
 	ch.dev.regs.Set(ch.base+RegChanStatus, v)
 }
@@ -367,9 +370,7 @@ func (ch *channel) run() sim.Duration {
 				if delay == 0 {
 					delay = 250
 				}
-				d.sim.After(d.clk.Cycles(delay), ch.name+".userirq", func() {
-					d.RaiseUserIRQ(0)
-				})
+				d.sim.After(d.clk.Cycles(delay), ch.userIRQName, ch.userIRQ)
 			}
 			ch.pc = engIdle
 		}

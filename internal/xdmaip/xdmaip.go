@@ -246,9 +246,6 @@ func (pt *Port) HostWrite(p *sim.Proc, addr mem.Addr, data []byte) {
 	sp.End()
 }
 
-// Clock returns the port's fabric clock.
-func (pt *Port) Clock() *fpga.Clock { return pt.clk }
-
 // movers is an endpoint's pool of card-side data movers. A transfer is
 // split into MPS-sized chunks, each charged the engine's per-chunk
 // overhead: a read chunk is then a full bus round trip (the engine
