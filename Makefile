@@ -70,14 +70,15 @@ flake:
 # recorder's per-span path (both 0 allocs/op), the per-packet cost-model
 # lookups (XDMA register-file traffic, TLP link timing, CPUWork's draws
 # over a cycle of distinct segment lengths), the card-side port's read
-# and write transfers and the SGDMA engines' H2C and C2H runs (all
-# 0 allocs/op) and the Internet checksum,
+# and write transfers, the SGDMA engines' H2C and C2H runs and the
+# VirtIO controller's TX chain plus RX delivery on split and packed
+# rings (all 0 allocs/op) and the Internet checksum,
 # then times the paper's full 50k-packet Fig-3 matrix serially and
 # through the parallel engine. The committed
 # baseline is NOT rewritten here — use benchbase for that — so a routine
 # bench run cannot silently move the gate.
 bench:
-	$(GO) test -run '^$$' -bench 'SweepGrid|SeriesSteadyState|ProcHandoff|ProcRing3|ProcAlternate|ProcSelfWake|Jitter|SpinAgainstDevice|FlightSpan|RegFile|LinkTiming|PortTransfer|VendorRun|Checksum|CPUWork' -benchmem ./internal/experiments ./internal/sim ./internal/hostos ./internal/telemetry ./internal/fpga ./internal/pcie ./internal/xdmaip ./internal/netstack .
+	$(GO) test -run '^$$' -bench 'SweepGrid|SeriesSteadyState|ProcHandoff|ProcRing3|ProcAlternate|ProcSelfWake|Jitter|SpinAgainstDevice|FlightSpan|RegFile|LinkTiming|PortTransfer|VendorRun|ControllerChain|Checksum|CPUWork' -benchmem ./internal/experiments ./internal/sim ./internal/hostos ./internal/telemetry ./internal/fpga ./internal/pcie ./internal/xdmaip ./internal/vdev ./internal/netstack .
 	$(GO) run ./cmd/fvsweepbench -n 50000 -json $${TMPDIR:-/tmp}/fvsweepbench-full.json
 
 # benchbase deliberately re-records BENCH_sweep.json at the full grid.

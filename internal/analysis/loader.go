@@ -14,6 +14,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Package is one parsed and type-checked package ready for analysis.
@@ -31,7 +32,9 @@ type Package struct {
 // Imports inside the module resolve by mapping the import path onto the
 // module root; everything else (the standard library) goes through the
 // stdlib source importer, so loading works offline and without
-// pre-compiled export data.
+// pre-compiled export data. Every loader shares one FileSet and one
+// stdlib importer (see stdlib), so only the first load in a process
+// type-checks the standard library.
 type Loader struct {
 	// ModulePath and ModuleRoot identify the module being linted.
 	ModulePath string
@@ -46,14 +49,46 @@ type Loader struct {
 	failed map[string]error
 }
 
+// stdlib is the standard library's source importer and the FileSet it
+// and every loader record positions in. A loader's BuildTags never
+// reach the standard library's import, so loaders that differ only in
+// them, or in the module they load, can share the importer, and the
+// library is type-checked from source once per process instead of once
+// per load.
+var stdlib struct {
+	once sync.Once
+	fset *token.FileSet
+	imp  sharedImporter
+}
+
+// sharedImporter serializes the shared source importer, which is not
+// safe for concurrent use.
+type sharedImporter struct {
+	mu  sync.Mutex
+	imp types.ImporterFrom
+}
+
+func (s *sharedImporter) Import(path string) (*types.Package, error) {
+	return s.ImportFrom(path, "", 0)
+}
+
+func (s *sharedImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.imp.ImportFrom(path, dir, mode)
+}
+
 // NewLoader returns a loader rooted at the given module.
 func NewLoader(modulePath, moduleRoot string) *Loader {
-	fset := token.NewFileSet()
+	stdlib.once.Do(func() {
+		stdlib.fset = token.NewFileSet()
+		stdlib.imp.imp = importer.ForCompiler(stdlib.fset, "source", nil).(types.ImporterFrom)
+	})
 	return &Loader{
 		ModulePath: modulePath,
 		ModuleRoot: moduleRoot,
-		Fset:       fset,
-		std:        importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		Fset:       stdlib.fset,
+		std:        &stdlib.imp,
 		pkgs:       make(map[string]*Package),
 		failed:     make(map[string]error),
 	}

@@ -14,7 +14,7 @@ import (
 // upperHandler is console user logic that upper-cases ASCII input.
 type upperHandler struct{}
 
-func (upperHandler) HandleBytes(p *sim.Proc, data []byte) []byte {
+func (upperHandler) HandleBytes(data []byte) []byte {
 	out := make([]byte, len(data))
 	for i, b := range data {
 		if b >= 'a' && b <= 'z' {

@@ -79,7 +79,6 @@ func (s *Sim) GoAfter(d Duration, name string, fn func(p *Proc)) *Proc {
 		p.next, _ = iter.Pull(p.loop)
 	}
 	p.fn = fn
-	s.procs++
 	s.ResumeAfter(d, "start", p)
 	return p
 }
@@ -94,7 +93,6 @@ func (p *Proc) loop(yield func(struct{}) bool) {
 		fn := p.fn
 		p.fn = nil
 		fn(p)
-		s.procs--
 		p.gen++
 		s.procPool = append(s.procPool, p)
 		// A self-wake here means a callback run by the drain respawned

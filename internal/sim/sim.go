@@ -108,7 +108,6 @@ type Sim struct {
 	spans    SpanSink // verbose sink
 	flight   SpanSink // always-on sink
 	kinds    SpanKinds
-	procs    int     // live (not yet finished) processes
 	parked   []*Proc // processes currently suspended (unordered)
 	free     []*event
 	procPool []*Proc // finished processes whose coroutines idle for reuse

@@ -85,41 +85,65 @@ func (d *BlkDevice) span(sector uint64, n int) (int, bool) {
 	return off, n <= size-off
 }
 
-// HandleDriverChain implements Personality: parse the request header,
-// perform the sector operation against card memory, and return the
-// device-writable bytes ([data +] status).
-func (d *BlkDevice) HandleDriverChain(p *sim.Proc, q int, data []byte, writable int) []byte {
+// request decodes a request chain: its type and, for a read or a
+// write that fits the device, the card-memory offset and length it
+// moves. Any other request is answered at once with the status
+// returned, which is then not BlkStatusOK, except for a flush.
+func (d *BlkDevice) request(data []byte, writable int) (typ uint32, off, n int, status byte) {
 	hdr, err := virtio.DecodeBlkReqHdr(data)
 	if err != nil {
-		return []byte{virtio.BlkStatusIOErr}
+		return 0, 0, 0, virtio.BlkStatusIOErr
 	}
-	payload := data[virtio.BlkReqHdrSize:]
-	clk := d.ctrl.Clock()
 	switch hdr.Type {
 	case virtio.BlkTIn:
 		// Read: the request length is the chain's writable capacity
 		// minus the trailing status byte (virtio-blk §5.2.6).
-		n := writable - 1
+		n = writable - 1
 		off, ok := d.span(hdr.Sector, n)
 		if !ok || n <= 0 || n%virtio.BlkSectorSize != 0 {
-			return []byte{virtio.BlkStatusIOErr}
+			return 0, 0, 0, virtio.BlkStatusIOErr
 		}
-		p.Sleep(clk.Cycles(clk.CyclesFor(n, 16)))
+		return hdr.Type, off, n, virtio.BlkStatusOK
+	case virtio.BlkTOut:
+		n = len(data) - virtio.BlkReqHdrSize
+		off, ok := d.span(hdr.Sector, n)
+		if !ok || n%virtio.BlkSectorSize != 0 {
+			return 0, 0, 0, virtio.BlkStatusIOErr
+		}
+		return hdr.Type, off, n, virtio.BlkStatusOK
+	case virtio.BlkTFlush:
+		return hdr.Type, 0, 0, virtio.BlkStatusOK
+	}
+	return 0, 0, 0, virtio.BlkStatusUnsupp
+}
+
+// ChainCost implements Personality: a read or a write streams its
+// sectors through the 16 B/cycle card-memory datapath.
+func (d *BlkDevice) ChainCost(q int, data []byte, writable int) sim.Duration {
+	typ, _, n, status := d.request(data, writable)
+	if status != virtio.BlkStatusOK || typ == virtio.BlkTFlush {
+		return 0
+	}
+	clk := d.ctrl.Clock()
+	return clk.Cycles(clk.CyclesFor(n, 16))
+}
+
+// HandleDriverChain implements Personality: perform the request's
+// sector operation against card memory and return the device-writable
+// bytes ([data +] status).
+func (d *BlkDevice) HandleDriverChain(q int, data []byte, writable int) []byte {
+	typ, off, n, status := d.request(data, writable)
+	if status != virtio.BlkStatusOK {
+		return []byte{status}
+	}
+	switch typ {
+	case virtio.BlkTIn:
 		out := d.storage.Read(mAddr(off), n)
 		d.reads++
 		return append(out, virtio.BlkStatusOK)
 	case virtio.BlkTOut:
-		off, ok := d.span(hdr.Sector, len(payload))
-		if !ok || len(payload)%virtio.BlkSectorSize != 0 {
-			return []byte{virtio.BlkStatusIOErr}
-		}
-		p.Sleep(clk.Cycles(clk.CyclesFor(len(payload), 16)))
-		d.storage.Write(mAddr(off), payload)
+		d.storage.Write(mAddr(off), data[virtio.BlkReqHdrSize:])
 		d.writes++
-		return []byte{virtio.BlkStatusOK}
-	case virtio.BlkTFlush:
-		return []byte{virtio.BlkStatusOK}
-	default:
-		return []byte{virtio.BlkStatusUnsupp}
 	}
+	return []byte{virtio.BlkStatusOK}
 }

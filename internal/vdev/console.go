@@ -15,15 +15,16 @@ const (
 // ByteHandler is console user logic: it consumes bytes written by the
 // host and may return bytes to deliver back (the prior work [14]
 // implemented exactly this console device).
+// It runs inside the TX queue engine's step, so it must not block.
 type ByteHandler interface {
-	HandleBytes(p *sim.Proc, data []byte) []byte
+	HandleBytes(data []byte) []byte
 }
 
 // EchoBytes is console user logic that reflects its input.
 type EchoBytes struct{}
 
 // HandleBytes implements ByteHandler.
-func (EchoBytes) HandleBytes(p *sim.Proc, data []byte) []byte { return data }
+func (EchoBytes) HandleBytes(data []byte) []byte { return data }
 
 // ConsoleOptions parameterizes a console-device instance.
 type ConsoleOptions struct {
@@ -74,12 +75,16 @@ func (d *ConsoleDevice) QueueDir(q int) Dir {
 // ConfigBytes implements Personality: cols/rows/max_ports (unused).
 func (d *ConsoleDevice) ConfigBytes() []byte { return make([]byte, 8) }
 
+// ChainCost implements Personality: the console's user logic costs no
+// fabric time.
+func (d *ConsoleDevice) ChainCost(q int, data []byte, writable int) sim.Duration { return 0 }
+
 // HandleDriverChain implements Personality for the console TX queue.
-func (d *ConsoleDevice) HandleDriverChain(p *sim.Proc, q int, data []byte, writable int) []byte {
+func (d *ConsoleDevice) HandleDriverChain(q int, data []byte, writable int) []byte {
 	if q != ConsoleQueueTX {
 		return nil
 	}
-	out := d.opt.Handler.HandleBytes(p, append([]byte{}, data...))
+	out := d.opt.Handler.HandleBytes(append([]byte{}, data...))
 	if len(out) > 0 {
 		d.outbox = append(d.outbox, out)
 		d.outC.Broadcast()

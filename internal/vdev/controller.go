@@ -54,12 +54,18 @@ type Personality interface {
 	QueueDir(q int) Dir
 	// ConfigBytes renders the device-specific configuration window.
 	ConfigBytes() []byte
-	// HandleDriverChain processes the device-readable payload of one
-	// chain from a DriverToDevice queue, in the queue engine's fabric
-	// process. writable is the total capacity of the chain's device-
-	// writable segments; the returned bytes (possibly nil, at most
-	// writable long) are scattered into them.
-	HandleDriverChain(p *sim.Proc, q int, data []byte, writable int) []byte
+	// ChainCost is the fabric time the personality spends on one chain
+	// from a DriverToDevice queue before its effect: the queue engine
+	// sleeps it first and then calls HandleDriverChain. data is the
+	// chain's device-readable payload and writable the total capacity
+	// of its device-writable segments. ChainCost must have no side
+	// effect.
+	ChainCost(q int, data []byte, writable int) sim.Duration
+	// HandleDriverChain applies the chain's effect and returns the
+	// bytes (possibly nil, at most writable long) scattered into the
+	// chain's device-writable segments. It runs inside the queue
+	// engine's step, so it must not block.
+	HandleDriverChain(q int, data []byte, writable int) []byte
 }
 
 // BAR0 window layout of the controller.
@@ -127,19 +133,18 @@ type queue struct {
 	coalesced  int
 	flushArmed bool
 	// flushName and flushFn are the coalesce-timer process, built once
-	// per queue so arming it does not format or allocate a closure.
-	flushName string
-	flushFn   func(p *sim.Proc)
+	// per queue so arming it does not format or allocate a closure, and
+	// flushBuses are its idle ring buses.
+	flushName  string
+	flushFn    func(p *sim.Proc)
+	flushBuses []*ringBus
 
 	// Span kinds registered at construction so the engine hot path
 	// does not format.
 	serviceSpan sim.SpanKind
 	deliverSpan sim.SpanKind
 
-	// rdBuf is the queue's gather scratch for ReadChainInto; the engine
-	// services one chain at a time, so a single buffer per queue
-	// suffices and steady-state servicing does not allocate.
-	rdBuf []byte
+	dl *delivery // a DeviceToDriver queue's delivery
 }
 
 // Controller is the FPGA-side VirtIO endpoint.
@@ -167,6 +172,12 @@ type Controller struct {
 	notifyCount int
 	opt         Options
 	met         ctrlMetrics
+
+	// engineLoop and deliverLoop, set only by tests, run the queue
+	// engines and the deliveries through the blocking loops their step
+	// machines are checked against.
+	engineLoop  func(p *sim.Proc, e *engine)
+	deliverLoop func(p *sim.Proc, dl *delivery, data []byte) error
 }
 
 // ctrlMetrics caches the controller's telemetry instruments.
@@ -259,14 +270,12 @@ func NewController(s *sim.Sim, rc *pcie.RootComplex, name string, pers Personali
 			deliverSpan: s.SpanKind(telemetry.LayerVirtIODevice, "", fmt.Sprintf("q%d.deliver", i)),
 			flushName:   fmt.Sprintf("%s.q%d.coalesce", ep.Name(), i),
 		}
-		q.flushFn = func(p *sim.Proc) {
-			q.flushArmed = false
-			c.flushCoalesced(p, q)
-		}
+		q.flushFn = func(p *sim.Proc) { c.coalesceTimer(p, q) }
 		c.queues = append(c.queues, q)
 		if q.dir == DriverToDevice {
-			qq := q
-			s.Go(fmt.Sprintf("%s.q%d.engine", name, i), func(p *sim.Proc) { c.engineLoop(p, qq) })
+			s.Go(fmt.Sprintf("%s.q%d.engine", name, i), c.newEngine(q).start)
+		} else {
+			q.dl = c.newDelivery(q)
 		}
 	}
 
@@ -291,14 +300,6 @@ func (c *Controller) QueueCounter(q int) *fpga.PerfCounter { return c.queues[q].
 
 // NotifyCount reports how many doorbell writes the device has received.
 func (c *Controller) NotifyCount() int { return c.notifyCount }
-
-// dma adapts the XDMA card port to the virtio.DMA interface.
-type dma struct{ port *xdmaip.Port }
-
-func (d dma) ReadInto(p *sim.Proc, a mem.Addr, dst []byte) { d.port.HostReadInto(p, a, dst) }
-func (d dma) Write(p *sim.Proc, a mem.Addr, data []byte)   { d.port.HostWrite(p, a, data) }
-
-var _ virtio.DMA = dma{}
 
 // ---- BAR register block -------------------------------------------------
 
@@ -436,14 +437,14 @@ func (c *Controller) commonWrite(off uint64, size int, v uint64) {
 		if v == 1 && !q.enabled {
 			q.enabled = true
 			if c.driverFeatures.Has(virtio.FRingPacked) {
-				q.dq = virtio.NewPackedDeviceQueue(dma{c.port}, virtio.PackedLayout{
+				q.dq = virtio.NewPackedDeviceQueue(virtio.PackedLayout{
 					QueueSize:   int(q.size),
 					Ring:        mem.Addr(q.desc),
 					DriverEvent: mem.Addr(q.driver),
 					DeviceEvent: mem.Addr(q.device),
 				})
 			} else {
-				sq := virtio.NewDeviceQueue(dma{c.port}, virtio.RingLayout{
+				sq := virtio.NewDeviceQueue(virtio.RingLayout{
 					QueueSize: int(q.size),
 					Desc:      mem.Addr(q.desc),
 					Avail:     mem.Addr(q.driver),
@@ -540,210 +541,6 @@ func (c *Controller) enterNeedsReset() {
 	c.isr |= virtio.ISRConfig
 	c.statusCond.Broadcast()
 	c.ep.RaiseMSIX(int(c.msixConfig))
-}
-
-// ---- queue engines ------------------------------------------------------
-
-func (c *Controller) ready(q *queue) bool {
-	return q.enabled && c.status&virtio.StatusDriverOK != 0 &&
-		c.status&virtio.StatusNeedsReset == 0
-}
-
-// waitReady parks the fabric process until the queue is live.
-func (c *Controller) waitReady(p *sim.Proc, q *queue) {
-	for !c.ready(q) {
-		q.cond.Wait(p)
-	}
-}
-
-// interrupt raises the queue's MSI-X vector and latches the ISR bit.
-func (c *Controller) interrupt(q *queue) {
-	c.isr |= virtio.ISRQueue
-	c.met.irqRaised.Inc()
-	c.ep.RaiseMSIX(int(q.msixVec))
-}
-
-// maybeInterrupt implements the spec's race-free ordering: the used
-// entry is already published, so the device re-reads the driver's
-// suppression state NOW (avail flags, or used_event in EVENT_IDX mode)
-// and interrupts unless it says to hold off. Reading before the
-// used-index write would race the driver's re-enable-then-recheck
-// sequence in NAPI and lose completions.
-func (c *Controller) maybeInterrupt(p *sim.Proc, q *queue, dq virtio.DeviceRing) {
-	if c.opt.IRQCoalescePkts > 1 {
-		q.coalesced++
-		if q.coalesced < c.opt.IRQCoalescePkts {
-			c.met.irqCoalesced.Inc()
-			c.armFlush(q)
-			return
-		}
-		n := q.coalesced
-		q.coalesced = 0
-		// The whole coalesced span counts: an event-index threshold
-		// crossed by any held completion must still interrupt.
-		if dq.ShouldInterruptSince(p, n) {
-			c.interrupt(q)
-		} else {
-			c.met.irqSuppressed.Inc()
-		}
-		return
-	}
-	if dq.ShouldInterrupt(p) {
-		c.interrupt(q)
-	} else {
-		c.met.irqSuppressed.Inc()
-	}
-}
-
-// armFlush schedules the coalesce-timer flush for a queue holding
-// completions, so the last packets of a burst are never stranded past
-// the configured latency bound.
-func (c *Controller) armFlush(q *queue) {
-	if q.flushArmed {
-		return
-	}
-	q.flushArmed = true
-	c.sim.GoAfter(c.opt.IRQCoalesceTimer, q.flushName, q.flushFn)
-}
-
-// flushCoalesced raises the interrupt for any completions a queue is
-// still holding back, honouring the driver's suppression state.
-func (c *Controller) flushCoalesced(p *sim.Proc, q *queue) {
-	if q.coalesced == 0 || q.dq == nil {
-		return
-	}
-	n := q.coalesced
-	q.coalesced = 0
-	if q.dq.ShouldInterruptSince(p, n) {
-		c.interrupt(q)
-	} else {
-		c.met.irqSuppressed.Inc()
-	}
-}
-
-// engineLoop services a DriverToDevice queue: doorbell -> fetch chain
-// -> gather data -> personality -> scatter response -> used -> IRQ.
-func (c *Controller) engineLoop(p *sim.Proc, q *queue) {
-	for {
-		c.waitReady(p, q)
-		// A fault-induced device reset can tear down and rebuild the
-		// ring while this process is parked or blocked mid-DMA: capture
-		// the ring once per wakeup so q.dq going nil (or being swapped
-		// for a rebuilt ring) cannot crash the engine. The old ring's
-		// host memory is never reused, so stale accesses are inert.
-		dq := q.dq
-		// Evaluate the ring state before the kicked flag: a doorbell can
-		// land while the availability fetch is in flight, and the flag
-		// is what keeps that wakeup from being lost.
-		if !dq.HasPending(p) && !q.kicked {
-			// Going idle: publish the doorbell hint (avail_event or the
-			// packed event structure), then re-check for work added
-			// while we published.
-			dq.PublishIdleHint(p)
-			if dq.HasPending(p) || q.kicked {
-				continue
-			}
-			q.cond.Wait(p)
-			continue
-		}
-		q.kicked = false
-		// The hardware counter spans notification pickup to ring-idle —
-		// "the time taken by the hardware to perform the DMA operation
-		// once a notification is received" (paper §IV-B). The telemetry
-		// span brackets the identical interval so span-derived hardware
-		// attribution agrees with the counter-based RTTSample.
-		q.hw.Begin(p.Now())
-		sp := c.sim.BeginSpan(q.serviceSpan)
-		p.Sleep(c.clk.Cycles(notifyDecodeCycles))
-		for c.ready(q) && dq.HasPending(p) {
-			c.serviceChain(p, q, dq)
-		}
-		// The ring drained: flush any coalesced completions now rather
-		// than waiting out the timer.
-		c.flushCoalesced(p, q)
-		q.hw.End(p.Now())
-		sp.End()
-	}
-}
-
-// serviceChain processes exactly one pending chain on a DriverToDevice
-// queue.
-func (c *Controller) serviceChain(p *sim.Proc, q *queue, dq virtio.DeviceRing) {
-	c.met.chains.Inc()
-	p.Sleep(c.clk.Cycles(chainSetupCycles))
-	chain, tok, err := dq.NextChain(p)
-	if err != nil {
-		panic(fmt.Sprintf("vdev: %s q%d: %v", c.ep.Name(), q.idx, err))
-	}
-	data := dq.ReadChainInto(p, chain, q.rdBuf)
-	q.rdBuf = data
-	writable := 0
-	for _, d := range chain {
-		if d.Flags&virtio.DescFWrite != 0 {
-			writable += int(d.Len)
-		}
-	}
-	resp := c.pers.HandleDriverChain(p, q.idx, data, writable)
-	written := 0
-	if len(resp) > 0 {
-		written = dq.WriteChain(p, chain, resp)
-	}
-	p.Sleep(c.clk.Cycles(usedPublishCycles))
-	dq.Complete(p, tok, written)
-	c.maybeInterrupt(p, q, dq)
-}
-
-// Deliver pushes data into the next available buffer of a
-// DeviceToDriver queue (the controller's RX path): wait for a posted
-// buffer, scatter, publish used, interrupt. It runs in the calling
-// fabric process and is charged to the queue's hardware counter.
-func (c *Controller) Deliver(p *sim.Proc, qi int, data []byte) error {
-	q := c.queues[qi]
-	if q.dir != DeviceToDriver {
-		return fmt.Errorf("vdev: queue %d is not device-to-driver", qi)
-	}
-	c.waitReady(p, q)
-	// Capture the ring per wakeup for the same reset-safety reason as
-	// engineLoop: a mid-wait device reset swaps q.dq.
-	dq := q.dq
-	for !dq.HasPending(p) {
-		if q.kicked {
-			// A doorbell raced the availability fetch: re-read instead
-			// of parking.
-			q.kicked = false
-			continue
-		}
-		dq.PublishIdleHint(p)
-		if dq.HasPending(p) || q.kicked {
-			q.kicked = false
-			continue
-		}
-		q.cond.Wait(p)
-		c.waitReady(p, q)
-		dq = q.dq
-	}
-	q.kicked = false
-	q.hw.Begin(p.Now())
-	sp := c.sim.BeginSpan(q.deliverSpan)
-	p.Sleep(c.clk.Cycles(chainSetupCycles))
-	chain, tok, err := dq.NextChain(p)
-	if err != nil {
-		q.hw.End(p.Now())
-		sp.End()
-		return err
-	}
-	written := dq.WriteChain(p, chain, data)
-	if written < len(data) {
-		q.hw.End(p.Now())
-		sp.End()
-		return fmt.Errorf("vdev: queue %d buffer too small: %d < %d", qi, written, len(data))
-	}
-	p.Sleep(c.clk.Cycles(usedPublishCycles))
-	dq.Complete(p, tok, written)
-	c.maybeInterrupt(p, q, dq)
-	q.hw.End(p.Now())
-	sp.End()
-	return nil
 }
 
 // ---- host-bypass interface (paper §III-A) -------------------------------

@@ -19,18 +19,6 @@ const (
 	NetQueueCtrl = 2
 )
 
-// FrameHandler is the user-logic hook of the network device: it
-// receives each frame the host transmitted and returns zero or more
-// response frames to send back — the paper's echo logic returns one
-// same-size UDP reply per packet. It runs in the user-logic fabric
-// process; cycle costs inside are the implementation's responsibility.
-// The frame argument and the returned frames are scratch valid only
-// until the next HandleFrame call, so implementations may reuse their
-// response buffers and must copy the input if they retain it.
-type FrameHandler interface {
-	HandleFrame(p *sim.Proc, frame []byte) [][]byte
-}
-
 // NetOptions parameterizes a network-device instance.
 type NetOptions struct {
 	Link pcie.LinkConfig
@@ -54,7 +42,6 @@ type NetOptions struct {
 	// per-queue interrupt coalescing under batch load (see Options).
 	IRQCoalescePkts  int
 	IRQCoalesceTimer sim.Duration
-	Handler          FrameHandler
 }
 
 // txFrame is one transmitted frame queued for user logic, tagged with
@@ -66,15 +53,14 @@ type txFrame struct {
 }
 
 // NetDevice is the VirtIO network-device personality plus its user
-// logic plumbing: the paper's test case (§III-A).
+// logic: the paper's test case (§III-A).
 type NetDevice struct {
 	ctrl *Controller
 	opt  NetOptions
 
 	frames    []txFrame
 	frameHead int      // index of the next frame to pop
-	framePool [][]byte // recycled frame buffers (TX engine -> user loop)
-	sendBuf   []byte   // reused header+frame staging for SendOn
+	framePool [][]byte // recycled frame buffers (TX engine -> user logic)
 	frameC    *sim.Cond
 	respGen   *fpga.PerfCounter
 	respSpan  sim.SpanKind
@@ -82,6 +68,20 @@ type NetDevice struct {
 	curPairs  int
 	rxFrames  int
 	txFrames  int
+
+	// The user logic's step machine (see run).
+	p       *sim.Proc
+	pc      uint8
+	frame   txFrame     // the frame being answered
+	resp    []byte      // reused echo reply
+	sendBuf []byte      // reused header+reply staging
+	sp      sim.SpanRef // the reply's response-generation span
+	dl      *delivery   // the reply's delivery
+	step    func() sim.Duration
+
+	// userLoop, set only by tests, runs the user logic through the
+	// blocking loop its step machine is checked against.
+	userLoop func(p *sim.Proc, d *NetDevice)
 }
 
 // NewNet attaches a network device to the root complex.
@@ -100,13 +100,10 @@ func NewNet(s *sim.Sim, rc *pcie.RootComplex, name string, opt NetOptions) *NetD
 		IRQCoalescePkts:  opt.IRQCoalescePkts,
 		IRQCoalesceTimer: opt.IRQCoalesceTimer,
 	})
-	if d.opt.Handler == nil {
-		// Default user logic: the paper's same-size UDP echo.
-		d.opt.Handler = NewEchoHandler(d.ctrl.Clock())
-	}
 	d.respGen = fpga.NewPerfCounter(d.ctrl.Clock(), name+".respgen")
 	d.respSpan = s.SpanKind(telemetry.LayerVirtIODevice, "", "respgen")
-	s.Go(name+".userlogic", d.userLoop)
+	d.step = d.run
+	s.Go(name+".userlogic", d.start)
 	return d
 }
 
@@ -174,29 +171,57 @@ func (d *NetDevice) ConfigBytes() []byte {
 	return b
 }
 
+// isTxQueue reports whether q is one of the transmit queues.
+func (d *NetDevice) isTxQueue(q int) bool { return q%2 == 1 && q < 2*d.opt.QueuePairs }
+
+// ChainCost implements Personality: a control command's register-file
+// access, or the checksum datapath at line rate over a transmitted
+// frame's L4 region when the driver asked for checksum offload.
+func (d *NetDevice) ChainCost(q int, data []byte, writable int) sim.Duration {
+	clk := d.ctrl.Clock()
+	if d.opt.OfferCtrlVQ && q == d.ctrlQueue() {
+		if len(data) < 2 {
+			return 0
+		}
+		return clk.Cycles(configAccessCycles)
+	}
+	if !d.isTxQueue(q) {
+		return 0
+	}
+	hdr, err := virtio.DecodeNetHdr(data)
+	if err != nil || hdr.Flags&virtio.NetHdrFNeedsCsum == 0 {
+		return 0
+	}
+	n := len(data) - virtio.NetHdrSize - int(hdr.CsumStart)
+	if n <= 0 {
+		return 0
+	}
+	return clk.Cycles(clk.CyclesFor(n, 16) * csumPerBeatCycles)
+}
+
 // HandleDriverChain implements Personality for the TX and control
 // queues.
-func (d *NetDevice) HandleDriverChain(p *sim.Proc, q int, data []byte, writable int) []byte {
+func (d *NetDevice) HandleDriverChain(q int, data []byte, writable int) []byte {
 	if d.opt.OfferCtrlVQ && q == d.ctrlQueue() {
-		return d.handleCtrl(p, data)
+		return d.handleCtrl(data)
 	}
-	if q%2 == 1 && q < 2*d.opt.QueuePairs {
-		d.handleTx(p, q/2, data)
+	if d.isTxQueue(q) {
+		d.handleTx(q/2, data)
 		return nil
 	}
 	panic(fmt.Sprintf("vdev: net: unexpected driver chain on queue %d", q))
 }
 
 // handleTx processes one transmitted packet: strip the virtio-net
-// header, perform checksum offload if requested, queue the frame for
-// user logic.
-func (d *NetDevice) handleTx(p *sim.Proc, pair int, data []byte) {
+// header, fill the checksum if the driver asked for offload, queue the
+// frame for user logic.
+func (d *NetDevice) handleTx(pair int, data []byte) {
 	hdr, err := virtio.DecodeNetHdr(data)
 	if err != nil {
 		panic("vdev: net: " + err.Error())
 	}
 	// The chain data is queue-owned scratch, so the frame is copied into
-	// a pooled buffer that the user loop recycles after handling.
+	// a pooled buffer that the user logic recycles after handling.
 	need := len(data) - virtio.NetHdrSize
 	var frame []byte
 	if n := len(d.framePool); n > 0 && cap(d.framePool[n-1]) >= need {
@@ -208,12 +233,6 @@ func (d *NetDevice) handleTx(p *sim.Proc, pair int, data []byte) {
 	}
 	copy(frame, data[virtio.NetHdrSize:])
 	if hdr.Flags&virtio.NetHdrFNeedsCsum != 0 {
-		// Checksum datapath runs at line rate over the L4 region.
-		clk := d.ctrl.Clock()
-		n := len(frame) - int(hdr.CsumStart)
-		if n > 0 {
-			p.Sleep(clk.Cycles(clk.CyclesFor(n, 16) * csumPerBeatCycles))
-		}
 		if err := netstack.FillUDPChecksum(frame); err != nil {
 			panic("vdev: net: csum offload: " + err.Error())
 		}
@@ -224,12 +243,11 @@ func (d *NetDevice) handleTx(p *sim.Proc, pair int, data []byte) {
 }
 
 // handleCtrl executes a control-queue command and returns the ack byte.
-func (d *NetDevice) handleCtrl(p *sim.Proc, data []byte) []byte {
+func (d *NetDevice) handleCtrl(data []byte) []byte {
 	if len(data) < 2 {
 		return []byte{virtio.NetCtrlAckErr}
 	}
 	class, cmd := data[0], data[1]
-	p.Sleep(d.ctrl.Clock().Cycles(configAccessCycles))
 	if class == virtio.NetCtrlRx && cmd == virtio.NetCtrlRxPromisc {
 		if len(data) >= 3 {
 			d.promisc = data[2] != 0
@@ -251,47 +269,49 @@ func (d *NetDevice) handleCtrl(p *sim.Proc, data []byte) []byte {
 // Promiscuous reports the control-queue promiscuous setting.
 func (d *NetDevice) Promiscuous() bool { return d.promisc }
 
-// userLoop is the user-logic process: it pops frames the TX engine
-// queued, invokes the handler (response generation, measured
-// separately per the paper's Fig. 4 methodology), and delivers
-// responses into the RX queue.
-func (d *NetDevice) userLoop(p *sim.Proc) {
-	for {
-		for len(d.frames) == d.frameHead {
-			d.frameC.Wait(p)
-		}
-		f := d.frames[d.frameHead]
-		d.frames[d.frameHead] = txFrame{}
-		d.frameHead++
-		if d.frameHead == len(d.frames) {
-			d.frames = d.frames[:0]
-			d.frameHead = 0
-		}
-
-		// Span and counter bracket the same instants: respgen time is
-		// deducted from hardware in both attribution schemes.
-		d.respGen.Begin(p.Now())
-		sp := p.Sim().BeginSpan(d.respSpan)
-		resps := d.opt.Handler.HandleFrame(p, f.frame)
-		d.respGen.End(p.Now())
-		sp.End()
-
-		for _, resp := range resps {
-			if err := d.SendOn(p, f.pair, resp); err != nil {
-				panic("vdev: net: " + err.Error())
-			}
-		}
-		d.framePool = append(d.framePool, f.frame[:0])
+// popFrame takes the oldest frame the TX engine queued, reporting
+// false when there is none.
+func (d *NetDevice) popFrame() (txFrame, bool) {
+	if len(d.frames) == d.frameHead {
+		return txFrame{}, false
 	}
+	f := d.frames[d.frameHead]
+	d.frames[d.frameHead] = txFrame{}
+	d.frameHead++
+	if d.frameHead == len(d.frames) {
+		d.frames = d.frames[:0]
+		d.frameHead = 0
+	}
+	return f, true
 }
 
-// SendOn delivers one frame to the host through the receive queue of
-// the given queue pair — the device's receive-side steering — prefixed
-// with a virtio-net header. When the driver negotiated GUEST_CSUM the
-// device marks the frame's checksum as already validated.
-func (d *NetDevice) SendOn(p *sim.Proc, pair int, frame []byte) error {
+// echo builds the paper's echo reply to frame in d.resp, a reused
+// buffer: a same-size UDP response with swapped addresses and ports and
+// recomputed checksums. It returns the reply's cost: the
+// parse/buffer/rewrite pipeline plus one checksum pass over the frame
+// at 16 B/cycle — the response-generation time the paper deducts from
+// the VirtIO measurements. A non-UDP frame (e.g. stray ARP) leaves
+// d.resp empty and costs nothing: the echo design drops it silently,
+// as it only answers the test flow.
+func (d *NetDevice) echo(frame []byte) sim.Duration {
+	resp, err := netstack.BuildEchoResponseInto(frame, d.resp)
+	if err != nil {
+		d.resp = d.resp[:0]
+		return 0
+	}
+	d.resp = resp
+	clk := d.ctrl.Clock()
+	return clk.Cycles(150 + clk.CyclesFor(len(resp), 16))
+}
+
+// rxBuffer stages frame for the host on the receive queue of the given
+// queue pair — the device's receive-side steering — prefixed with a
+// virtio-net header, and returns that queue's index and the staged
+// bytes. When the driver negotiated GUEST_CSUM the device marks the
+// frame's checksum as already validated.
+func (d *NetDevice) rxBuffer(pair int, frame []byte) (int, []byte, error) {
 	if pair < 0 || pair >= d.curPairs {
-		return fmt.Errorf("vdev: net: queue pair %d not active (%d pairs)", pair, d.curPairs)
+		return 0, nil, fmt.Errorf("vdev: net: queue pair %d not active (%d pairs)", pair, d.curPairs)
 	}
 	hdr := virtio.NetHdr{NumBuffers: 1}
 	if d.ctrl.Negotiated().Has(virtio.NetFGuestCsum) {
@@ -305,5 +325,72 @@ func (d *NetDevice) SendOn(p *sim.Proc, pair int, frame []byte) error {
 	hdr.EncodeInto(buf)
 	copy(buf[virtio.NetHdrSize:], frame)
 	d.rxFrames++
-	return d.ctrl.Deliver(p, virtio.NetRXQueue(pair), buf)
+	return virtio.NetRXQueue(pair), buf, nil
+}
+
+// Where the user logic's step resumes.
+const (
+	ulWait    = iota // pop a frame, start its reply
+	ulReplied        // close response generation, deliver the reply
+	ulSending        // the reply's delivery runs
+)
+
+// start is the user-logic process.
+func (d *NetDevice) start(p *sim.Proc) {
+	if d.userLoop != nil {
+		d.userLoop(p, d)
+		return
+	}
+	d.p = p
+	p.SleepSteps(d.step)
+}
+
+// run is the user logic's SleepSteps step, which never returns 0: it
+// pops the frames the TX engine queued, generates each echo reply
+// (response generation, measured separately per the paper's Fig. 4
+// methodology) and delivers it into the RX queue of the frame's pair.
+func (d *NetDevice) run() sim.Duration {
+	for {
+		switch d.pc {
+		case ulWait:
+			f, ok := d.popFrame()
+			if !ok {
+				d.frameC.Await(d.p)
+				return sim.Blocked
+			}
+			d.frame = f
+			// Span and counter bracket the same instants: respgen time
+			// is deducted from hardware in both attribution schemes.
+			d.respGen.Begin(d.p.Now())
+			d.sp = d.p.Sim().BeginSpan(d.respSpan)
+			d.pc = ulReplied
+			if cost := d.echo(f.frame); cost != 0 {
+				return cost
+			}
+		case ulReplied:
+			d.respGen.End(d.p.Now())
+			d.sp.End()
+			d.pc = ulWait
+			if len(d.resp) == 0 {
+				d.framePool = append(d.framePool, d.frame.frame[:0])
+				continue
+			}
+			qi, buf, err := d.rxBuffer(d.frame.pair, d.resp)
+			if err != nil {
+				panic("vdev: net: " + err.Error())
+			}
+			d.dl = d.ctrl.queues[qi].dl
+			d.dl.begin(d.p, buf)
+			d.pc = ulSending
+		case ulSending:
+			if st := d.dl.run(); st != 0 {
+				return st
+			}
+			if d.dl.err != nil {
+				panic("vdev: net: " + d.dl.err.Error())
+			}
+			d.framePool = append(d.framePool, d.frame.frame[:0])
+			d.pc = ulWait
+		}
+	}
 }

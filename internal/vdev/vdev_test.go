@@ -393,11 +393,11 @@ func TestBlkDeviceRejectsOutOfRangeSector(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			n := tc.count * virtio.BlkSectorSize
 			read := virtio.BlkReqHdr{Type: virtio.BlkTIn, Sector: tc.sector}.Encode()
-			if got := bdev.HandleDriverChain(nil, 0, read, n+1); !bytes.Equal(got, []byte{virtio.BlkStatusIOErr}) {
+			if got := bdev.HandleDriverChain(0, read, n+1); !bytes.Equal(got, []byte{virtio.BlkStatusIOErr}) {
 				t.Errorf("read = %d bytes, status %v; want a lone I/O error status", len(got), got[len(got)-1])
 			}
 			write := append(virtio.BlkReqHdr{Type: virtio.BlkTOut, Sector: tc.sector}.Encode(), make([]byte, n)...)
-			if got := bdev.HandleDriverChain(nil, 0, write, 1); !bytes.Equal(got, []byte{virtio.BlkStatusIOErr}) {
+			if got := bdev.HandleDriverChain(0, write, 1); !bytes.Equal(got, []byte{virtio.BlkStatusIOErr}) {
 				t.Errorf("write status = %v, want I/O error", got)
 			}
 		})

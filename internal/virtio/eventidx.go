@@ -1,9 +1,6 @@
 package virtio
 
-import (
-	"fpgavirtio/internal/mem"
-	"fpgavirtio/internal/sim"
-)
+import "fpgavirtio/internal/mem"
 
 // This file implements VIRTIO_F_RING_EVENT_IDX (spec §2.7.7/§2.7.8):
 // instead of boolean suppression flags, each side publishes an index
@@ -63,22 +60,27 @@ func (q *DriverQueue) armUsedEvent(idx uint16) {
 // EnableEventIdx switches the device-side queue to event-index mode.
 func (q *DeviceQueue) EnableEventIdx() { q.eventIdx = true }
 
-// ShouldInterruptAt decides, after publishing used entries up to newIdx
-// (from oldIdx), whether to raise an interrupt. In event-index mode it
-// reads the driver's used_event threshold; otherwise the avail flags.
-// Both reads are costed bus accesses and happen after the used-index
-// write, preserving the race-free ordering.
-func (q *DeviceQueue) ShouldInterruptAt(p *sim.Proc, oldIdx, newIdx uint16) bool {
-	if q.eventIdx {
-		event := q.readU16(p, q.lay.usedEventAddr())
-		return NeedEvent(event, newIdx, oldIdx)
+// suppression runs ShouldInterrupt and PublishIdleHint. Both threshold
+// words are event-class addresses, unconstrained by the publish order.
+func (q *DeviceQueue) suppression(c *Cursor) bool {
+	switch c.pc {
+	case splitIRQ:
+		c.pc = splitIRQDone
+		if q.eventIdx {
+			return bus.Read(c, q.lay.usedEventAddr(), c.scratch[:2])
+		}
+		return bus.Read(c, q.lay.Avail, c.scratch[:2])
+	case splitIRQDone:
+		if q.eventIdx {
+			c.Interrupt = NeedEvent(u16le(c.scratch[:2]), c.idx, c.old)
+		} else {
+			c.Interrupt = u16le(c.scratch[:2])&AvailFNoInterrupt == 0
+		}
+		return c.done()
+	case splitHint:
+		c.scratch[0], c.scratch[1] = byte(c.idx), byte(c.idx>>8)
+		c.pc = splitHintDone
+		return bus.Write(c, q.lay.availEventAddr(), c.scratch[:2])
 	}
-	return !q.InterruptSuppressed(p)
-}
-
-// PublishAvailEvent writes the device's doorbell threshold: "kick me
-// when avail moves past idx".
-func (q *DeviceQueue) PublishAvailEvent(p *sim.Proc, idx uint16) {
-	q.flagScratch[0], q.flagScratch[1] = byte(idx), byte(idx>>8)
-	q.dma.Write(p, q.lay.availEventAddr(), q.flagScratch[:])
+	return c.done()
 }

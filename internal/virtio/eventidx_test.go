@@ -72,26 +72,24 @@ func TestEventIdxDriverSuppression(t *testing.T) {
 		t.Fatal("event idx not enabled")
 	}
 	s := sim.New()
-	dev := NewDeviceQueue(&hostDMA{m: m, cost: sim.Ns(10)}, lay)
-	dev.EnableEventIdx()
+	dev := newBlockingSplit(&hostDMA{m: m, cost: sim.Ns(10)}, lay)
+	dev.split().EnableEventIdx()
 
 	// Post a buffer, device completes it: armed at 0 -> interrupt.
 	buf := al.Alloc(64, 4)
 	dq.Add([]BufSeg{{Addr: buf, Len: 64}}, 1)
 	var first, second, third bool
 	s.Go("dev", func(p *sim.Proc) {
-		head := dev.NextAvailHead(p)
-		ch, _ := dev.FetchChain(p, head)
-		_ = ch
-		dev.PushUsed(p, head, 0)
-		first = dev.ShouldInterruptAt(p, dev.usedIdx-1, dev.usedIdx)
+		_, tok, _ := dev.NextChain(p)
+		dev.Complete(p, tok, 0)
+		first = dev.ShouldInterrupt(p)
 
 		// Driver suppresses (NAPI running): threshold behind.
 		dq.SetNoInterrupt(true)
 		dq.Add([]BufSeg{{Addr: buf, Len: 64}}, 2)
-		head = dev.NextAvailHead(p)
-		dev.PushUsed(p, head, 0)
-		second = dev.ShouldInterruptAt(p, dev.usedIdx-1, dev.usedIdx)
+		_, tok, _ = dev.NextChain(p)
+		dev.Complete(p, tok, 0)
+		second = dev.ShouldInterrupt(p)
 
 		// Driver harvests and re-arms: next completion interrupts again.
 		for {
@@ -101,9 +99,9 @@ func TestEventIdxDriverSuppression(t *testing.T) {
 		}
 		dq.SetNoInterrupt(false)
 		dq.Add([]BufSeg{{Addr: buf, Len: 64}}, 3)
-		head = dev.NextAvailHead(p)
-		dev.PushUsed(p, head, 0)
-		third = dev.ShouldInterruptAt(p, dev.usedIdx-1, dev.usedIdx)
+		_, tok, _ = dev.NextChain(p)
+		dev.Complete(p, tok, 0)
+		third = dev.ShouldInterrupt(p)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -126,8 +124,8 @@ func TestEventIdxKickSuppression(t *testing.T) {
 	dq := NewDriverQueue(m, lay)
 	dq.EnableEventIdx()
 	s := sim.New()
-	dev := NewDeviceQueue(&hostDMA{m: m, cost: sim.Ns(10)}, lay)
-	dev.EnableEventIdx()
+	dev := newBlockingSplit(&hostDMA{m: m, cost: sim.Ns(10)}, lay)
+	dev.split().EnableEventIdx()
 
 	buf := al.Alloc(64, 4)
 	// Initially avail_event is 0: first add must kick.
@@ -145,9 +143,9 @@ func TestEventIdxKickSuppression(t *testing.T) {
 	dq.KickDone()
 	// Device consumes both and goes idle, publishing its threshold.
 	s.Go("dev", func(p *sim.Proc) {
-		dev.NextAvailHead(p)
-		dev.NextAvailHead(p)
-		dev.PublishAvailEvent(p, 2)
+		dev.NextChain(p)
+		dev.NextChain(p)
+		dev.PublishIdleHint(p)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -188,7 +186,7 @@ func TestIndirectDescriptorRoundTrip(t *testing.T) {
 	dq := NewDriverQueue(m, lay)
 	s := sim.New()
 	dma := &hostDMA{m: m, cost: sim.Ns(100)}
-	dev := NewDeviceQueue(dma, lay)
+	dev := newBlockingSplit(dma, lay)
 
 	hdrBuf := al.Alloc(16, 4)
 	dataBuf := al.Alloc(64, 4)
@@ -212,17 +210,16 @@ func TestIndirectDescriptorRoundTrip(t *testing.T) {
 	var got []byte
 	readsBefore := 0
 	s.Go("dev", func(p *sim.Proc) {
-		head := dev.NextAvailHead(p)
 		readsBefore = dma.reads
-		chain, err := dev.FetchChain(p, head)
+		chain, tok, err := dev.NextChain(p)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		// The whole 3-segment chain resolved in exactly 2 reads:
-		// the ring descriptor and the indirect table.
-		if dma.reads-readsBefore != 2 {
-			t.Errorf("chain fetch took %d reads, want 2", dma.reads-readsBefore)
+		// The whole 3-segment chain resolved in exactly 3 reads: the
+		// avail-ring slot, the ring descriptor and the indirect table.
+		if dma.reads-readsBefore != 3 {
+			t.Errorf("chain fetch took %d reads, want 3", dma.reads-readsBefore)
 		}
 		if len(chain) != 3 {
 			t.Errorf("chain len = %d", len(chain))
@@ -230,7 +227,7 @@ func TestIndirectDescriptorRoundTrip(t *testing.T) {
 		}
 		got = dev.ReadChainInto(p, chain, nil)
 		dev.WriteChain(p, chain, []byte{0})
-		dev.PushUsed(p, head, 1)
+		dev.Complete(p, tok, 1)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -253,7 +250,7 @@ func TestIndirectMalformedRejected(t *testing.T) {
 	al := mem.NewAllocator(m, 0x1000, 1<<16)
 	lay := AllocRing(al, 8)
 	s := sim.New()
-	dev := NewDeviceQueue(&hostDMA{m: m, cost: 0}, lay)
+	dev := newBlockingSplit(&hostDMA{m: m, cost: 0}, lay)
 
 	// Craft an indirect descriptor with a bad table length.
 	m.PutU64(lay.Desc, 0x8000)
@@ -261,13 +258,13 @@ func TestIndirectMalformedRejected(t *testing.T) {
 	m.PutU16(lay.Desc+12, DescFIndirect)
 	var errBadLen, errNested error
 	s.Go("dev", func(p *sim.Proc) {
-		_, errBadLen = dev.FetchChain(p, 0)
+		_, errBadLen = dev.fetchChain(p, m, 0)
 		// Nested indirect: table entry itself flagged indirect.
 		m.PutU32(lay.Desc+8, 16)
 		m.PutU64(0x8000, 0x9000)
 		m.PutU32(0x8000+8, 16)
 		m.PutU16(0x8000+12, DescFIndirect)
-		_, errNested = dev.FetchChain(p, 0)
+		_, errNested = dev.fetchChain(p, m, 0)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)

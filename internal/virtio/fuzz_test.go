@@ -96,11 +96,11 @@ func FuzzSplitRingDescriptorChains(f *testing.F) {
 		}
 		m.Write(0x2000, ind)
 
-		dq := NewDeviceQueue(fuzzDMA{m: m}, lay)
+		dq := newBlockingSplit(fuzzDMA{m: m}, lay)
 		s := sim.New()
 		s.Go("device", func(p *sim.Proc) {
 			defer s.Stop()
-			chain, err := dq.FetchChain(p, head)
+			chain, err := dq.fetchChain(p, m, head)
 			if err != nil {
 				return
 			}

@@ -5,7 +5,6 @@ import (
 
 	"fpgavirtio/internal/fvassert"
 	"fpgavirtio/internal/mem"
-	"fpgavirtio/internal/sim"
 )
 
 // This file implements the packed virtqueue format (VirtIO 1.2 §2.8):
@@ -228,14 +227,13 @@ func (q *PackedDriverQueue) KickDone() { q.kickArmed = false }
 
 // ---- device side ----------------------------------------------------------
 
-// PackedDeviceQueue is the device-side packed virtqueue; all accesses
-// go through costed DMA. Like DeviceQueue it owns per-queue scratch,
-// so methods run from one fabric process at a time and returned slices
-// are valid only until the next call of the same kind.
+// PackedDeviceQueue is the device-side packed virtqueue; its ops
+// (DeviceRing) run as cursors over costed bus transfers. Like
+// DeviceQueue it holds only the ring's device-side state, so one op at
+// a time may consume or publish.
 //
 //fvlint:hotpath
 type PackedDeviceQueue struct {
-	dma DMA
 	lay PackedLayout
 
 	idx      int  // next slot to poll for available descriptors
@@ -248,25 +246,35 @@ type PackedDeviceQueue struct {
 	pending    Desc
 	pendingID  uint16
 	hasPending bool
-
-	descScratch  [descEntrySize]byte // one descriptor slot read
-	complScratch [descEntrySize]byte // one used-descriptor write
-	eventScratch [4]byte             // event-suppression accesses
-	chainBuf     []Desc              // NextChain result storage
 }
 
 // NewPackedDeviceQueue returns the device-side handle.
-func NewPackedDeviceQueue(dma DMA, lay PackedLayout) *PackedDeviceQueue {
-	return &PackedDeviceQueue{dma: dma, lay: lay, wrap: true, usedWrap: true}
+func NewPackedDeviceQueue(lay PackedLayout) *PackedDeviceQueue {
+	return &PackedDeviceQueue{lay: lay, wrap: true, usedWrap: true}
 }
 
-// readSlot fetches one descriptor (16 bytes, one bus read). The packed
+// Where a packed-ring op resumes.
+const (
+	packedPending     = iota // read the next slot
+	packedPendingDone        // check its availability bits
+	packedHead               // start a chain: the cached head or a slot read
+	packedHeadDone           // check the read head
+	packedDesc               // read the next chained slot
+	packedDescDone           // check it
+	packedUsed               // write the used descriptor
+	packedUsedDone           // skip the chain's slots
+	packedIRQ                // read the driver event structure
+	packedIRQDone            // decide
+	packedHint               // write the device event structure
+	packedHintDone           // it is written
+)
+
+// decodeSlot decodes the descriptor slot in c's scratch. The packed
 // layout differs from the split one: the buffer ID sits at offset 12
 // and the flags at offset 14 (there is no next field — chains are
 // positional).
-func (q *PackedDeviceQueue) readSlot(p *sim.Proc, i int) (Desc, uint16) {
-	raw := q.descScratch[:]
-	q.dma.ReadInto(p, q.lay.slotAddr(i), raw)
+func decodeSlot(c *Cursor) (Desc, uint16) {
+	raw := c.scratch[:]
 	d := Desc{
 		Addr:  mem.Addr(u64le(raw)),
 		Len:   u32le(raw[8:]),
@@ -283,55 +291,113 @@ func (q *PackedDeviceQueue) isAvail(flags uint16) bool {
 
 // HasPending implements DeviceRing: read the next slot and check its
 // availability bits — the packed format's single-read work discovery.
-func (q *PackedDeviceQueue) HasPending(p *sim.Proc) bool {
-	d, id := q.readSlot(p, q.idx)
-	if !q.isAvail(d.Flags) {
-		q.hasPending = false
-		return false
-	}
-	q.pending, q.pendingID, q.hasPending = d, id, true
-	return true
-}
+func (q *PackedDeviceQueue) HasPending(c *Cursor) { c.begin(q, packedPending) }
 
 // NextChain implements DeviceRing: consume the pending chain. The head
 // was already fetched by HasPending; only chained descriptors cost
 // further reads.
-func (q *PackedDeviceQueue) NextChain(p *sim.Proc) ([]Desc, ChainToken, error) {
-	head := q.pending
-	id := q.pendingID
-	if !q.hasPending {
-		d, did := q.readSlot(p, q.idx)
-		if !q.isAvail(d.Flags) {
-			return nil, ChainToken{}, fmt.Errorf("virtio: packed NextChain with nothing pending")
-		}
-		head, id = d, did
-	}
-	q.hasPending = false
-	chain := append(q.chainBuf[:0], head)
-	q.chainBuf = chain
-	q.advance()
-	for chain[len(chain)-1].Flags&DescFNext != 0 {
-		if len(chain) > q.lay.QueueSize {
-			return nil, ChainToken{}, fmt.Errorf("virtio: packed chain longer than queue")
-		}
-		d, did := q.readSlot(p, q.idx)
-		if !q.isAvailOrPrevWrap(d.Flags) {
-			return nil, ChainToken{}, fmt.Errorf("virtio: packed chain truncated at slot %d", q.idx)
-		}
-		id = did
-		chain = append(chain, d)
-		q.chainBuf = chain
-		q.advance()
-	}
-	return chain, ChainToken{Head: id, Len: len(chain)}, nil
+func (q *PackedDeviceQueue) NextChain(c *Cursor) { c.begin(q, packedHead) }
+
+// Complete implements DeviceRing: write one used descriptor carrying
+// the buffer ID and written length (a single posted write), then skip
+// the chain's remaining slots.
+func (q *PackedDeviceQueue) Complete(c *Cursor, tok ChainToken, written int) {
+	c.begin(q, packedUsed)
+	c.Token, c.Written = tok, written
 }
 
-// isAvailOrPrevWrap accepts chained descriptors that were written under
-// the wrap counter value in force at their slot — which flips when the
-// chain crosses the ring boundary (advance() has already updated
-// q.wrap, so a plain isAvail check suffices).
-func (q *PackedDeviceQueue) isAvailOrPrevWrap(flags uint16) bool {
-	return q.isAvail(flags)
+// ShouldInterrupt implements DeviceRing via the driver event
+// structure: its flag is a level, not an index threshold, so the batch
+// size n is irrelevant.
+func (q *PackedDeviceQueue) ShouldInterrupt(c *Cursor, n int) { c.begin(q, packedIRQ) }
+
+// PublishIdleHint implements DeviceRing: (re-)enable doorbells in the
+// device event structure before the engine parks.
+func (q *PackedDeviceQueue) PublishIdleHint(c *Cursor) { c.begin(q, packedHint) }
+
+func (q *PackedDeviceQueue) step(c *Cursor) bool {
+	switch c.pc {
+	case packedPending:
+		c.pc = packedPendingDone
+		return bus.Read(c, q.lay.slotAddr(q.idx), c.scratch[:])
+	case packedPendingDone:
+		d, id := decodeSlot(c)
+		q.hasPending = q.isAvail(d.Flags)
+		if q.hasPending {
+			q.pending, q.pendingID = d, id
+		}
+		c.Pending = q.hasPending
+		return c.done()
+	case packedUsed, packedUsedDone:
+		return q.pushUsed(c)
+	case packedIRQ:
+		c.pc = packedIRQDone
+		return bus.Read(c, q.lay.DriverEvent, c.scratch[:4])
+	case packedIRQDone:
+		c.Interrupt = u32le(c.scratch[:4]) == PackedEventFlagEnable
+		return c.done()
+	case packedHint:
+		putU32(c.scratch[:4], PackedEventFlagEnable)
+		c.pc = packedHintDone
+		return bus.Write(c, q.lay.DeviceEvent, c.scratch[:4])
+	case packedHintDone:
+		return c.done()
+	}
+	return q.walk(c)
+}
+
+// walk consumes the chain at the poll position, one slot read per
+// chained descriptor.
+func (q *PackedDeviceQueue) walk(c *Cursor) bool {
+	for {
+		switch c.pc {
+		case packedHead:
+			c.Err = nil
+			if !q.hasPending {
+				c.pc = packedHeadDone
+				return bus.Read(c, q.lay.slotAddr(q.idx), c.scratch[:])
+			}
+			c.Chain = append(c.chainBuf[:0], q.pending)
+			c.Token.Head = q.pendingID
+			c.pc = packedDesc
+		case packedHeadDone:
+			d, id := decodeSlot(c)
+			if !q.isAvail(d.Flags) {
+				return c.fail(fmt.Errorf("virtio: packed NextChain with nothing pending"))
+			}
+			c.Chain = append(c.chainBuf[:0], d)
+			c.Token.Head = id
+			c.pc = packedDesc
+		case packedDesc:
+			if c.i = len(c.Chain); c.i == 1 {
+				q.hasPending = false
+				c.chainBuf = c.Chain
+				q.advance()
+			}
+			if c.Chain[c.i-1].Flags&DescFNext == 0 {
+				return c.chainDone()
+			}
+			if c.i > q.lay.QueueSize {
+				return c.fail(fmt.Errorf("virtio: packed chain longer than queue"))
+			}
+			c.pc = packedDescDone
+			return bus.Read(c, q.lay.slotAddr(q.idx), c.scratch[:])
+		case packedDescDone:
+			d, id := decodeSlot(c)
+			// advance has already flipped the wrap counter where the
+			// chain crossed the ring boundary, so a plain isAvail check
+			// accepts descriptors written under the wrap value in force
+			// at their slot.
+			if !q.isAvail(d.Flags) {
+				return c.fail(fmt.Errorf("virtio: packed chain truncated at slot %d", q.idx))
+			}
+			c.Token.Head = id
+			c.Chain = append(c.Chain, d)
+			c.chainBuf = c.Chain
+			q.advance()
+			c.pc = packedDesc
+		}
+	}
 }
 
 // advance moves the poll position one slot, flipping the wrap counter
@@ -344,89 +410,23 @@ func (q *PackedDeviceQueue) advance() {
 	}
 }
 
-// ReadChainInto implements DeviceRing: gather into buf's capacity.
-func (q *PackedDeviceQueue) ReadChainInto(p *sim.Proc, chain []Desc, buf []byte) []byte {
-	out := buf[:0]
-	for _, d := range chain {
-		if d.Flags&DescFWrite == 0 {
-			n, need := len(out), int(d.Len)
-			if cap(out)-n < need {
-				grown := make([]byte, n, n+need)
-				copy(grown, out)
-				out = grown
-			}
-			out = out[:n+need]
-			q.dma.ReadInto(p, d.Addr, out[n:])
-		}
+// pushUsed writes the used descriptor, then skips the chain's slots.
+func (q *PackedDeviceQueue) pushUsed(c *Cursor) bool {
+	if c.pc == packedUsed {
+		a := q.lay.slotAddr(q.usedIdx)
+		buf := c.scratch[:]
+		clear(buf)
+		putU32(buf[8:], uint32(c.Written))
+		buf[12], buf[13] = byte(c.Token.Head), byte(c.Token.Head>>8)
+		fl := usedBits(q.usedWrap)
+		buf[14], buf[15] = byte(fl), byte(fl>>8)
+		c.pc = packedUsedDone
+		return bus.Write(c, a, buf)
 	}
-	return out
-}
-
-// WriteChain implements DeviceRing.
-func (q *PackedDeviceQueue) WriteChain(p *sim.Proc, chain []Desc, data []byte) int {
-	written := 0
-	for _, d := range chain {
-		if d.Flags&DescFWrite == 0 {
-			continue
-		}
-		if len(data) == 0 {
-			break
-		}
-		n := int(d.Len)
-		if n > len(data) {
-			n = len(data)
-		}
-		q.dma.Write(p, d.Addr, data[:n])
-		data = data[n:]
-		written += n
-	}
-	return written
-}
-
-// Complete implements DeviceRing: write one used descriptor carrying
-// the buffer ID and written length (a single posted write), then skip
-// the chain's remaining slots.
-func (q *PackedDeviceQueue) Complete(p *sim.Proc, tok ChainToken, written int) {
-	a := q.lay.slotAddr(q.usedIdx)
-	buf := q.complScratch[:]
-	for i := range buf {
-		buf[i] = 0
-	}
-	put32 := func(o int, v uint32) {
-		buf[o], buf[o+1], buf[o+2], buf[o+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-	}
-	put32(8, uint32(written))
-	buf[12], buf[13] = byte(tok.Head), byte(tok.Head>>8)
-	fl := usedBits(q.usedWrap)
-	buf[14], buf[15] = byte(fl), byte(fl>>8)
-	q.dma.Write(p, a, buf)
-	q.usedIdx += tok.Len
+	q.usedIdx += c.Token.Len
 	if q.usedIdx >= q.lay.QueueSize {
 		q.usedIdx -= q.lay.QueueSize
 		q.usedWrap = !q.usedWrap
 	}
+	return c.done()
 }
-
-// ShouldInterrupt implements DeviceRing via the driver event structure.
-func (q *PackedDeviceQueue) ShouldInterrupt(p *sim.Proc) bool {
-	q.dma.ReadInto(p, q.lay.DriverEvent, q.eventScratch[:])
-	return u32le(q.eventScratch[:]) == PackedEventFlagEnable
-}
-
-// ShouldInterruptSince implements DeviceRing: the packed driver-event
-// flag is a level, not an index threshold, so batch size is irrelevant.
-func (q *PackedDeviceQueue) ShouldInterruptSince(p *sim.Proc, n int) bool {
-	return q.ShouldInterrupt(p)
-}
-
-// PublishIdleHint implements DeviceRing: (re-)enable doorbells in the
-// device event structure before the engine parks.
-func (q *PackedDeviceQueue) PublishIdleHint(p *sim.Proc) {
-	q.eventScratch = [4]byte{PackedEventFlagEnable, 0, 0, 0}
-	q.dma.Write(p, q.lay.DeviceEvent, q.eventScratch[:])
-}
-
-var (
-	_ DeviceRing = (*PackedDeviceQueue)(nil)
-	_ DriverRing = (*PackedDriverQueue)(nil)
-)

@@ -10,14 +10,14 @@ import (
 	"fpgavirtio/internal/sim"
 )
 
-func newPacked(t *testing.T, qsz int) (*mem.Memory, *mem.Allocator, *PackedDriverQueue, *PackedDeviceQueue, *hostDMA) {
+func newPacked(t *testing.T, qsz int) (*mem.Memory, *mem.Allocator, *PackedDriverQueue, *blockingRing, *hostDMA) {
 	t.Helper()
 	m := mem.New(1 << 20)
 	al := mem.NewAllocator(m, 0x1000, 1<<18)
 	lay := AllocPackedRing(al, qsz)
 	dq := NewPackedDriverQueue(m, lay)
 	dma := &hostDMA{m: m, cost: sim.Ns(100)}
-	dev := NewPackedDeviceQueue(dma, lay)
+	dev := newBlockingPacked(dma, lay)
 	return m, al, dq, dev, dma
 }
 

@@ -278,7 +278,7 @@ func TestDeviceQueueEndToEnd(t *testing.T) {
 	m, q := newRing(t, 8)
 	s := sim.New()
 	dma := &hostDMA{m: m, cost: sim.Ns(500)}
-	dq := NewDeviceQueue(dma, q.lay)
+	dq := newBlockingSplit(dma, q.lay)
 
 	payload := []byte("ping-payload")
 	m.Write(0x8000, payload)
@@ -291,12 +291,11 @@ func TestDeviceQueueEndToEnd(t *testing.T) {
 
 	var devGot []byte
 	s.Go("device", func(p *sim.Proc) {
-		if n := dq.Pending(p); n != 1 {
-			t.Errorf("pending = %d", n)
+		if !dq.HasPending(p) {
+			t.Error("nothing pending")
 			return
 		}
-		head := dq.NextAvailHead(p)
-		chain, err := dq.FetchChain(p, head)
+		chain, tok, err := dq.NextChain(p)
 		if err != nil {
 			t.Error(err)
 			return
@@ -309,7 +308,7 @@ func TestDeviceQueueEndToEnd(t *testing.T) {
 		// Echo back into the writable segment.
 		resp := append([]byte("echo:"), devGot...)
 		written := dq.WriteChain(p, chain, resp)
-		dq.PushUsed(p, head, written)
+		dq.Complete(p, tok, written)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -338,7 +337,7 @@ func TestDeviceQueueManyRoundTripsProperty(t *testing.T) {
 		n := int(count)%32 + 1
 		m, q := newRing(t, 64)
 		s := sim.New()
-		dq := NewDeviceQueue(&hostDMA{m: m, cost: sim.Ns(100)}, q.lay)
+		dq := newBlockingSplit(&hostDMA{m: m, cost: sim.Ns(100)}, q.lay)
 		rng := sim.NewRNG(uint64(seed))
 		bufBase := mem.Addr(0x10000)
 		var sent [][]byte
@@ -354,14 +353,13 @@ func TestDeviceQueueManyRoundTripsProperty(t *testing.T) {
 		}
 		got := make([][]byte, 0, n)
 		s.Go("device", func(p *sim.Proc) {
-			for dq.Pending(p) > 0 {
-				head := dq.NextAvailHead(p)
-				chain, err := dq.FetchChain(p, head)
+			for dq.HasPending(p) {
+				chain, tok, err := dq.NextChain(p)
 				if err != nil {
 					return
 				}
 				got = append(got, dq.ReadChainInto(p, chain, nil))
-				dq.PushUsed(p, head, 0)
+				dq.Complete(p, tok, 0)
 			}
 		})
 		if err := s.Run(); err != nil {
@@ -392,14 +390,14 @@ func TestDeviceQueueManyRoundTripsProperty(t *testing.T) {
 func TestDeviceQueueSuppressionFlags(t *testing.T) {
 	m, q := newRing(t, 4)
 	s := sim.New()
-	dq := NewDeviceQueue(&hostDMA{m: m, cost: sim.Ns(10)}, q.lay)
+	dq := newBlockingSplit(&hostDMA{m: m, cost: sim.Ns(10)}, q.lay)
 	q.SetNoInterrupt(true)
 	var suppressed, cleared bool
 	s.Go("device", func(p *sim.Proc) {
-		suppressed = dq.InterruptSuppressed(p)
-		dq.SetNoNotify(p, true)
+		suppressed = !dq.ShouldInterrupt(p)
+		dq.setNoNotify(p, true)
 		q.SetNoInterrupt(false)
-		cleared = !dq.InterruptSuppressed(p)
+		cleared = dq.ShouldInterrupt(p)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -412,17 +410,6 @@ func TestDeviceQueueSuppressionFlags(t *testing.T) {
 	}
 }
 
-// SetNoNotify publishes UsedFNoNotify, telling the driver doorbells may
-// be skipped while the device is actively polling.
-func (q *DeviceQueue) SetNoNotify(p *sim.Proc, on bool) {
-	v := uint16(0)
-	if on {
-		v = UsedFNoNotify
-	}
-	q.flagScratch[0], q.flagScratch[1] = byte(v), byte(v>>8)
-	q.dma.Write(p, q.lay.Used, q.flagScratch[:])
-}
-
 func TestFetchChainLoopDetected(t *testing.T) {
 	m, q := newRing(t, 4)
 	lay := q.lay
@@ -432,10 +419,10 @@ func TestFetchChainLoopDetected(t *testing.T) {
 	m.PutU16(lay.Desc+12, DescFNext)
 	m.PutU16(lay.Desc+14, 0) // points to itself
 	s := sim.New()
-	dq := NewDeviceQueue(&hostDMA{m: m, cost: 0}, lay)
+	dq := newBlockingSplit(&hostDMA{m: m, cost: 0}, lay)
 	var err error
 	s.Go("device", func(p *sim.Proc) {
-		_, err = dq.FetchChain(p, 0)
+		_, err = dq.fetchChain(p, m, 0)
 	})
 	if e := s.Run(); e != nil {
 		t.Fatal(e)

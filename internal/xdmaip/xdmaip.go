@@ -226,12 +226,10 @@ func (pt *Port) HostRead(p *sim.Proc, addr mem.Addr, n int) []byte {
 }
 
 // HostReadInto is HostRead into a caller-supplied buffer — the
-// allocation-free form the VirtIO controller's per-packet ring walks
-// use. Timing and bus traffic are identical to HostRead.
+// allocation-free form. Timing and bus traffic are identical to
+// HostRead.
 func (pt *Port) HostReadInto(p *sim.Proc, addr mem.Addr, dst []byte) {
-	pt.reads.Inc()
-	pt.readBytes.Add(int64(len(dst)))
-	sp := pt.sim.BeginSpan(pt.readSpan)
+	sp := pt.open(dst, false)
 	pt.movers.move(p, pt.program, addr, dst, false)
 	sp.End()
 }
@@ -239,11 +237,50 @@ func (pt *Port) HostReadInto(p *sim.Proc, addr mem.Addr, dst []byte) {
 // HostWrite pushes data to host memory (C2H direction) with per-chunk
 // engine overhead on top of wire serialization.
 func (pt *Port) HostWrite(p *sim.Proc, addr mem.Addr, data []byte) {
-	pt.writes.Inc()
-	pt.writeBytes.Add(int64(len(data)))
-	sp := pt.sim.BeginSpan(pt.writeSpan)
+	sp := pt.open(data, true)
 	pt.movers.move(p, pt.program, addr, data, true)
 	sp.End()
+}
+
+// open counts a transfer of buf and opens its span.
+func (pt *Port) open(buf []byte, write bool) sim.SpanRef {
+	if write {
+		pt.writes.Inc()
+		pt.writeBytes.Add(int64(len(buf)))
+		return pt.sim.BeginSpan(pt.writeSpan)
+	}
+	pt.reads.Inc()
+	pt.readBytes.Add(int64(len(buf)))
+	return pt.sim.BeginSpan(pt.readSpan)
+}
+
+// Transfer is one port transfer that another process's SleepSteps step
+// drives inline, as an SGDMA engine drives its movers, so the process
+// is not switched into when the transfer ends. It costs the same bus
+// time and opens and closes its span at the same instants as
+// HostReadInto or HostWrite.
+type Transfer struct {
+	m  *mover
+	sp sim.SpanRef
+}
+
+// Begin starts a transfer for p: a read of host memory at addr into
+// buf or, when write is set, a write of buf to it. The caller's step
+// returns each nonzero result of Step until Step returns 0, then hands
+// the transfer to Finish.
+func (pt *Port) Begin(p *sim.Proc, addr mem.Addr, buf []byte, write bool) Transfer {
+	sp := pt.open(buf, write)
+	return Transfer{m: pt.movers.get(p, pt.program, addr, buf, write), sp: sp}
+}
+
+// Step advances the transfer: it returns a sleep or sim.Blocked for the
+// caller's step to return, or 0 once the transfer has ended.
+func (t *Transfer) Step() sim.Duration { return t.m.run() }
+
+// Finish closes an ended transfer's span and frees its mover.
+func (pt *Port) Finish(t Transfer) {
+	pt.movers.put(t.m)
+	t.sp.End()
 }
 
 // movers is an endpoint's pool of card-side data movers. A transfer is
@@ -252,10 +289,11 @@ func (pt *Port) HostWrite(p *sim.Proc, addr mem.Addr, data []byte) {
 // keeps one request in flight), a write chunk a posted write that
 // holds the engine while the link serializes it. Each transfer runs as
 // one pooled step machine, so its waits run on whichever context fires
-// the wake that ends them. A port transfer runs it under
+// the wake that ends them. A blocking port transfer runs it under
 // sim.Proc.SleepSteps (move), and the calling fabric process is
-// switched into once, when the transfer ends; an SGDMA engine drives
-// it from its own step (get, put), and is not switched into at all.
+// switched into once, when the transfer ends; an SGDMA engine, or a
+// step machine through Port.Begin, drives it from its own step (get,
+// put), and is not switched into at all.
 type movers struct {
 	ep         *pcie.Endpoint
 	mps        int

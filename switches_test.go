@@ -105,6 +105,13 @@ func xdmaCount(t *testing.T, cfg fpgavirtio.Config, read func(hostCounters) int6
 // engine process is not switched into after boot: that took XDMA irq
 // from 6.005 to 2.005, the two per-IRQ ISR spawns left, and XDMA poll
 // under the chaos plan from 5.567 to 0.005. The net arms did not move.
+// The VirtIO controller's queue engines, its deliveries and the net
+// user logic run as SleepSteps step machines too, their ring ops as
+// cursors over port transfers driven inline, so none of those processes
+// is switched into after boot: that took net irq from 9.605 to 1.005,
+// the ISR spawn and the application, net poll under the chaos plan from
+// 13.126 to 0.009 and the net-stream configuration from 14.741 to
+// 6.456, the ISR and coalesce-timer spawns left.
 func TestSwitchesPerPacket(t *testing.T) {
 	chaos := fpgavirtio.Config{Seed: 3, PollMode: true, Faults: experiments.DefaultChaosPlan}
 	irq := fpgavirtio.Config{Seed: 3}
@@ -114,10 +121,10 @@ func TestSwitchesPerPacket(t *testing.T) {
 		max     int64 // per switchPackets packets
 		exactly bool
 	}{
-		{"net poll", netCount(t, chaos, switches), 14 * switchPackets, false},
-		{"net stream", netStreamCount(t, irq, switches), 15 * switchPackets, false},
+		{"net poll", netCount(t, chaos, switches), switchPackets / 10, false},
+		{"net stream", netStreamCount(t, irq, switches), 15 * switchPackets / 2, false},
 		{"xdma poll", xdmaCount(t, chaos, switches), 1 * switchPackets, false},
-		{"net irq", netCount(t, irq, switches), 9605, true},
+		{"net irq", netCount(t, irq, switches), 1005, true},
 		{"xdma irq", xdmaCount(t, irq, switches), 2005, true},
 	} {
 		t.Logf("%s: %.3f switch-ins per packet", c.name, float64(c.got)/switchPackets)
