@@ -69,7 +69,9 @@ flake:
 # chain, the busy-poll spinner against a device process and the flight
 # recorder's per-span path (both 0 allocs/op), the per-packet cost-model
 # lookups (XDMA register-file traffic, TLP link timing, CPUWork's draws
-# over a cycle of distinct segment lengths), the card-side port's read
+# over a cycle of distinct segment lengths), one MSI-X delivery through
+# a step-form interrupt handler (CPU work, a register read and a wake;
+# 0 allocs/op), the card-side port's read
 # and write transfers, the SGDMA engines' H2C and C2H runs and the
 # VirtIO controller's TX chain plus RX delivery on split and packed
 # rings (all 0 allocs/op) and the Internet checksum,
@@ -78,7 +80,7 @@ flake:
 # baseline is NOT rewritten here — use benchbase for that — so a routine
 # bench run cannot silently move the gate.
 bench:
-	$(GO) test -run '^$$' -bench 'SweepGrid|SeriesSteadyState|ProcHandoff|ProcRing3|ProcAlternate|ProcSelfWake|Jitter|SpinAgainstDevice|FlightSpan|RegFile|LinkTiming|PortTransfer|VendorRun|ControllerChain|Checksum|CPUWork' -benchmem ./internal/experiments ./internal/sim ./internal/hostos ./internal/telemetry ./internal/fpga ./internal/pcie ./internal/xdmaip ./internal/vdev ./internal/netstack .
+	$(GO) test -run '^$$' -bench 'SweepGrid|SeriesSteadyState|ProcHandoff|ProcRing3|ProcAlternate|ProcSelfWake|Jitter|SpinAgainstDevice|FlightSpan|RegFile|LinkTiming|PortTransfer|VendorRun|ControllerChain|Checksum|CPUWork|IRQDispatch' -benchmem ./internal/experiments ./internal/sim ./internal/hostos ./internal/telemetry ./internal/fpga ./internal/pcie ./internal/xdmaip ./internal/vdev ./internal/netstack .
 	$(GO) run ./cmd/fvsweepbench -n 50000 -json $${TMPDIR:-/tmp}/fvsweepbench-full.json
 
 # benchbase deliberately re-records BENCH_sweep.json at the full grid.

@@ -13,8 +13,12 @@ import (
 // analyzers (detsafe, and the cross-function modes of kickflush and
 // lockorder) run on. Nodes are functions; edges are call sites. Static
 // calls resolve directly through the type checker; interface method
-// calls fan out conservatively to every module method whose receiver
-// type implements the interface; calls the resolver cannot see through
+// calls fan out to every module method whose receiver type
+// implements the interface and is boxed: turned into an interface by
+// some conversion, assignment, composite literal or other implicit
+// conversion (Conversions), or used as a type argument. A value boxed
+// in one interface can be asserted to another, so a conversion to any
+// interface counts; calls the resolver cannot see through
 // (func values, method values, reflection) land on a single shared
 // "unknown callee" node so the analyses stay sound about what they do
 // not know.
@@ -84,6 +88,11 @@ type CallGraph struct {
 	fileToPkg map[string]string
 
 	sorted []*FuncNode // module function nodes, sorted by Key
+
+	// boxed holds the module's named types that some conversion turns
+	// into an interface, by value or by pointer, or that instantiate a
+	// generic; linkInterface links only their methods.
+	boxed map[*types.Named]bool
 }
 
 // funcKey renders the stable identity of a function object.
@@ -115,6 +124,7 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 		nodes:     make(map[*types.Func]*FuncNode),
 		sites:     make(map[token.Pos][]*CallSite),
 		fileToPkg: make(map[string]string),
+		boxed:     make(map[*types.Named]bool),
 	}
 	if len(pkgs) > 0 {
 		g.Fset = pkgs[0].Fset
@@ -135,6 +145,26 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 					continue
 				}
 				g.nodes[obj] = &FuncNode{Key: funcKey(obj), Obj: obj, Pkg: pkg, Decl: fd}
+			}
+		}
+	}
+
+	// The types interface calls can reach.
+	box := func(t types.Type) {
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		if n, ok := t.(*types.Named); ok {
+			g.boxed[n.Origin()] = true
+		}
+	}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			Conversions(pkg.Info, f, func(src, _ types.Type) { box(src) })
+		}
+		for _, inst := range pkg.Info.Instances {
+			for i := 0; i < inst.TypeArgs.Len(); i++ {
+				box(inst.TypeArgs.At(i))
 			}
 		}
 	}
@@ -273,7 +303,7 @@ func (g *CallGraph) linkUnknown(caller *FuncNode, call *ast.CallExpr) {
 
 // linkInterface fans an interface method call out to every module
 // method that could satisfy the dispatch: same name, receiver type
-// (value or pointer) implementing the interface. The interface method
+// (value or pointer) boxed and implementing the interface. The interface method
 // itself is linked too, so denylists can match calls written against
 // stdlib interfaces, and so an implementation-free interface still
 // records that something opaque was called.
@@ -293,7 +323,7 @@ func (g *CallGraph) linkInterface(caller *FuncNode, ifaceMethod *types.Func, cal
 				continue
 			}
 			named, ok := tn.Type().(*types.Named)
-			if !ok {
+			if !ok || !g.boxed[named] {
 				continue
 			}
 			var recv types.Type = named

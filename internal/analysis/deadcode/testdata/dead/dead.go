@@ -18,9 +18,10 @@ func main() {}
 // Run is public API: the fixture's package path is outside internal/.
 func Run() int {
 	var s shape = square{}
+	var boxed any = &hexagon{}
 	write(sink{})
 	sort.Sort(byLen{"bb", "a"})
-	return apply(double) + s.area()
+	return apply(double) + s.area() + boxed.(shape).area()
 }
 
 // Public is an exported type: its exported methods are API.
@@ -35,16 +36,22 @@ func apply(f func(int) int) int { return f(2) }
 
 func double(x int) int { return 2 * x }
 
-// Interface dispatch inside the module fans out to every implementation.
+// Interface dispatch inside the module fans out to the implementations
+// some conversion boxes: square into a shape, hexagon into an any that
+// is asserted to a shape. Nothing converts a circle.
 type shape interface{ area() int }
 
 type square struct{}
 
 func (square) area() int { return 1 }
 
+type hexagon struct{}
+
+func (*hexagon) area() int { return 6 }
+
 type circle struct{}
 
-func (circle) area() int { return 3 }
+func (circle) area() int { return 3 } // want "dead.circle).area is unreachable"
 
 // sink reaches io.Writer only through the conversion at write's call:
 // fmt calls Write, the module never does. Close is declared by no

@@ -204,6 +204,7 @@ func (l *Loader) load(dir, importPath string) (*Package, error) {
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Implicits:  make(map[ast.Node]types.Object),
+		Instances:  make(map[*ast.Ident]types.Instance),
 	}
 	conf := types.Config{
 		Importer: &moduleImporter{l: l, fromDir: dir},

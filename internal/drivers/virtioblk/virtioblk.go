@@ -72,7 +72,7 @@ func Probe(p *sim.Proc, h *hostos.Host, info *pcie.DeviceInfo) (*Device, error) 
 	if d.vq, err = tr.SetupQueue(p, queueReq, 128); err != nil {
 		return nil, err
 	}
-	d.vq.RegisterIRQ(d.onIRQ)
+	d.vq.RegisterIRQSteps(d.onIRQ)
 	d.hdrBuf = tr.AllocBuffer(virtio.BlkReqHdrSize)
 	d.dataBufSectors = MaxSectorsPerRequest
 	d.dataBuf = tr.AllocBuffer(d.dataBufSectors * virtio.BlkSectorSize)
@@ -85,9 +85,12 @@ func Probe(p *sim.Proc, h *hostos.Host, info *pcie.DeviceInfo) (*Device, error) 
 // CapacitySectors reports the device capacity from config space.
 func (d *Device) CapacitySectors() uint64 { return d.capacity }
 
-func (d *Device) onIRQ(p *sim.Proc) {
-	d.host.CPUWork(p, sim.Ns(260))
+func (d *Device) onIRQ(irq *hostos.IRQ) sim.Duration {
+	if st := d.host.StepWork(&irq.Work, sim.Ns(260)); st != 0 {
+		return st
+	}
 	d.wq.Wake()
+	return 0
 }
 
 // submit issues one request chain and blocks for its completion, using

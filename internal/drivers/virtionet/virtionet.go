@@ -89,6 +89,20 @@ type Options struct {
 	// (BusyPoll / the internal spin helpers). EVENT_IDX is rejected —
 	// the poll loop never arms a notification threshold.
 	PollMode bool
+
+	// blocking, set only by tests, replaces the step-form interrupt
+	// handlers and RX drain with the blocking bodies they are checked
+	// against.
+	blocking *blockingPaths
+}
+
+// blockingPaths are the blocking interrupt handlers and RX drains a
+// test runs in place of the step forms.
+type blockingPaths struct {
+	rxIRQ, txIRQ func(d *Device, p *sim.Proc, pq *pairQueues)
+	ctrlIRQ      func(d *Device, p *sim.Proc)
+	napiPoll     func(d *Device, p *sim.Proc, pq *pairQueues)
+	busyDrain    func(d *Device, p *sim.Proc, pq *pairQueues) int
 }
 
 // DefaultOptions matches the paper's test configuration.
@@ -118,14 +132,16 @@ type pairQueues struct {
 	// rxAddrs remembers every receive buffer ever posted, so a reset can
 	// repost the full set into the rebuilt ring.
 	rxAddrs []mem.Addr
-	// polling is the single-flight latch of napiPoll: the watchdog's
+	// polling is the single-flight latch of the RX drain: the watchdog's
 	// rescue poll must not interleave with an interrupt-driven poll.
 	polling bool
+	// poll is the pair's RX drain.
+	poll *rxPoll
 	// Watchdog strike counters (see watchdogStrikes).
 	rxStrikes, txStrikes int
 	lastInFlight         int
 	// txUsed / rxUsed / irqUsed are harvest scratch. IRQ-context reclaim
-	// (onTxIRQ) gets its own buffer because it can preempt a process-
+	// (txIRQ) gets its own buffer because it can preempt a process-
 	// context reclaim at a CPU-cost yield; reclaiming asserts that two
 	// process-context reclaims never overlap on one pair.
 	txUsed, rxUsed, irqUsed []virtio.Used
@@ -182,9 +198,6 @@ type Device struct {
 
 	rxBufSize int
 	ctrlWQ    *hostos.WaitQueue
-
-	// stats
-	TxPackets, RxPackets, RxIRQs int
 
 	txPkts, rxPkts, rxIRQs *telemetry.Counter
 	spans                  struct{ xmit, napi, busypoll, reset sim.SpanKind }
@@ -326,6 +339,8 @@ func Probe(p *sim.Proc, h *hostos.Host, stack *netstack.Stack, info *pcie.Device
 	d.qsize = qsize
 	for i := 0; i < pairs; i++ {
 		pq := &pairQueues{txWQ: h.NewWaitQueue(fmt.Sprintf("%s.tx%d", opt.Name, i))}
+		pq.poll = &rxPoll{d: d, pq: pq}
+		pq.poll.step = pq.poll.run
 		if opt.PollMode {
 			pq.txHasUsed = func() bool { return pq.tx.HasUsed() }
 			pq.reclaimed = func(p *sim.Proc) bool { return pq.reclaimTx(p) > 0 }
@@ -348,15 +363,24 @@ func Probe(p *sim.Proc, h *hostos.Host, stack *netstack.Stack, info *pcie.Device
 		if d.ctrlq, err = tr.SetupQueue(p, ctrlIdx, 16); err != nil {
 			return nil, err
 		}
-		d.ctrlq.RegisterIRQ(d.onCtrlIRQ)
+		if b := opt.blocking; b != nil {
+			d.ctrlq.RegisterIRQ(func(p *sim.Proc) { b.ctrlIRQ(d, p) })
+		} else {
+			d.ctrlq.RegisterIRQSteps(d.ctrlIRQ)
+		}
 		if opt.PollMode {
 			d.ctrlq.SetNoInterrupt(true)
 		}
 	}
 	for _, pq := range d.pairs {
 		pq := pq
-		pq.rx.RegisterIRQ(func(p *sim.Proc) { d.onRxIRQ(p, pq) })
-		pq.tx.RegisterIRQ(func(p *sim.Proc) { d.onTxIRQ(p, pq) })
+		if b := opt.blocking; b != nil {
+			pq.rx.RegisterIRQ(func(p *sim.Proc) { b.rxIRQ(d, p, pq) })
+			pq.tx.RegisterIRQ(func(p *sim.Proc) { b.txIRQ(d, p, pq) })
+		} else {
+			pq.rx.RegisterIRQSteps(func(irq *hostos.IRQ) sim.Duration { return d.rxIRQ(irq, pq) })
+			pq.tx.RegisterIRQSteps(func(irq *hostos.IRQ) sim.Duration { return d.txIRQ(irq, pq) })
+		}
 		if opt.PollMode {
 			// No IRQ arming: every queue interrupt stays suppressed for
 			// the session's lifetime; the handlers registered above are
@@ -408,7 +432,7 @@ func Probe(p *sim.Proc, h *hostos.Host, stack *netstack.Stack, info *pcie.Device
 			// detection happens in the spin loops' yield slow path
 			// (PollYield reads device status) — never from IRQ context,
 			// and no watchdog process exists.
-			h.RegisterIRQ(tr.EP, 0, func(p *sim.Proc) {})
+			h.RegisterIRQSteps(tr.EP, 0, func(*hostos.IRQ) sim.Duration { return 0 })
 		} else {
 			h.RegisterIRQ(tr.EP, 0, d.onConfigIRQ)
 			h.Sim.Go(opt.Name+".watchdog", d.watchdog)
@@ -457,6 +481,12 @@ func (d *Device) Xmit(p *sim.Proc, pkt netstack.TxPacket) error {
 	defer sp.End()
 	d.host.CPUWork(p, xmitPathCost)
 	pq := d.txQueue()
+	// The queue is stopped while a device reset rebuilds the rings:
+	// recoverReset requeues the batched chains and wakes every transmit
+	// queue once it is done.
+	for d.resetting {
+		pq.txWQ.Wait(p)
+	}
 
 	// Reclaim finished TX chains (free_old_xmit_skbs).
 	pq.reclaimTx(p)
@@ -531,7 +561,6 @@ func (d *Device) Xmit(p *sim.Proc, pkt netstack.TxPacket) error {
 	default:
 		pq.tx.KickIfNeeded(p)
 	}
-	d.TxPackets++
 	d.txPkts.Inc()
 	return nil
 }
@@ -559,129 +588,287 @@ func (d *Device) FlushTx(p *sim.Proc) {
 	}
 }
 
-// onTxIRQ handles (rare) TX completion interrupts when suppression is
-// off: reclaim and wake any stalled transmitter.
-func (d *Device) onTxIRQ(p *sim.Proc, pq *pairQueues) {
-	d.host.CPUWork(p, irqBodyCost)
-	if d.resetting {
-		return
-	}
-	used := pq.tx.HarvestInto(p, pq.irqUsed)
-	for _, u := range used {
-		idx := u.Token.(txToken).idx
-		if fvassert.Enabled && !pq.txInFlight[idx] {
-			fvassert.Failf("virtionet: TX completion for buffer %d that is not in flight", idx)
+// txIRQ is the TX completion interrupt (rare: only when suppression
+// is off), a step-form handler: reclaim and wake any stalled
+// transmitter.
+func (d *Device) txIRQ(irq *hostos.IRQ, pq *pairQueues) sim.Duration {
+	for {
+		switch irq.PC {
+		case 0: // the handler body, then start the harvest
+			if st := d.host.StepWork(&irq.Work, irqBodyCost); st != 0 {
+				return st
+			}
+			if d.resetting {
+				return 0
+			}
+			pq.tx.BeginHarvest()
+			irq.PC = 1
+		case 1: // take the next completion, or free all taken
+			// pq.irqUsed holds what this harvest, and any TX interrupt
+			// overlapping it on the pair, has taken and not yet freed.
+			u, ok := pq.tx.NextUsed()
+			if !ok {
+				for _, u := range pq.irqUsed {
+					idx := u.Token.(txToken).idx
+					if fvassert.Enabled && !pq.txInFlight[idx] {
+						fvassert.Failf("virtionet: TX completion for buffer %d that is not in flight", idx)
+					}
+					pq.txInFlight[idx] = false
+					pq.txFree = append(pq.txFree, idx)
+				}
+				pq.irqUsed = pq.irqUsed[:0]
+				pq.txWQ.Wake()
+				return 0
+			}
+			pq.irqUsed = append(pq.irqUsed, u)
+			irq.PC = 2
+		case 2: // the completion's harvest cost
+			if st := d.host.StepWork(&irq.Work, virtiopci.GetUsedCost); st != 0 {
+				return st
+			}
+			irq.PC = 1
 		}
-		pq.txInFlight[idx] = false
-		pq.txFree = append(pq.txFree, idx)
 	}
-	pq.irqUsed = used[:0]
-	pq.txWQ.Wake()
 }
 
-// onRxIRQ is the receive interrupt: disable further RX interrupts and
-// hand off to NAPI poll, per the kernel's structure.
-func (d *Device) onRxIRQ(p *sim.Proc, pq *pairQueues) {
-	d.RxIRQs++
-	d.rxIRQs.Inc()
-	d.host.CPUWork(p, irqBodyCost)
-	if d.resetting {
+// rxIRQ is the receive interrupt, a step-form handler: disable further
+// RX interrupts and hand off to NAPI poll, per the kernel's structure.
+// The poll is the pair's RX drain, run inline.
+func (d *Device) rxIRQ(irq *hostos.IRQ, pq *pairQueues) sim.Duration {
+	for {
+		switch irq.PC {
+		case 0: // count the interrupt
+			d.rxIRQs.Inc()
+			irq.PC = 1
+		case 1: // the handler body, then the softirq latency
+			if st := d.host.StepWork(&irq.Work, irqBodyCost); st != 0 {
+				return st
+			}
+			if d.resetting {
+				return 0
+			}
+			pq.rx.SetNoInterrupt(true)
+			irq.PC = 2
+			if l := d.host.Config().SoftIRQLatency; l != 0 {
+				return l
+			}
+		case 2: // NAPI poll, unless a poll is already running
+			if pq.polling {
+				return 0
+			}
+			pq.poll.begin(true)
+			irq.PC = 3
+		case 3:
+			return pq.poll.run()
+		}
+	}
+}
+
+// napiPoll drains the RX used ring from p, as the NAPI poll does (see
+// rxPoll), unless a poll is already running.
+func (d *Device) napiPoll(p *sim.Proc, pq *pairQueues) {
+	if b := d.opt.blocking; b != nil {
+		b.napiPoll(d, p, pq)
 		return
 	}
-	pq.rx.SetNoInterrupt(true)
-	p.Sleep(d.host.Config().SoftIRQLatency)
-	d.napiPoll(p, pq)
-}
-
-// napiPoll drains the RX used ring, delivers frames to the stack,
-// reposts buffers, then re-enables interrupts (with the standard
-// re-check to close the race).
-func (d *Device) napiPoll(p *sim.Proc, pq *pairQueues) {
-	// Single-flight: a spurious interrupt or a watchdog rescue poll must
-	// not interleave with a poll already in progress (they would share
-	// the pair's harvest scratch).
 	if pq.polling {
 		return
 	}
-	pq.polling = true
-	sp := p.Sim().BeginSpan(d.spans.napi)
-	defer sp.End()
+	pq.poll.begin(true)
+	p.SleepSteps(pq.poll.step)
+}
+
+// Where an RX drain's step resumes.
+const (
+	rxCheck       = iota // NAPI: stop on a reset, else drain
+	rxDrain              // start the harvest
+	rxHarvest            // take the next completion, or start on the frames
+	rxHarvestCost        // the completion's harvest cost
+	rxFrame              // the next frame, or the kick once all are handled
+	rxPktCost            // the per-frame cost, then plan the frame's delivery
+	rxInput              // the stack's segments, then apply the delivery
+	rxRefill             // stop on a reset, else the refill cost
+	rxRepost             // the repost's cost, then repost the buffer
+	rxKicked             // post the doorbell
+	rxDrained            // NAPI: re-enable interrupts and re-check
+	rxEnd                // close the span, release the latch
+)
+
+// rxPoll is one queue pair's RX drain as a step machine: harvest a
+// batch of RX completions, deliver the frames to the stack and repost
+// their buffers. Under NAPI (the interrupt pipeline, and the watchdog's
+// rescue poll) it then re-enables interrupts, with the standard
+// re-check to close the race, and drains again while more arrived;
+// under BusyPoll it drains once and never touches the suppression
+// flags. The RX interrupt runs it inline, BusyPoll and the watchdog
+// through SleepSteps. pq.polling latches it: one runs at a time per
+// pair.
+type rxPoll struct {
+	d    *Device
+	pq   *pairQueues
+	pc   uint8
+	napi bool
+	work hostos.Work
+	i    int // the frame being handled, an index into pq.rxUsed
+	seg  int // the stack segment being charged
+	cost sim.Duration
+	// n is what the last drain harvested: the number of frames, or -1
+	// when a device reset claimed the ring mid-drain (recoverReset owns
+	// the buffers then).
+	n    int
+	plan netstack.RxPlan
+	sp   sim.SpanRef
+	step func() sim.Duration // run, bound once
+}
+
+// begin takes the pair's latch and opens the poll's span.
+func (r *rxPoll) begin(napi bool) {
+	r.pq.polling, r.napi = true, napi
+	span := r.d.spans.busypoll
+	r.pc = rxDrain
+	if napi {
+		span = r.d.spans.napi
+		r.pc = rxCheck
+	}
+	r.sp = r.d.host.Sim.BeginSpan(span) // ends at rxEnd
+}
+
+// run is the drain's step.
+func (r *rxPoll) run() sim.Duration {
+	d, pq, h := r.d, r.pq, r.d.host
 	for {
-		if d.resetting || d.drainRx(p, pq) < 0 {
-			pq.polling = false
-			return
-		}
-		pq.rx.SetNoInterrupt(false)
-		if !pq.rx.HasUsed() {
-			pq.polling = false
-			return
-		}
-		// More arrived between drain and re-enable: poll again.
-		pq.rx.SetNoInterrupt(true)
-	}
-}
-
-// drainRx harvests one batch of RX completions, delivers the frames to
-// the stack and reposts their buffers — the body shared by the
-// interrupt pipeline (napiPoll) and the poll-mode busy loop (BusyPoll).
-// It returns the number of frames harvested, or -1 when a device reset
-// claimed the ring mid-drain (the caller must bail out; recoverReset
-// owns the buffers now).
-func (d *Device) drainRx(p *sim.Proc, pq *pairQueues) int {
-	used := pq.rx.HarvestInto(p, pq.rxUsed)
-	pq.rxUsed = used
-	for _, u := range used {
-		tok := u.Token.(rxToken)
-		d.host.CPUWork(p, napiPerPktCost)
-		// The used length is device-written: one past the posted buffer
-		// would copy neighbouring host memory into the frame, and a huge
-		// one would allocate it. Drop the frame and repost the buffer,
-		// as the kernel's receive_buf length check does.
-		if u.Written < virtio.NetHdrSize || u.Written > d.rxBufSize {
-			if d.rxLenErrs == nil {
-				d.rxLenErrs = d.host.Metrics().Counter(telemetry.MetricVirtionetRxLenErrors)
+		switch r.pc {
+		case rxCheck:
+			r.pc = rxDrain
+			if d.resetting {
+				r.pc = rxEnd
 			}
-			d.rxLenErrs.Inc()
-		} else {
-			d.deliverRx(p, pq, tok.addr, u.Written)
-		}
-		// A reset that began at one of the yields above owns the
-		// buffers now: recoverReset reposts the full RX set itself.
-		if d.resetting {
-			return -1
-		}
-		// Repost the buffer, reusing the token the harvest returned.
-		d.host.CPUWork(p, refillCost)
-		if err := pq.rx.AddChain1(p, virtio.BufSeg{Addr: tok.addr, Len: d.rxBufSize, DeviceWritten: true}, u.Token); err != nil {
-			panic("virtionet: repost: " + err.Error())
+		case rxDrain:
+			pq.rx.BeginHarvest()
+			pq.rxUsed = pq.rxUsed[:0]
+			r.pc = rxHarvest
+		case rxHarvest:
+			u, ok := pq.rx.NextUsed()
+			if !ok {
+				r.i = 0
+				r.pc = rxFrame
+				continue
+			}
+			pq.rxUsed = append(pq.rxUsed, u)
+			r.pc = rxHarvestCost
+		case rxHarvestCost:
+			if st := h.StepWork(&r.work, virtiopci.GetUsedCost); st != 0 {
+				return st
+			}
+			r.pc = rxHarvest
+		case rxFrame:
+			if r.i < len(pq.rxUsed) {
+				r.pc = rxPktCost
+				continue
+			}
+			// Tell the device buffers were returned.
+			r.n = len(pq.rxUsed)
+			r.pc = rxDrained
+			if pq.rx.BeginKick(d.opt.ForceKicks) {
+				r.pc = rxKicked
+				if c := h.RC.MMIOWriteCPU(); c != 0 {
+					return c
+				}
+			}
+		case rxPktCost:
+			if st := h.StepWork(&r.work, napiPerPktCost); st != 0 {
+				return st
+			}
+			// The used length is device-written: one past the posted
+			// buffer would copy neighbouring host memory into the
+			// frame, and a huge one would allocate it. Drop the frame
+			// and repost the buffer, as the kernel's receive_buf length
+			// check does.
+			u := pq.rxUsed[r.i]
+			if u.Written < virtio.NetHdrSize || u.Written > d.rxBufSize {
+				if d.rxLenErrs == nil {
+					d.rxLenErrs = h.Metrics().Counter(telemetry.MetricVirtionetRxLenErrors)
+				}
+				d.rxLenErrs.Inc()
+				r.pc = rxRefill
+				continue
+			}
+			d.stack.PlanInput(d.receive(pq, u.Token.(rxToken).addr, u.Written), &r.plan)
+			r.seg = 0
+			r.pc = rxInput
+		case rxInput:
+			if segs := r.plan.Segments(); r.seg < len(segs) {
+				if st := h.StepWork(&r.work, segs[r.seg]); st != 0 {
+					return st
+				}
+				r.seg++
+				continue
+			}
+			// Delivery errors (stray ports, bad checksums) drop the
+			// packet, as the stack does.
+			_ = d.stack.ApplyInput(&r.plan)
+			r.pc = rxRefill
+		case rxRefill:
+			// A reset that began at one of the sleeps above owns the
+			// buffers now: recoverReset reposts the full RX set itself.
+			if d.resetting {
+				r.n = -1
+				r.pc = rxDrained
+				continue
+			}
+			if st := h.StepWork(&r.work, refillCost); st != 0 {
+				return st
+			}
+			r.cost = pq.rx.BeginAdd1()
+			r.pc = rxRepost
+		case rxRepost:
+			if st := h.StepWork(&r.work, r.cost); st != 0 {
+				return st
+			}
+			// Repost the buffer, reusing the token the harvest returned.
+			u := pq.rxUsed[r.i]
+			if err := pq.rx.FinishAdd1(virtio.BufSeg{Addr: u.Token.(rxToken).addr, Len: d.rxBufSize, DeviceWritten: true}, u.Token); err != nil {
+				panic("virtionet: repost: " + err.Error())
+			}
+			r.i++
+			r.pc = rxFrame
+		case rxKicked:
+			pq.rx.FinishKick()
+			r.pc = rxDrained
+		case rxDrained:
+			r.pc = rxEnd
+			if !r.napi || r.n < 0 {
+				continue
+			}
+			pq.rx.SetNoInterrupt(false)
+			if pq.rx.HasUsed() {
+				// More arrived between drain and re-enable: poll again.
+				pq.rx.SetNoInterrupt(true)
+				r.pc = rxCheck
+			}
+		case rxEnd:
+			pq.polling = false
+			r.sp.End()
+			return 0
 		}
 	}
-	if d.opt.ForceKicks {
-		pq.rx.Kick(p)
-	} else {
-		pq.rx.KickIfNeeded(p) // tell the device buffers were returned
-	}
-	return len(used)
 }
 
-// deliverRx copies one received buffer of n bytes, n at least
-// NetHdrSize, out of host memory and hands its frame to the stack.
-func (d *Device) deliverRx(p *sim.Proc, pq *pairQueues, addr mem.Addr, n int) {
+// receive copies one received buffer of n bytes, n at least
+// NetHdrSize, out of host memory into the pair's staging buffer and
+// returns its frame for the stack.
+func (d *Device) receive(pq *pairQueues, addr mem.Addr, n int) netstack.RxPacket {
 	if cap(pq.rxBuf) < n {
 		pq.rxBuf = make([]byte, n)
 	}
 	raw := pq.rxBuf[:n]
 	d.host.Mem.ReadInto(addr, raw)
 	hdr, _ := virtio.DecodeNetHdr(raw) // fails only on a short buffer
-	rx := netstack.RxPacket{
+	d.rxPkts.Inc()
+	return netstack.RxPacket{
 		Frame:     raw[virtio.NetHdrSize:],
 		CsumValid: hdr.Flags&virtio.NetHdrFDataValid != 0,
 	}
-	d.RxPackets++
-	d.rxPkts.Inc()
-	// Delivery errors (stray ports, bad checksums) drop the packet, as
-	// the stack does.
-	_ = d.stack.Input(p, rx)
 }
 
 // BusyPoll drains pending RX completions inline from the calling
@@ -695,11 +882,14 @@ func (d *Device) BusyPoll(p *sim.Proc) int {
 		if pq.polling || d.resetting || !pq.rx.HasUsed() {
 			continue
 		}
-		pq.polling = true
-		sp := p.Sim().BeginSpan(d.spans.busypoll)
-		n := d.drainRx(p, pq)
-		sp.End()
-		pq.polling = false
+		var n int
+		if b := d.opt.blocking; b != nil {
+			n = b.busyDrain(d, p, pq)
+		} else {
+			pq.poll.begin(false)
+			p.SleepSteps(pq.poll.step)
+			n = pq.poll.n
+		}
 		if n > 0 {
 			total += n
 		}
@@ -743,13 +933,15 @@ func (d *Device) PollYield(p *sim.Proc) {
 // one set of poll.* instruments.
 func (d *Device) Spinner() *hostos.Spinner { return d.spinner }
 
-// onCtrlIRQ completes a pending control command.
-func (d *Device) onCtrlIRQ(p *sim.Proc) {
-	d.host.CPUWork(p, irqBodyCost)
-	if d.resetting {
-		return
+// ctrlIRQ completes a pending control command, a step-form handler.
+func (d *Device) ctrlIRQ(irq *hostos.IRQ) sim.Duration {
+	if st := d.host.StepWork(&irq.Work, irqBodyCost); st != 0 {
+		return st
 	}
-	d.ctrlWQ.Wake()
+	if !d.resetting {
+		d.ctrlWQ.Wake()
+	}
+	return 0
 }
 
 // ctrlCommand issues one control-queue command (class, command,

@@ -152,18 +152,20 @@ func TestCtrlQueueAbsentWhenNotNegotiated(t *testing.T) {
 func TestRxIRQCountsWithTxSuppression(t *testing.T) {
 	s, h, st, _ := testbed(t, nil)
 	run(t, s, func(p *sim.Proc) {
-		d := probe(t, p, h, st, virtionet.DefaultOptions("eth0"))
+		probe(t, p, h, st, virtionet.DefaultOptions("eth0"))
 		sock, _ := st.Bind(9300)
 		const n = 10
 		for i := 0; i < n; i++ {
 			sock.SendTo(p, netstack.IP(10, 0, 0, 2), 9000, []byte("x"))
 			sock.RecvFrom(p)
 		}
-		if d.RxIRQs != n {
-			t.Errorf("RX IRQs = %d, want %d (one per packet in ping-pong)", d.RxIRQs, n)
+		reg := h.Metrics()
+		if irqs := reg.Counter(telemetry.MetricVirtionetRxIRQs).Value(); irqs != n {
+			t.Errorf("RX IRQs = %d, want %d (one per packet in ping-pong)", irqs, n)
 		}
-		if d.TxPackets != n || d.RxPackets != n {
-			t.Errorf("driver counters tx=%d rx=%d", d.TxPackets, d.RxPackets)
+		tx, rx := reg.Counter(telemetry.MetricVirtionetTxPackets).Value(), reg.Counter(telemetry.MetricVirtionetRxPackets).Value()
+		if tx != n || rx != n {
+			t.Errorf("driver counters tx=%d rx=%d", tx, rx)
 		}
 	})
 }
@@ -332,8 +334,8 @@ func TestRxRejectsUsedLenOutsideBuffer(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if d.RxPackets != 1+2*qsize {
-			t.Fatalf("driver delivered %d frames, want %d", d.RxPackets, 1+2*qsize)
+		if rx := h.Metrics().Counter(telemetry.MetricVirtionetRxPackets).Value(); rx != int64(1+2*qsize) {
+			t.Fatalf("driver delivered %d frames, want %d", rx, 1+2*qsize)
 		}
 	})
 }

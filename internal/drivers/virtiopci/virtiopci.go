@@ -23,7 +23,8 @@ import (
 const (
 	addChainBaseCost = sim.Duration(220) * sim.Nanosecond
 	addSegCost       = sim.Duration(70) * sim.Nanosecond
-	getUsedCost      = sim.Duration(160) * sim.Nanosecond
+	// GetUsedCost is charged per completion a harvest takes.
+	GetUsedCost = sim.Duration(160) * sim.Nanosecond
 )
 
 // Transport is one bound virtio-pci function.
@@ -358,9 +359,16 @@ func (t *Transport) SetupQueue(p *sim.Proc, index int, size int) (*VQ, error) {
 	return vq, nil
 }
 
-// RegisterIRQ binds a handler to the queue's MSI-X vector.
+// RegisterIRQ binds a blocking handler to the queue's MSI-X vector
+// (hostos.Host.RegisterIRQ).
 func (vq *VQ) RegisterIRQ(handler func(p *sim.Proc)) {
 	vq.tr.Host.RegisterIRQ(vq.tr.EP, vq.Index+1, handler)
+}
+
+// RegisterIRQSteps binds a step-form handler to the queue's MSI-X
+// vector (hostos.Host.RegisterIRQSteps).
+func (vq *VQ) RegisterIRQSteps(handler func(irq *hostos.IRQ) sim.Duration) {
+	vq.tr.Host.RegisterIRQSteps(vq.tr.EP, vq.Index+1, handler)
 }
 
 // AddChain exposes a buffer chain, charging the driver's CPU cost.
@@ -379,10 +387,21 @@ func (vq *VQ) AddChain(p *sim.Proc, segs []virtio.BufSeg, token any) error {
 // AddChain1 posts a one-segment chain without materialising a slice —
 // the allocation-free form for per-packet TX and RX-repost paths.
 func (vq *VQ) AddChain1(p *sim.Proc, seg virtio.BufSeg, token any) error {
+	vq.tr.Host.CPUWork(p, vq.BeginAdd1())
+	return vq.FinishAdd1(seg, token)
+}
+
+// BeginAdd1 starts AddChain1 for a step machine and returns the CPU
+// time to charge before FinishAdd1 posts the chain.
+func (vq *VQ) BeginAdd1() sim.Duration {
 	if fvassert.Enabled && vq.dead {
 		fvassert.Failf("virtiopci: AddChain1 on queue %d after reset began", vq.Index)
 	}
-	vq.tr.Host.CPUWork(p, addChainBaseCost+addSegCost)
+	return addChainBaseCost + addSegCost
+}
+
+// FinishAdd1 posts the one-segment chain BeginAdd1 charged for.
+func (vq *VQ) FinishAdd1(seg virtio.BufSeg, token any) error {
 	vq.segScratch[0] = seg
 	_, err := vq.ring.Add(vq.segScratch[:], token)
 	if err == nil {
@@ -401,42 +420,74 @@ func (vq *VQ) Harvest(p *sim.Proc) []virtio.Used {
 // allocation-free form for per-packet ISR paths, which keep the
 // returned slice as scratch for the next harvest.
 func (vq *VQ) HarvestInto(p *sim.Proc, buf []virtio.Used) []virtio.Used {
-	if fvassert.Enabled && vq.dead {
-		fvassert.Failf("virtiopci: HarvestInto on queue %d after reset began", vq.Index)
-	}
+	vq.BeginHarvest()
 	out := buf[:0]
 	for {
-		u, ok := vq.ring.GetUsed()
+		u, ok := vq.NextUsed()
 		if !ok {
 			return out
 		}
-		vq.tr.Host.CPUWork(p, getUsedCost)
-		vq.tr.descsCompleted.Inc()
+		vq.tr.Host.CPUWork(p, GetUsedCost)
 		out = append(out, u)
 	}
+}
+
+// BeginHarvest starts a harvest for a step machine, which then takes
+// completions with NextUsed, charging GetUsedCost after each one taken.
+func (vq *VQ) BeginHarvest() {
+	if fvassert.Enabled && vq.dead {
+		fvassert.Failf("virtiopci: HarvestInto on queue %d after reset began", vq.Index)
+	}
+}
+
+// NextUsed takes one completion for a harvest, counting it.
+func (vq *VQ) NextUsed() (virtio.Used, bool) {
+	u, ok := vq.ring.GetUsed()
+	if ok {
+		vq.tr.descsCompleted.Inc()
+	}
+	return u, ok
 }
 
 // Kick rings the queue's doorbell: a single posted MMIO write — the
 // entire runtime signalling cost of the VirtIO TX path.
 func (vq *VQ) Kick(p *sim.Proc) {
-	if fvassert.Enabled && vq.dead {
-		fvassert.Failf("virtiopci: Kick on queue %d after reset began", vq.Index)
-	}
-	vq.tr.doorbells.Inc()
-	vq.tr.Host.RC.MMIOWrite(p, vq.notifyAddr, 2, uint64(vq.Index))
-	vq.KickDone()
+	vq.BeginKick(true)
+	p.Sleep(vq.tr.Host.RC.MMIOWriteCPU())
+	vq.FinishKick()
 }
 
 // KickIfNeeded honours the device's notification hints: the used-flags
 // no-notify bit, the avail_event threshold in EVENT_IDX mode, or the
 // packed event structure.
 func (vq *VQ) KickIfNeeded(p *sim.Proc) {
-	if vq.ring.NeedKick() {
-		vq.Kick(p)
-		return
+	if vq.BeginKick(false) {
+		p.Sleep(vq.tr.Host.RC.MMIOWriteCPU())
+		vq.FinishKick()
 	}
-	vq.tr.kicksElided.Inc()
-	vq.ring.KickDone()
+}
+
+// BeginKick starts Kick (force) or KickIfNeeded for a step machine. It
+// reports whether a doorbell goes out: the step then sleeps the MMIO
+// write's CPU time (pcie.RootComplex.MMIOWriteCPU) and calls
+// FinishKick. An elided kick is recorded here.
+func (vq *VQ) BeginKick(force bool) bool {
+	if !force && !vq.ring.NeedKick() {
+		vq.tr.kicksElided.Inc()
+		vq.ring.KickDone()
+		return false
+	}
+	if fvassert.Enabled && vq.dead {
+		fvassert.Failf("virtiopci: Kick on queue %d after reset began", vq.Index)
+	}
+	vq.tr.doorbells.Inc()
+	return true
+}
+
+// FinishKick posts the doorbell write BeginKick started.
+func (vq *VQ) FinishKick() {
+	vq.tr.Host.RC.PostMMIOWrite(vq.notifyAddr, 2, uint64(vq.Index))
+	vq.KickDone()
 }
 
 // AllocBuffer carves a DMA-able buffer from host memory.

@@ -68,6 +68,11 @@ type Options struct {
 	// the 4-byte status word the engine DMA-writes into host memory.
 	// This is the poll_mode=1 variant of the reference driver.
 	PollMode bool
+
+	// blockingISR, set only by tests, is registered in place of the
+	// step-form channel ISR, as the blocking handler it is checked
+	// against.
+	blockingISR func(ch *channelState, p *sim.Proc)
 }
 
 // Driver is a bound XDMA function exposing H2C and C2H device nodes.
@@ -96,8 +101,6 @@ type channelState struct {
 	h2c      bool
 	chanBase uint64
 	sgdma    uint64
-	vector   int
-	irqBit   uint32
 
 	buf      mem.Addr // bounce buffer
 	descList mem.Addr // chained descriptor ring, one entry per segment
@@ -132,8 +135,8 @@ func Probe(p *sim.Proc, h *hostos.Host, info *pcie.DeviceInfo, name string, opt 
 	if opt.PollMode {
 		d.spinner = h.NewSpinner()
 	}
-	d.h2c = d.newChannel(p, name+"_h2c_0", true, xdmaip.H2CChannelBase, xdmaip.H2CSGDMABase, xdmaip.VecH2C, 1<<0)
-	d.c2h = d.newChannel(p, name+"_c2h_0", false, xdmaip.C2HChannelBase, xdmaip.C2HSGDMABase, xdmaip.VecC2H, 1<<1)
+	d.h2c = d.newChannel(p, name+"_h2c_0", true, xdmaip.H2CChannelBase, xdmaip.H2CSGDMABase, xdmaip.VecH2C)
+	d.c2h = d.newChannel(p, name+"_c2h_0", false, xdmaip.C2HChannelBase, xdmaip.C2HSGDMABase, xdmaip.VecC2H)
 
 	if opt.PollMode {
 		// No completion interrupts: the IRQ block's channel enables stay
@@ -157,7 +160,7 @@ func Probe(p *sim.Proc, h *hostos.Host, info *pcie.DeviceInfo, name string, opt 
 	return d, nil
 }
 
-func (d *Driver) newChannel(p *sim.Proc, name string, h2c bool, chanBase, sgdma uint64, vector int, irqBit uint32) *channelState {
+func (d *Driver) newChannel(p *sim.Proc, name string, h2c bool, chanBase, sgdma uint64, vector int) *channelState {
 	reg := d.host.Metrics()
 	dir := "c2h"
 	if h2c {
@@ -169,8 +172,6 @@ func (d *Driver) newChannel(p *sim.Proc, name string, h2c bool, chanBase, sgdma 
 		h2c:       h2c,
 		chanBase:  chanBase,
 		sgdma:     sgdma,
-		vector:    vector,
-		irqBit:    irqBit,
 		buf:       d.host.Alloc.Alloc(MaxTransfer, 4096),
 		descList:  d.host.Alloc.Alloc(MaxBatchDescs*xdmaip.DescSize, 32),
 		wq:        d.host.NewWaitQueue(name),
@@ -179,7 +180,11 @@ func (d *Driver) newChannel(p *sim.Proc, name string, h2c bool, chanBase, sgdma 
 		bytes:     reg.Counter(telemetry.MetricXDMABytes(dir)),
 		irqs:      reg.Counter(telemetry.MetricXDMAIRQs(dir)),
 	}
-	d.host.RegisterIRQ(d.ep, vector, ch.isr)
+	if d.opt.blockingISR != nil {
+		d.host.RegisterIRQ(d.ep, vector, func(p *sim.Proc) { d.opt.blockingISR(ch, p) })
+	} else {
+		d.host.RegisterIRQSteps(d.ep, vector, ch.isr)
+	}
 	if d.opt.PollMode {
 		// One writeback word per channel on its own cache line, plus the
 		// one-time programming of the engine's writeback address.
@@ -204,23 +209,46 @@ func (d *Driver) H2CStats() int { return d.h2c.Transfers }
 // C2HStats reports completed card-to-host transfers.
 func (d *Driver) C2HStats() int { return d.c2h.Transfers }
 
-// isr is the interrupt handler: read (and clear) engine status, then
-// wake the blocked file operation. An engine-error status (never set
-// without fault injection) wakes the waiter with errSeen so the submit
-// loop can reset the channel and resubmit.
-func (ch *channelState) isr(p *sim.Proc) {
-	d := ch.drv
-	ch.irqs.Inc()
-	d.host.CPUWork(p, isrBodyCost)
-	st := d.host.RC.MMIORead(p, d.bar1+ch.chanBase+xdmaip.RegChanStatus+4, 4)
-	if st&xdmaip.StatusDescError != 0 {
-		ch.errSeen = true
-		ch.wq.Wake()
-		return
-	}
-	if st&xdmaip.StatusDescComplete != 0 {
-		ch.complete = true
-		ch.wq.Wake()
+// Where the channel ISR's step resumes.
+const (
+	isrEnter  = iota // count the interrupt
+	isrBody          // charge the handler body, start the status read
+	isrStatus        // act on the status
+)
+
+// isr is the interrupt handler, a step-form handler: read (and clear)
+// engine status, then wake the blocked file operation. An engine-error
+// status (never set without fault injection) wakes the waiter with
+// errSeen so the submit loop can reset the channel and resubmit.
+func (ch *channelState) isr(irq *hostos.IRQ) sim.Duration {
+	h := ch.drv.host
+	for {
+		switch irq.PC {
+		case isrEnter:
+			ch.irqs.Inc()
+			irq.PC = isrBody
+		case isrBody:
+			if st := h.StepWork(&irq.Work, isrBodyCost); st != 0 {
+				return st
+			}
+			irq.Read = h.RC.BeginMMIORead(ch.drv.bar1+ch.chanBase+xdmaip.RegChanStatus+4, 4)
+			irq.PC = isrStatus
+			if irq.Read.Await(irq.P) {
+				return sim.Blocked
+			}
+		case isrStatus:
+			st := irq.Read.End()
+			if st&xdmaip.StatusDescError != 0 {
+				ch.errSeen = true
+				ch.wq.Wake()
+				return 0
+			}
+			if st&xdmaip.StatusDescComplete != 0 {
+				ch.complete = true
+				ch.wq.Wake()
+			}
+			return 0
+		}
 	}
 }
 

@@ -2,11 +2,15 @@ package xdmadrv_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"fpgavirtio/internal/drivers/xdmadrv"
+	"fpgavirtio/internal/experiments"
+	"fpgavirtio/internal/faults"
 	"fpgavirtio/internal/hostos"
 	"fpgavirtio/internal/sim"
+	"fpgavirtio/internal/telemetry"
 	"fpgavirtio/internal/xdmaip"
 )
 
@@ -175,5 +179,111 @@ func TestLatencyIsDeterministicWhenQuiet(t *testing.T) {
 	}
 	if a < sim.Us(5) || a > sim.Us(60) {
 		t.Fatalf("RTT %v outside plausible envelope", a)
+	}
+}
+
+// isrOutcome is what a run exposes to TestIRQHandlersMatchBlocking:
+// the executed events, the queue counters, the end clock and the data
+// read back.
+type isrOutcome struct {
+	trace []sim.TraceRecord
+	stats sim.QueueStats
+	now   sim.Time
+	data  []byte
+}
+
+// runISRArm runs write/read round trips of several sizes on a noisy
+// host with the step-form channel ISR or, with oracle set, the
+// blocking one, under the fault plan (none when empty). It fails
+// unless the oracle's ISR ran and the plan's engine errors and
+// poisoned completions were recovered.
+func runISRArm(t *testing.T, plan string, oracle bool) isrOutcome {
+	t.Helper()
+	s := sim.New()
+	h := hostos.New(s, 8<<20, hostos.DefaultConfig(), 3)
+	reg := h.Metrics()
+	if plan != "" {
+		fp, err := faults.Parse(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.RC.SetFaults(faults.NewInjector(fp, sim.NewRNG(3).Fork("faults"), reg))
+	}
+	xdmaip.NewVendor(s, h.RC, "xdma0", xdmaip.DefaultConfig())
+	opt := xdmadrv.Options{}
+	handled := func() int { return 0 }
+	if oracle {
+		handled = xdmadrv.UseBlockingISR(&opt)
+	}
+	tr := &sim.RecordingTracer{}
+	s.SetTracer(tr)
+	var got []byte
+	s.Go("app", func(p *sim.Proc) {
+		defer s.Stop()
+		if _, err := xdmadrv.Probe(p, h, h.RC.Enumerate(p)[0], "xdma0", opt); err != nil {
+			t.Error(err)
+			return
+		}
+		h2c, _ := h.Open("/dev/xdma0_h2c_0")
+		c2h, _ := h.Open("/dev/xdma0_c2h_0")
+		rng := sim.NewRNG(9)
+		for i := 0; i < 400; i++ {
+			data := make([]byte, 64<<(i%5))
+			rng.Bytes(data)
+			if _, err := h2c.Write(p, data); err != nil {
+				t.Error(err)
+				return
+			}
+			back := make([]byte, len(data))
+			if _, err := c2h.Read(p, back); err != nil {
+				t.Error(err)
+				return
+			}
+			got = append(got, back...)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	switch {
+	case oracle && handled() < 800:
+		t.Fatalf("the blocking ISR handled %d interrupts, want at least 800", handled())
+	case plan != "" && reg.Counter(telemetry.MetricRecoveryXDMAResubmits).Value() == 0:
+		t.Fatal("no transfer was resubmitted")
+	case plan != "" && reg.Counter(telemetry.MetricPCIeCplErrors).Value() == 0:
+		t.Fatal("no completion was poisoned")
+	}
+	return isrOutcome{trace: tr.Records, stats: s.Stats(), now: s.Now(), data: got}
+}
+
+// TestIRQHandlersMatchBlocking: the step-form channel ISR gives the
+// same event trace, queue counters, end clock and data as the blocking
+// ISR it replaced, on a noisy host, clean and under the default chaos
+// plan (engine-error status, poisoned status reads, dropped
+// interrupts).
+func TestIRQHandlersMatchBlocking(t *testing.T) {
+	for _, arm := range []struct{ name, plan string }{
+		{"clean", ""},
+		{"chaos", experiments.DefaultChaosPlan},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			steps, oracle := runISRArm(t, arm.plan, false), runISRArm(t, arm.plan, true)
+			if !slices.Equal(steps.trace, oracle.trace) {
+				n := 0
+				for n < len(steps.trace) && n < len(oracle.trace) && steps.trace[n] == oracle.trace[n] {
+					n++
+				}
+				t.Fatalf("trace (%d events) differs from the oracle's (%d events) at event %d", len(steps.trace), len(oracle.trace), n)
+			}
+			if steps.stats != oracle.stats {
+				t.Fatalf("queue stats %+v, oracle %+v", steps.stats, oracle.stats)
+			}
+			if steps.now != oracle.now {
+				t.Fatalf("ends at %v, oracle at %v", steps.now, oracle.now)
+			}
+			if !bytes.Equal(steps.data, oracle.data) {
+				t.Fatal("read back other bytes than the oracle")
+			}
+		})
 	}
 }

@@ -145,12 +145,18 @@ type Host struct {
 	spanEnter, spanExit sim.SpanKind
 }
 
-// irqAction is the dispatch record built once at RegisterIRQ time: the
-// composed ISR process name and the span-wrapped handler closure, so
-// per-interrupt delivery does not format strings or allocate closures.
+// irqAction is the dispatch record built once at registration: the
+// composed ISR process name, the IRQ-layer span kind and the handler —
+// a span-wrapped blocking closure or a step-form handler with its pool
+// of per-interrupt states — so per-interrupt delivery does not format
+// strings or allocate.
 type irqAction struct {
-	name string
-	fn   func(p *sim.Proc)
+	host  *Host
+	name  string
+	span  sim.SpanKind
+	fn    func(p *sim.Proc)
+	steps func(irq *IRQ) sim.Duration
+	free  []*IRQ
 }
 
 // hostMetrics caches the OS-noise instruments so hot paths skip the
@@ -229,6 +235,38 @@ func (h *Host) CPUWork(p *sim.Proc, d sim.Duration) {
 	p.Sleep(h.jitter(d))
 	if cost := h.preemption(d); cost != 0 {
 		p.Sleep(cost)
+	}
+}
+
+// Work is the state of one CPU segment a step machine charges with
+// StepWork.
+type Work struct{ phase uint8 }
+
+// StepWork is CPUWork for a step machine: the step calls it with the
+// same w and d until it returns 0, and returns each nonzero result as
+// its sleep. It makes CPUWork's two draws in the same order — the
+// jitter first, the preemption once the jittered segment has run — so
+// a segment charged either way advances the noise stream identically.
+func (h *Host) StepWork(w *Work, d sim.Duration) sim.Duration {
+	for {
+		switch w.phase {
+		case 0:
+			if d <= 0 {
+				return 0
+			}
+			w.phase = 1
+			if j := h.jitter(d); j != 0 {
+				return j
+			}
+		case 1:
+			w.phase = 2
+			if c := h.preemption(d); c != 0 {
+				return c
+			}
+		default:
+			w.phase = 0
+			return 0
+		}
 	}
 }
 
@@ -352,19 +390,36 @@ func (h *Host) ClockGettime(p *sim.Proc) sim.Time {
 	return p.Now().Quantize(h.cfg.ClockResolution)
 }
 
-// RegisterIRQ binds an interrupt handler to (endpoint, vector), as
-// request_irq does. The handler runs in its own interrupt-context
-// process after the platform's dispatch latency.
+// RegisterIRQ binds a blocking interrupt handler to (endpoint,
+// vector), as request_irq does. The handler runs in its own
+// interrupt-context process after the platform's dispatch latency. It
+// is for handlers that must run blocking host software (a device
+// reset); the rest register step-form handlers with RegisterIRQSteps.
 func (h *Host) RegisterIRQ(ep *pcie.Endpoint, vector int, handler func(p *sim.Proc)) {
-	act := &irqAction{name: fmt.Sprintf("isr:%s:%d", ep.Name(), vector)}
-	span := h.Sim.SpanKind(telemetry.LayerIRQ, "", act.name)
+	act := h.newIRQAction(ep, vector)
 	act.fn = func(p *sim.Proc) {
 		// IRQ-layer span: handler entry to return, including any NAPI
 		// poll the handler runs in its interrupt-context process.
-		sp := h.Sim.BeginSpan(span)
+		sp := h.Sim.BeginSpan(act.span)
 		handler(p)
 		sp.End()
 	}
+}
+
+// RegisterIRQSteps binds a step-form interrupt handler to (endpoint,
+// vector). Each interrupt runs as a sim step process, with no
+// coroutine, started after the platform's dispatch latency: handler is
+// its step, called with the interrupt's own IRQ until it returns 0, by
+// the rules of sim.Sim.GoSteps. The IRQ-layer span opens at the first
+// step and closes at the last.
+func (h *Host) RegisterIRQSteps(ep *pcie.Endpoint, vector int, handler func(irq *IRQ) sim.Duration) {
+	h.newIRQAction(ep, vector).steps = handler
+}
+
+// newIRQAction installs the dispatch record of (endpoint, vector).
+func (h *Host) newIRQAction(ep *pcie.Endpoint, vector int) *irqAction {
+	act := &irqAction{host: h, name: fmt.Sprintf("isr:%s:%d", ep.Name(), vector)}
+	act.span = h.Sim.SpanKind(telemetry.LayerIRQ, "", act.name)
 	i := ep.Index()
 	if eps := h.RC.Endpoints(); i >= len(eps) || eps[i] != ep {
 		panic(fmt.Sprintf("hostos: IRQ handler for %s, which is not attached to this host", ep.Name()))
@@ -376,6 +431,7 @@ func (h *Host) RegisterIRQ(ep *pcie.Endpoint, vector int, handler func(p *sim.Pr
 		h.irqActions[i] = append(h.irqActions[i], make([]*irqAction, vector+1-len(h.irqActions[i]))...)
 	}
 	h.irqActions[i][vector] = act
+	return act
 }
 
 func (h *Host) deliverIRQ(ep *pcie.Endpoint, vector int) {
@@ -387,7 +443,56 @@ func (h *Host) deliverIRQ(ep *pcie.Endpoint, vector int) {
 		panic(fmt.Sprintf("hostos: unhandled IRQ %s vector %d", ep.Name(), vector))
 	}
 	h.met.irqs.Inc()
-	h.Sim.GoAfter(h.cfg.IRQEntry, act.name, act.fn)
+	if act.steps == nil {
+		h.Sim.GoAfter(h.cfg.IRQEntry, act.name, act.fn)
+		return
+	}
+	var irq *IRQ
+	if n := len(act.free); n > 0 {
+		irq = act.free[n-1]
+		act.free[n-1] = nil
+		act.free = act.free[:n-1]
+	} else {
+		irq = &IRQ{act: act}
+		irq.step = irq.run
+	}
+	irq.P = h.Sim.GoSteps(h.cfg.IRQEntry, act.name, irq.step)
+}
+
+// IRQ is one interrupt of a step-form handler: the handler's state
+// for this delivery alone. Overlapping interrupts on one vector each
+// get their own, and an ended one is pooled for the vector's next
+// interrupt, so delivery allocates nothing in steady state.
+type IRQ struct {
+	// P is the interrupt's step process, for the handler's Awaits.
+	P *sim.Proc
+	// PC is where the handler's step resumes; 0 at the first step.
+	PC uint8
+	// Work is the handler's CPU segment in flight (Host.StepWork).
+	Work Work
+	// Read is the handler's MMIO read in flight.
+	Read *pcie.MMIORead
+
+	act     *irqAction
+	started bool
+	sp      sim.SpanRef
+	step    func() sim.Duration // run, bound once
+}
+
+// run is the interrupt's step: the handler inside the IRQ-layer span.
+func (irq *IRQ) run() sim.Duration {
+	act := irq.act
+	if !irq.started {
+		irq.started = true
+		irq.sp = act.host.Sim.BeginSpan(act.span)
+	}
+	d := act.steps(irq)
+	if d == 0 {
+		irq.sp.End()
+		irq.P, irq.PC, irq.Work, irq.Read, irq.started, irq.sp = nil, 0, Work{}, nil, false, sim.SpanRef{}
+		act.free = append(act.free, irq)
+	}
+	return d
 }
 
 // WaitQueue is a kernel wait queue: sleepers pay the scheduler wake

@@ -455,3 +455,80 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		}
 	}
 }
+
+// irqBench builds a host whose endpoint's vector 1 has a step-form
+// handler doing an ISR's work: a CPU segment, a read of a BAR register
+// and the wake of a process waiting on a wait queue. raise delivers
+// one MSI-X message and runs the simulation until the woken process
+// has run; it returns how many wakes that process has seen.
+func irqBench(cfg Config) (raise func() int) {
+	s := sim.New()
+	h := New(s, 1<<20, cfg, 6)
+	cs := pcie.NewConfigSpace(1, 2, 0, 0, 0)
+	cs.SetBARSize(0, 4096)
+	ep := h.RC.Attach("dev", cs, pcie.DefaultGen2x2())
+	status := uint64(0)
+	ep.SetBarHandlers(0, pcie.BarHandlers{Read: func(off uint64, size int) uint64 { status++; return status }})
+	ep.ConfigureMSIX(2)
+	var bar0 uint64
+	s.Go("enum", func(p *sim.Proc) { bar0 = h.RC.Enumerate(p)[0].BAR[0] })
+	s.RunUntil(sim.Time(sim.Us(100)))
+	wq := h.NewWaitQueue("isr")
+	h.RegisterIRQSteps(ep, 1, func(irq *IRQ) sim.Duration {
+		switch irq.PC {
+		case 0:
+			if st := h.StepWork(&irq.Work, sim.Ns(500)); st != 0 {
+				return st
+			}
+			irq.Read = h.RC.BeginMMIORead(bar0, 4)
+			irq.PC = 1
+			if irq.Read.Await(irq.P) {
+				return sim.Blocked
+			}
+		}
+		irq.Read.End()
+		wq.Wake()
+		return 0
+	})
+	woken := 0
+	s.Go("waiter", func(p *sim.Proc) {
+		for {
+			wq.Wait(p)
+			woken++
+		}
+	})
+	return func() int {
+		ep.RaiseMSIX(1)
+		// Past the wake tail's cap: the waiter has run and waits again.
+		s.RunUntil(s.Now().Add(sim.Us(60)))
+		return woken
+	}
+}
+
+// TestIRQDispatchSteadyStateZeroAlloc: once warm, an MSI-X delivery
+// through a step-form handler allocates nothing.
+func TestIRQDispatchSteadyStateZeroAlloc(t *testing.T) {
+	raise := irqBench(DefaultConfig())
+	raise()
+	before := raise()
+	allocs := testing.AllocsPerRun(50, func() { raise() }) // 51 calls
+	if woken := raise(); woken != before+52 {
+		t.Fatalf("%d wakes over 52 interrupts, want 52", woken-before)
+	}
+	if allocs != 0 {
+		t.Fatalf("an interrupt allocates %.1f objects, budget is 0", allocs)
+	}
+}
+
+// BenchmarkIRQDispatch times one MSI-X delivery through a step-form
+// handler that charges CPU work, reads a device register and wakes a
+// waiting process: the interrupt half of an XDMA round trip.
+func BenchmarkIRQDispatch(b *testing.B) {
+	raise := irqBench(DefaultConfig())
+	raise()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		raise()
+	}
+}

@@ -306,46 +306,97 @@ func (s *UDPSocket) Recycle(buf []byte) {
 
 // Input is the receive path drivers call from softirq context: parse,
 // verify, demultiplex, wake. Frames that are not for a bound socket
-// are counted and dropped.
+// are counted and dropped. It charges the segments PlanInput lists and
+// then applies the plan.
 func (st *Stack) Input(p *sim.Proc, rx RxPacket) error {
-	h, c := st.host, st.costs
-	h.CPUWork(p, c.NetifReceive)
+	var pl RxPlan
+	st.PlanInput(rx, &pl)
+	for _, d := range pl.Segments() {
+		st.host.CPUWork(p, d)
+	}
+	return st.ApplyInput(&pl)
+}
+
+// RxPlan is one received frame's trip up the stack, split for a step
+// machine: PlanInput decodes and verifies the frame and lists the CPU
+// segments the trip charges, in order; ApplyInput applies its outcome
+// once they have run. The plan refers into the frame, which must stay
+// unchanged until ApplyInput.
+type RxPlan struct {
+	segs [5]sim.Duration
+	n    int
+	csum int // software-checksummed bytes
+	err  error
+	sock *UDPSocket
+	d    UDPDatagram
+}
+
+// Segments lists the plan's CPU segments in charge order.
+func (pl *RxPlan) Segments() []sim.Duration { return pl.segs[:pl.n] }
+
+func (pl *RxPlan) charge(d sim.Duration) {
+	pl.segs[pl.n] = d
+	pl.n++
+}
+
+// PlanInput plans Input for rx without side effects: each layer's
+// cost, up to the layer that drops the frame or, for a frame a bound
+// socket takes, through socket delivery.
+func (st *Stack) PlanInput(rx RxPacket, pl *RxPlan) {
+	c := st.costs
+	*pl = RxPlan{}
+	pl.charge(c.NetifReceive)
 	d, err := DecodeFrame(rx.Frame)
 	if err != nil {
-		st.met.rxDropped.Inc()
-		return err
+		pl.err = err
+		return
 	}
-	h.CPUWork(p, c.IPLayerRx)
+	pl.charge(c.IPLayerRx)
 	if !VerifyIPChecksum(rx.Frame) {
-		st.met.rxDropped.Inc()
-		return fmt.Errorf("netstack: bad IP checksum")
+		pl.err = fmt.Errorf("netstack: bad IP checksum")
+		return
 	}
-	h.CPUWork(p, c.UDPLayerRx)
+	pl.charge(c.UDPLayerRx)
 	if !rx.CsumValid {
-		st.met.csumBytes.Add(int64(UDPHdrSize + len(d.Payload)))
-		h.CPUWork(p, sim.Duration(UDPHdrSize+len(d.Payload))*c.CsumPerByte)
+		pl.csum = UDPHdrSize + len(d.Payload)
+		pl.charge(sim.Duration(pl.csum) * c.CsumPerByte)
 		if !VerifyUDPChecksum(rx.Frame) {
-			st.met.rxDropped.Inc()
-			return fmt.Errorf("netstack: bad UDP checksum")
+			pl.err = fmt.Errorf("netstack: bad UDP checksum")
+			return
 		}
 	}
 	sock, ok := st.socks[d.DstPort]
 	if !ok {
-		st.met.rxDropped.Inc()
-		return fmt.Errorf("netstack: no socket on port %d", d.DstPort)
+		pl.err = fmt.Errorf("netstack: no socket on port %d", d.DstPort)
+		return
 	}
-	h.CPUWork(p, c.SocketDeliver)
+	pl.charge(c.SocketDeliver)
+	pl.sock, pl.d = sock, d
+}
+
+// ApplyInput applies a plan whose segments have been charged: it counts
+// the frame and either drops it, returning why, or queues its payload
+// on the socket and wakes the socket's readers.
+func (st *Stack) ApplyInput(pl *RxPlan) error {
+	if pl.csum != 0 {
+		st.met.csumBytes.Add(int64(pl.csum))
+	}
+	if pl.err != nil {
+		st.met.rxDropped.Inc()
+		return pl.err
+	}
 	st.met.rxPackets.Inc()
-	var pl []byte
+	sock, d := pl.sock, &pl.d
+	var pay []byte
 	if n := len(sock.pool); n > 0 && cap(sock.pool[n-1]) >= len(d.Payload) {
-		pl = sock.pool[n-1][:len(d.Payload)]
+		pay = sock.pool[n-1][:len(d.Payload)]
 		sock.pool[n-1] = nil
 		sock.pool = sock.pool[:n-1]
 	} else {
-		pl = make([]byte, len(d.Payload))
+		pay = make([]byte, len(d.Payload))
 	}
-	copy(pl, d.Payload)
-	sock.queue = append(sock.queue, recvItem{payload: pl, from: d.SrcIP, port: d.SrcPort})
+	copy(pay, d.Payload)
+	sock.queue = append(sock.queue, recvItem{payload: pay, from: d.SrcIP, port: d.SrcPort})
 	sock.wq.Wake()
 	return nil
 }

@@ -57,7 +57,7 @@ type RootComplex struct {
 	routes  []barRoute
 
 	mmioWriteOps []*mmioWriteOp
-	mmioReadOps  []*mmioReadOp
+	mmioReadOps  []*MMIORead
 
 	spans struct{ cfgRead, cfgWrite, mmioWrite, mmioRead sim.SpanKind }
 }
@@ -198,9 +198,12 @@ func (rc *RootComplex) getMMIOWrite() *mmioWriteOp {
 	return op
 }
 
-// mmioReadOp is the pooled round-trip state for one non-posted MMIO
-// read (MRd down, register decode, CplD up, trigger fire).
-type mmioReadOp struct {
+// MMIORead is one non-posted MMIO read in flight (MRd down, register
+// decode, CplD up, trigger fire), a pooled op that BeginMMIORead starts
+// and the reading host process waits on with Await and ends with End.
+//
+//fvlint:hotpath
+type MMIORead struct {
 	rc    *RootComplex
 	ep    *Endpoint
 	bar   int
@@ -208,19 +211,20 @@ type mmioReadOp struct {
 	size  int
 	v     uint64
 	done  *sim.Trigger
+	sp    sim.SpanRef
 	onMRd func()
 	onReg func()
 	fire  func()
 }
 
-func (rc *RootComplex) getMMIORead() *mmioReadOp {
+func (rc *RootComplex) getMMIORead() *MMIORead {
 	if n := len(rc.mmioReadOps); n > 0 {
 		op := rc.mmioReadOps[n-1]
 		rc.mmioReadOps[n-1] = nil
 		rc.mmioReadOps = rc.mmioReadOps[:n-1]
 		return op
 	}
-	op := &mmioReadOp{rc: rc, done: sim.NewTrigger(rc.sim, "mmiord")}
+	op := &MMIORead{rc: rc, done: sim.NewTrigger(rc.sim, "mmiord")}
 	op.fire = op.done.Fire
 	op.onMRd = func() {
 		op.rc.sim.After(op.rc.costs.RegReadLatency, "ep:reg", op.onReg)
@@ -254,8 +258,18 @@ func (rc *RootComplex) getMMIORead() *mmioReadOp {
 // this asymmetry versus MMIORead is exactly why VirtIO's single
 // doorbell write is cheap for the driver (paper §IV-A).
 func (rc *RootComplex) MMIOWrite(p *sim.Proc, addr uint64, size int, v uint64) {
-	ep, bar, off := rc.route(addr)
 	p.Sleep(rc.costs.MMIOWriteCPU)
+	rc.PostMMIOWrite(addr, size, v)
+}
+
+// MMIOWriteCPU is the CPU time an MMIO write occupies before it is
+// posted: what a step machine sleeps before PostMMIOWrite.
+func (rc *RootComplex) MMIOWriteCPU() sim.Duration { return rc.costs.MMIOWriteCPU }
+
+// PostMMIOWrite posts a write whose CPU time has been charged: the
+// second half of MMIOWrite.
+func (rc *RootComplex) PostMMIOWrite(addr uint64, size int, v uint64) {
+	ep, bar, off := rc.route(addr)
 	op := rc.getMMIOWrite()
 	op.ep, op.bar, op.off, op.size, op.v = ep, bar, off, size, v
 	// Posted write: the span covers CPU post through device-side decode
@@ -266,13 +280,19 @@ func (rc *RootComplex) MMIOWrite(p *sim.Proc, addr uint64, size int, v uint64) {
 	ep.link.Down(size, ep.link.mwr, op.deliver)
 }
 
-// MMIORead performs a non-posted read of size bytes from a BAR address,
-// blocking the calling host process for the full bus round trip.
-func (rc *RootComplex) MMIORead(p *sim.Proc, addr uint64, size int) uint64 {
+// BeginMMIORead starts a non-posted read of size bytes from a BAR
+// address, for a host process that waits through the returned op:
+//
+//	rd := rc.BeginMMIORead(addr, 4)
+//	if rd.Await(p) {
+//		... block until the resume (return sim.Blocked from a step)
+//	}
+//	v := rd.End()
+func (rc *RootComplex) BeginMMIORead(addr uint64, size int) *MMIORead {
 	ep, bar, off := rc.route(addr)
 	op := rc.getMMIORead()
 	op.ep, op.bar, op.off, op.size = ep, bar, off, size
-	sp := rc.sim.BeginSpan(rc.spans.mmioRead)
+	op.sp = rc.sim.BeginSpan(rc.spans.mmioRead) // ends in End
 	ep.countDown(TLPMemRead, 0)
 	if rc.faults.Fire(faults.CplTimeout) {
 		// The read request vanishes in the fabric; the completion
@@ -283,13 +303,31 @@ func (rc *RootComplex) MMIORead(p *sim.Proc, addr uint64, size int) uint64 {
 	} else {
 		ep.link.Down(0, ep.link.mrd, op.onMRd)
 	}
-	op.done.Wait(p)
+	return op
+}
+
+// Await registers p to be resumed when the read's completion arrives
+// and reports true, or reports false when it already has (see
+// sim.Trigger.Await).
+func (op *MMIORead) Await(p *sim.Proc) bool { return op.done.Await(p) }
+
+// End closes a completed read and returns the value read. The op is
+// recycled and must not be used again.
+func (op *MMIORead) End() uint64 {
 	op.done.Reset()
-	v := op.v
-	op.ep = nil
-	rc.mmioReadOps = append(rc.mmioReadOps, op)
+	v, sp := op.v, op.sp
+	op.ep, op.sp = nil, sim.SpanRef{}
+	op.rc.mmioReadOps = append(op.rc.mmioReadOps, op)
 	sp.End()
 	return v
+}
+
+// MMIORead performs a non-posted read of size bytes from a BAR address,
+// blocking the calling host process for the full bus round trip.
+func (rc *RootComplex) MMIORead(p *sim.Proc, addr uint64, size int) uint64 {
+	op := rc.BeginMMIORead(addr, size)
+	op.done.Wait(p)
+	return op.End()
 }
 
 // DeviceInfo is the result of enumerating one endpoint.

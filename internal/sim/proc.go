@@ -41,10 +41,11 @@ import (
 // its original value. The simulation is unusable afterwards.
 //
 // Finished processes are pooled: the coroutine is reused by the next
-// Go/GoAfter, so per-operation process spawns (one per ping, one per
-// interrupt) do not allocate in steady state. The spawn generation
-// counter catches the one hazard pooling introduces — a stale wake
-// event resuming a recycled process — by panicking instead of silently
+// Go/GoAfter, so per-operation process spawns (one per ping) do not
+// allocate in steady state. A step process (GoSteps) has no coroutine
+// at all and is pooled the same way. The spawn generation counter
+// catches the one hazard pooling introduces — a stale wake event
+// resuming a recycled process — by panicking instead of silently
 // corrupting the schedule.
 type Proc struct {
 	sim     *Sim
@@ -55,7 +56,7 @@ type Proc struct {
 	gen     uint32                  // spawn generation; bumped when returned to the pool
 	why     string                  // park reason, read by deadlock detection
 	parkIdx int                     // index in sim.parked while parked
-	step    func() Duration         // the running SleepSteps continuation, or nil
+	step    func() Duration         // the running SleepSteps continuation or step process, or nil
 	onStack bool                    // on the switch stack, see suspend
 	armed   bool                    // a resume was arranged during the running step (fvinvariants builds)
 }
@@ -81,6 +82,46 @@ func (s *Sim) GoAfter(d Duration, name string, fn func(p *Proc)) *Proc {
 	p.fn = fn
 	s.ResumeAfter(d, "start", p)
 	return p
+}
+
+// GoSteps spawns a step process: a process that is only a step
+// machine and never gets a coroutine. step first runs d from now, on
+// whichever context fires the start event, and then exactly as under
+// SleepSteps: on each wake, it sleeps for each duration it returns and
+// waits whenever it returns Blocked, under the same rules (it must not
+// block, and it may use the returned process only to Await a trigger or
+// a Cond). When step returns 0 the process ends and goes back to the
+// pool of step processes, so per-operation step processes (one per
+// interrupt) do not allocate in steady state. From its spawn to its
+// end the process counts as parked, and a deadlock report names it
+// with the trigger or Cond it awaits, or as sleeping.
+//
+// A step process costs no coroutine switch and holds no goroutine: an
+// interrupt handler or a timer that only draws, sleeps, awaits and
+// wakes runs entirely on the events that drive it.
+func (s *Sim) GoSteps(d Duration, name string, step func() Duration) *Proc {
+	var p *Proc
+	if n := len(s.stepPool); n > 0 {
+		p = s.stepPool[n-1]
+		s.stepPool[n-1] = nil
+		s.stepPool = s.stepPool[:n-1]
+		p.name = name
+	} else {
+		p = &Proc{sim: s, name: name}
+	}
+	p.step, p.why = step, "sleeping"
+	p.parkIdx = len(s.parked)
+	s.parked = append(s.parked, p)
+	s.ResumeAfter(d, "start", p)
+	return p
+}
+
+// endSteps ends a step process whose step returned 0 and pools it.
+func (s *Sim) endSteps(p *Proc) {
+	s.unpark(p)
+	p.step = nil
+	p.gen++
+	s.stepPool = append(s.stepPool, p)
 }
 
 // loop is the pooled coroutine body: it runs one spawned body per
@@ -179,11 +220,18 @@ func (p *Proc) park(why string) {
 	if fvassert.Enabled && s.stepping != nil {
 		fvassert.Failf("sim: %s parks (%s) inside the SleepSteps step of %s", p.name, why, s.stepping.name)
 	}
+	if p.next == nil {
+		panic(fmt.Sprintf("sim: step process %s cannot block (%s)", p.name, why))
+	}
 	p.why = why
 	p.parkIdx = len(s.parked)
 	s.parked = append(s.parked, p)
 	p.suspend()
-	// Swap-remove from the parked set.
+	s.unpark(p)
+}
+
+// unpark swap-removes p from the parked set.
+func (s *Sim) unpark(p *Proc) {
 	n := len(s.parked) - 1
 	last := s.parked[n]
 	s.parked[p.parkIdx] = last

@@ -111,6 +111,7 @@ type Sim struct {
 	parked   []*Proc // processes currently suspended (unordered)
 	free     []*event
 	procPool []*Proc // finished processes whose coroutines idle for reuse
+	stepPool []*Proc // ended step processes, see GoSteps
 	stats    QueueStats
 	names    map[nameKey]string // (label, sub) -> interned "label:sub"
 }
@@ -252,8 +253,9 @@ func (s *Sim) popLive(limit Time) *event {
 // take advances the clock to e, traces it, and executes it if it is a
 // callback. For a process event it returns the process to hand control
 // to (after the stale-generation check), unless the process sleeps in
-// SleepSteps and its step queues another wake; for callbacks it
-// returns nil. e is released before execution, so the callback may
+// SleepSteps and its step queues another wake, or is a step process;
+// for callbacks it returns nil. A step process whose step returns 0
+// ends here. e is released before execution, so the callback may
 // immediately recycle it.
 func (s *Sim) take(e *event) *Proc {
 	s.now = e.at
@@ -274,6 +276,10 @@ func (s *Sim) take(e *event) *Proc {
 		panic(fmt.Sprintf("sim: stale resume of recycled process %q", p.name))
 	}
 	if p.step != nil && !s.runSteps(p) {
+		return nil
+	}
+	if p.next == nil {
+		s.endSteps(p)
 		return nil
 	}
 	return p

@@ -20,6 +20,8 @@ type BlkOptions struct {
 	Link pcie.LinkConfig
 	// CapacitySectors is the device size in 512-byte sectors.
 	CapacitySectors uint64
+
+	loops *blockingLoops // set only by tests, see Options
 }
 
 // BlkDevice is the VirtIO block personality backed by card memory
@@ -41,7 +43,7 @@ func NewBlk(s *sim.Sim, rc *pcie.RootComplex, name string, opt BlkOptions) *BlkD
 		opt:     opt,
 		storage: fpga.NewBRAM(name+".dram", int(opt.CapacitySectors)*virtio.BlkSectorSize),
 	}
-	d.ctrl = NewController(s, rc, name, d, Options{Link: opt.Link})
+	d.ctrl = NewController(s, rc, name, d, Options{Link: opt.Link, loops: opt.loops})
 	return d
 }
 

@@ -30,6 +30,8 @@ func (EchoBytes) HandleBytes(data []byte) []byte { return data }
 type ConsoleOptions struct {
 	Link    pcie.LinkConfig
 	Handler ByteHandler
+
+	loops *blockingLoops // set only by tests, see Options
 }
 
 // ConsoleDevice is the VirtIO console personality.
@@ -47,7 +49,7 @@ func NewConsole(s *sim.Sim, rc *pcie.RootComplex, name string, opt ConsoleOption
 		opt.Handler = EchoBytes{}
 	}
 	d := &ConsoleDevice{opt: opt, outC: sim.NewCond(s, name+".out")}
-	d.ctrl = NewController(s, rc, name, d, Options{Link: opt.Link})
+	d.ctrl = NewController(s, rc, name, d, Options{Link: opt.Link, loops: opt.loops})
 	s.Go(name+".userlogic", d.userLoop)
 	return d
 }

@@ -109,6 +109,20 @@ type Options struct {
 	// IRQCoalesceTimer bounds how long a held completion may wait for
 	// the packet threshold (default 15 us when coalescing is on).
 	IRQCoalesceTimer sim.Duration
+
+	// loops, set only by tests, runs the queue engines and deliveries
+	// through the blocking loops their step machines are checked
+	// against.
+	loops *blockingLoops
+}
+
+// blockingLoops are the blocking loops a test runs in place of the
+// queue engines', deliveries' and net user logic's step machines; the
+// engines and the user logic then run as coroutine processes.
+type blockingLoops struct {
+	engine  func(p *sim.Proc, e *engine)
+	deliver func(p *sim.Proc, dl *delivery, data []byte) error
+	user    func(p *sim.Proc, d *NetDevice)
 }
 
 // queue is the controller-side state of one virtqueue.
@@ -132,12 +146,11 @@ type queue struct {
 	// interrupt, and whether a flush timer is pending.
 	coalesced  int
 	flushArmed bool
-	// flushName and flushFn are the coalesce-timer process, built once
-	// per queue so arming it does not format or allocate a closure, and
-	// flushBuses are its idle ring buses.
-	flushName  string
-	flushFn    func(p *sim.Proc)
-	flushBuses []*ringBus
+	// flushName is the coalesce timer's process name, built once per
+	// queue so arming it does not format, and flushTimers are its idle
+	// timer states.
+	flushName   string
+	flushTimers []*flushTimer
 
 	// Span kinds registered at construction so the engine hot path
 	// does not format.
@@ -172,12 +185,6 @@ type Controller struct {
 	notifyCount int
 	opt         Options
 	met         ctrlMetrics
-
-	// engineLoop and deliverLoop, set only by tests, run the queue
-	// engines and the deliveries through the blocking loops their step
-	// machines are checked against.
-	engineLoop  func(p *sim.Proc, e *engine)
-	deliverLoop func(p *sim.Proc, dl *delivery, data []byte) error
 }
 
 // ctrlMetrics caches the controller's telemetry instruments.
@@ -270,10 +277,9 @@ func NewController(s *sim.Sim, rc *pcie.RootComplex, name string, pers Personali
 			deliverSpan: s.SpanKind(telemetry.LayerVirtIODevice, "", fmt.Sprintf("q%d.deliver", i)),
 			flushName:   fmt.Sprintf("%s.q%d.coalesce", ep.Name(), i),
 		}
-		q.flushFn = func(p *sim.Proc) { c.coalesceTimer(p, q) }
 		c.queues = append(c.queues, q)
 		if q.dir == DriverToDevice {
-			s.Go(fmt.Sprintf("%s.q%d.engine", name, i), c.newEngine(q).start)
+			c.newEngine(q, fmt.Sprintf("%s.q%d.engine", name, i))
 		} else {
 			q.dl = c.newDelivery(q)
 		}

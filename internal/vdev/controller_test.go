@@ -123,11 +123,11 @@ func runNetArm(t *testing.T, arm netArm, oracle bool) runOutcome {
 	if arm.dev != nil {
 		arm.dev(&opt)
 	}
-	dev := vdev.NewNet(s, h.RC, "vnet0", opt)
 	var counts func() (int, int, int)
 	if oracle {
-		counts = vdev.UseBlockingLoops(dev.Controller(), dev)
+		counts = vdev.UseBlockingLoops(&opt)
 	}
+	dev := vdev.NewNet(s, h.RC, "vnet0", opt)
 	var inj *faults.Injector
 	if arm.faults != "" {
 		plan, err := faults.Parse(arm.faults)
@@ -208,11 +208,12 @@ func runNetArm(t *testing.T, arm netArm, oracle bool) runOutcome {
 // loops.
 func runBlk(t *testing.T, oracle bool) runOutcome {
 	s, h := quietHost(22)
-	dev := vdev.NewBlk(s, h.RC, "vblk0", vdev.BlkOptions{Link: pcie.DefaultGen2x2(), CapacitySectors: 64})
+	opt := vdev.BlkOptions{Link: pcie.DefaultGen2x2(), CapacitySectors: 64}
 	var counts func() (int, int, int)
 	if oracle {
-		counts = vdev.UseBlockingLoops(dev.Controller(), nil)
+		counts = vdev.UseBlockingLoops(&opt)
 	}
+	vdev.NewBlk(s, h.RC, "vblk0", opt)
 	var got []byte
 	s.Go("app", func(p *sim.Proc) {
 		defer s.Stop()
@@ -245,11 +246,12 @@ func runBlk(t *testing.T, oracle bool) runOutcome {
 // delivers through Controller.Deliver.
 func runConsole(t *testing.T, oracle bool) runOutcome {
 	s, h := quietHost(23)
-	dev := vdev.NewConsole(s, h.RC, "vcon0", vdev.ConsoleOptions{Link: pcie.DefaultGen2x2()})
+	opt := vdev.ConsoleOptions{Link: pcie.DefaultGen2x2()}
 	var counts func() (int, int, int)
 	if oracle {
-		counts = vdev.UseBlockingLoops(dev.Controller(), nil)
+		counts = vdev.UseBlockingLoops(&opt)
 	}
+	vdev.NewConsole(s, h.RC, "vcon0", opt)
 	var got []byte
 	s.Go("app", func(p *sim.Proc) {
 		defer s.Stop()

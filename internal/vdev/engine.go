@@ -8,12 +8,12 @@ import (
 	"fpgavirtio/internal/xdmaip"
 )
 
-// The queue engines, the deliveries into DeviceToDriver queues and the
-// net user logic are sim.Proc.SleepSteps step machines. A ring op is a
-// virtio.Cursor over bus transfers, and each transfer runs inline as an
-// xdmaip.Transfer, so every wait, sleep and transfer runs on the wake
-// that ends it: after boot, no engine or user-logic process is
-// switched into.
+// The queue engines, the deliveries into DeviceToDriver queues, the
+// coalesce timers and the net user logic are step machines. A ring op
+// is a virtio.Cursor over bus transfers, and each transfer runs inline
+// as an xdmaip.Transfer, so every wait, sleep and transfer runs on the
+// wake that ends it. The engines, the timers and the user logic are
+// step processes (sim.Sim.GoSteps): none of them holds a coroutine.
 
 func (c *Controller) ready(q *queue) bool {
 	return q.enabled && c.status&virtio.StatusDriverOK != 0 &&
@@ -21,16 +21,13 @@ func (c *Controller) ready(q *queue) bool {
 }
 
 // ringBus drives one cursor's ring ops through the card port from a
-// SleepSteps step: the step calls step first and returns any nonzero
-// result.
+// step: the step calls step first and returns any nonzero result.
 type ringBus struct {
 	port *xdmaip.Port
 	p    *sim.Proc
 	cur  virtio.Cursor
 	x    xdmaip.Transfer
 	busy bool // x is in flight
-
-	stepFn func() sim.Duration // step, for a blocking SleepSteps call
 }
 
 // step makes the cursor's transfers one after another: it returns a
@@ -109,43 +106,63 @@ func (c *Controller) raise(q *queue, cur *virtio.Cursor) {
 	}
 }
 
-// armFlush schedules the coalesce-timer flush for a queue holding
-// completions, so the last packets of a burst are never stranded past
-// the configured latency bound.
+// armFlush starts the coalesce timer for a queue holding completions,
+// so the last packets of a burst are never stranded past the
+// configured latency bound.
 func (c *Controller) armFlush(q *queue) {
 	if q.flushArmed {
 		return
 	}
 	q.flushArmed = true
-	c.sim.GoAfter(c.opt.IRQCoalesceTimer, q.flushName, q.flushFn)
+	// A timer armed while an earlier one's read is still in flight must
+	// not share its cursor, so each takes an idle state of its own.
+	var t *flushTimer
+	if n := len(q.flushTimers); n > 0 {
+		t = q.flushTimers[n-1]
+		q.flushTimers[n-1] = nil
+		q.flushTimers = q.flushTimers[:n-1]
+	} else {
+		t = &flushTimer{c: c, q: q, bus: ringBus{port: c.port}}
+		t.step = t.run
+	}
+	t.bus.p = c.sim.GoSteps(c.opt.IRQCoalesceTimer, q.flushName, t.step)
 }
 
-// coalesceTimer is the coalesce-timer process: it raises the interrupt
-// for any completions the queue is still holding back, honouring the
-// driver's suppression state.
-func (c *Controller) coalesceTimer(p *sim.Proc, q *queue) {
-	q.flushArmed = false
-	// A timer armed while an earlier one's read is still in flight must
-	// not share its cursor, so each takes an idle bus of its own.
-	var b *ringBus
-	if n := len(q.flushBuses); n > 0 {
-		b = q.flushBuses[n-1]
-		q.flushBuses = q.flushBuses[:n-1]
-	} else {
-		b = &ringBus{port: c.port}
-		b.stepFn = b.step
+// flushTimer is one coalesce timer, a step process that expires
+// IRQCoalesceTimer after it is armed: it raises the interrupt for any
+// completions the queue is still holding back, honouring the driver's
+// suppression state.
+type flushTimer struct {
+	c       *Controller
+	q       *queue
+	bus     ringBus
+	reading bool // the suppression read is in flight
+	step    func() sim.Duration
+}
+
+// run is the timer's step.
+func (t *flushTimer) run() sim.Duration {
+	c, q := t.c, t.q
+	if !t.reading {
+		q.flushArmed = false
+		if !c.flushIRQ(q, &t.bus.cur) {
+			q.flushTimers = append(q.flushTimers, t)
+			return 0
+		}
+		t.reading = true
 	}
-	if c.flushIRQ(q, &b.cur) {
-		b.p = p
-		p.SleepSteps(b.stepFn)
-		c.raise(q, &b.cur)
+	if st := t.bus.step(); st != 0 {
+		return st
 	}
-	q.flushBuses = append(q.flushBuses, b)
+	c.raise(q, &t.bus.cur)
+	t.reading = false
+	q.flushTimers = append(q.flushTimers, t)
+	return 0
 }
 
 // engine services a DriverToDevice queue: doorbell -> fetch chain ->
 // gather data -> personality -> scatter response -> used -> IRQ. It is
-// one SleepSteps step machine whose step never returns 0.
+// a step process whose step never returns 0.
 type engine struct {
 	c        *Controller
 	q        *queue
@@ -179,23 +196,18 @@ const (
 	engEnd             // close the service interval
 )
 
-func (c *Controller) newEngine(q *queue) *engine {
+// newEngine starts q's engine process.
+func (c *Controller) newEngine(q *queue, name string) {
 	e := &engine{c: c, q: q, bus: ringBus{port: c.port}}
 	e.step = e.run
-	return e
-}
-
-// start is the engine process.
-func (e *engine) start(p *sim.Proc) {
-	if e.c.engineLoop != nil {
-		e.c.engineLoop(p, e)
+	if l := c.opt.loops; l != nil {
+		c.sim.Go(name, func(p *sim.Proc) { l.engine(p, e) })
 		return
 	}
-	e.bus.p = p
-	p.SleepSteps(e.step)
+	e.bus.p = c.sim.GoSteps(0, name, e.step)
 }
 
-// run is the engine's SleepSteps step. A ring op in flight is stepped
+// run is the engine's step. A ring op in flight is stepped
 // first, and the step resumes at e.pc once it ends.
 func (e *engine) run() sim.Duration {
 	c, q, cur := e.c, e.q, &e.bus.cur
@@ -377,8 +389,8 @@ func (c *Controller) Deliver(p *sim.Proc, qi int, data []byte) error {
 	if q.dir != DeviceToDriver {
 		return fmt.Errorf("vdev: queue %d is not device-to-driver", qi)
 	}
-	if c.deliverLoop != nil {
-		return c.deliverLoop(p, q.dl, data)
+	if l := c.opt.loops; l != nil {
+		return l.deliver(p, q.dl, data)
 	}
 	q.dl.begin(p, data)
 	p.SleepSteps(q.dl.step)

@@ -42,6 +42,10 @@ type NetOptions struct {
 	// per-queue interrupt coalescing under batch load (see Options).
 	IRQCoalescePkts  int
 	IRQCoalesceTimer sim.Duration
+
+	// loops, set only by tests, see Options; it also runs the user
+	// logic through its blocking loop.
+	loops *blockingLoops
 }
 
 // txFrame is one transmitted frame queued for user logic, tagged with
@@ -78,10 +82,6 @@ type NetDevice struct {
 	sp      sim.SpanRef // the reply's response-generation span
 	dl      *delivery   // the reply's delivery
 	step    func() sim.Duration
-
-	// userLoop, set only by tests, runs the user logic through the
-	// blocking loop its step machine is checked against.
-	userLoop func(p *sim.Proc, d *NetDevice)
 }
 
 // NewNet attaches a network device to the root complex.
@@ -99,11 +99,16 @@ func NewNet(s *sim.Sim, rc *pcie.RootComplex, name string, opt NetOptions) *NetD
 		OfferPacked:      opt.OfferPacked,
 		IRQCoalescePkts:  opt.IRQCoalescePkts,
 		IRQCoalesceTimer: opt.IRQCoalesceTimer,
+		loops:            opt.loops,
 	})
 	d.respGen = fpga.NewPerfCounter(d.ctrl.Clock(), name+".respgen")
 	d.respSpan = s.SpanKind(telemetry.LayerVirtIODevice, "", "respgen")
 	d.step = d.run
-	s.Go(name+".userlogic", d.start)
+	if l := opt.loops; l != nil {
+		s.Go(name+".userlogic", func(p *sim.Proc) { l.user(p, d) })
+	} else {
+		d.p = s.GoSteps(0, name+".userlogic", d.step)
+	}
 	return d
 }
 
@@ -335,17 +340,7 @@ const (
 	ulSending        // the reply's delivery runs
 )
 
-// start is the user-logic process.
-func (d *NetDevice) start(p *sim.Proc) {
-	if d.userLoop != nil {
-		d.userLoop(p, d)
-		return
-	}
-	d.p = p
-	p.SleepSteps(d.step)
-}
-
-// run is the user logic's SleepSteps step, which never returns 0: it
+// run is the user logic's step, which never returns 0: it
 // pops the frames the TX engine queued, generates each echo reply
 // (response generation, measured separately per the paper's Fig. 4
 // methodology) and delivers it into the RX queue of the frame's pair.

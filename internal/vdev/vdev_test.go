@@ -13,6 +13,7 @@ import (
 	"fpgavirtio/internal/netstack"
 	"fpgavirtio/internal/pcie"
 	"fpgavirtio/internal/sim"
+	"fpgavirtio/internal/telemetry"
 	"fpgavirtio/internal/vdev"
 	"fpgavirtio/internal/virtio"
 )
@@ -107,8 +108,9 @@ func TestNetEchoRoundTrip(t *testing.T) {
 			if tx, rx := dev.Stats(); tx != 1 || rx != 1 {
 				t.Errorf("device stats tx=%d rx=%d", tx, rx)
 			}
-			if drv.TxPackets != 1 || drv.RxPackets != 1 {
-				t.Errorf("driver stats tx=%d rx=%d", drv.TxPackets, drv.RxPackets)
+			reg := h.Metrics()
+			if tx, rx := reg.Counter(telemetry.MetricVirtionetTxPackets).Value(), reg.Counter(telemetry.MetricVirtionetRxPackets).Value(); tx != 1 || rx != 1 {
+				t.Errorf("driver stats tx=%d rx=%d", tx, rx)
 			}
 		})
 	if echoed == nil {

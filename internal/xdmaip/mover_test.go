@@ -260,10 +260,8 @@ func runVendorMoves(t *testing.T, arm vendorArm, oracle bool) moveOutcome {
 	oracleRuns := 0
 	var setup func(d *VendorDevice)
 	if oracle {
-		setup = func(d *VendorDevice) {
-			d.movers.blocking = blockingMove
-			d.engineLoop = func(p *sim.Proc, ch *channel) { blockingRun(p, ch, &oracleRuns) }
-		}
+		cfg.engineLoop = func(p *sim.Proc, ch *channel) { blockingRun(p, ch, &oracleRuns) }
+		setup = func(d *VendorDevice) { d.movers.blocking = blockingMove }
 	}
 	s, rc, _, info := newVendorBed(t, cfg, setup)
 	if arm.plan != "" {

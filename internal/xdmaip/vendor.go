@@ -34,6 +34,11 @@ type Config struct {
 	// spends on the received data before raising the data-ready
 	// interrupt (default 250 cycles = 2 us at 125 MHz).
 	UserLogicDelayCycles int
+
+	// engineLoop, set only by tests, runs each engine as a coroutine
+	// process through the blocking loop its step machine is checked
+	// against.
+	engineLoop func(p *sim.Proc, ch *channel)
 }
 
 // DefaultConfig mirrors the paper's XDMA example design: the DMA engine
@@ -57,11 +62,6 @@ type VendorDevice struct {
 
 	h2c *channel
 	c2h *channel
-
-	// engineLoop, set only by tests before the engines start, runs
-	// each engine through the blocking loop its step machine is
-	// checked against.
-	engineLoop func(p *sim.Proc, ch *channel)
 }
 
 // channel is one SGDMA engine (H2C or C2H).
@@ -216,7 +216,14 @@ func (d *VendorDevice) newChannel(name string, h2c bool, base, sgdma uint64, vec
 	ch.userIRQ = func() { d.RaiseUserIRQ(0) }
 	ch.userIRQName = name + ".userirq"
 	ch.step = ch.run
-	d.sim.Go(d.ep.Name()+"."+name, ch.start)
+	// The engine is a step process whose step never returns 0: its
+	// waits, sleeps and data moves all run on the wakes that end them,
+	// and it holds no coroutine.
+	if loop := d.cfg.engineLoop; loop != nil {
+		d.sim.Go(d.ep.Name()+"."+name, func(p *sim.Proc) { loop(p, ch) })
+	} else {
+		ch.p = d.sim.GoSteps(0, d.ep.Name()+"."+name, ch.step)
+	}
 	return ch
 }
 
@@ -225,20 +232,7 @@ func (ch *channel) setStatus(v uint32) {
 	ch.dev.regs.Set(ch.base+RegChanStatus, v)
 }
 
-// start is the engine process: the engine runs as one SleepSteps step
-// machine whose step never returns 0, so its waits, sleeps and data
-// moves all run on the wakes that end them and the process's coroutine
-// is not switched into again.
-func (ch *channel) start(p *sim.Proc) {
-	if ch.dev.engineLoop != nil {
-		ch.dev.engineLoop(p, ch)
-		return
-	}
-	ch.p = p
-	p.SleepSteps(ch.step)
-}
-
-// run is the engine finite-state machine as a SleepSteps step: wait for
+// run is the engine finite-state machine as a step: wait for
 // a rising Run edge, walk the descriptor list, move data, then report
 // and interrupt. A data move in flight is stepped first, and the step
 // resumes at ch.pc once it ends.

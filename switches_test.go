@@ -1,6 +1,7 @@
 package fpgavirtio_test
 
 import (
+	"runtime"
 	"testing"
 
 	fpgavirtio "fpgavirtio"
@@ -86,6 +87,52 @@ func xdmaCount(t *testing.T, cfg fpgavirtio.Config, read func(hostCounters) int6
 	})
 }
 
+// TestSessionGoroutines pins the goroutines an open session holds
+// after some traffic: 20 net and 20 XDMA sessions, none closed. The
+// device engines, the net user logic, the coalesce timers and the
+// interrupt handlers are step processes, which hold none, so each
+// session holds only the pooled coroutine its boot and application
+// processes share. Before they were step processes a net session held
+// 5 (boot and application, the ISR, the TX and control queue engines,
+// the user logic) and an XDMA session 4 (application, one ISR, the two
+// SGDMA engines).
+func TestSessionGoroutines(t *testing.T) {
+	const sessions = 20
+	var open []any
+	for _, c := range []struct {
+		name string
+		open func() (any, error)
+	}{
+		{"net", func() (any, error) {
+			ns, err := fpgavirtio.OpenNet(fpgavirtio.NetConfig{})
+			if err == nil {
+				err = ns.PingSeries(make([]byte, 64), 10, nil)
+			}
+			return ns, err
+		}},
+		{"xdma", func() (any, error) {
+			xs, err := fpgavirtio.OpenXDMA(fpgavirtio.XDMAConfig{})
+			if err == nil {
+				err = xs.RoundTripSeries(make([]byte, 64), 10, nil)
+			}
+			return xs, err
+		}},
+	} {
+		before := runtime.NumGoroutine()
+		for i := 0; i < sessions; i++ {
+			s, err := c.open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			open = append(open, s)
+		}
+		if got := runtime.NumGoroutine() - before; got != sessions {
+			t.Errorf("%d %s sessions hold %d goroutines, want %d", sessions, c.name, got, sessions)
+		}
+	}
+	runtime.KeepAlive(open)
+}
+
 // TestSwitchesPerPacket bounds the coroutine switch-ins per packet at
 // seed 3. Busy-poll spin iterations run on the wake that ends their
 // sleep, so a poll-mode packet switches into the spinning process only
@@ -111,7 +158,13 @@ func xdmaCount(t *testing.T, cfg fpgavirtio.Config, read func(hostCounters) int6
 // is switched into after boot: that took net irq from 9.605 to 1.005,
 // the ISR spawn and the application, net poll under the chaos plan from
 // 13.126 to 0.009 and the net-stream configuration from 14.741 to
-// 6.456, the ISR and coalesce-timer spawns left.
+// 6.456, the ISR and coalesce-timer spawns left. Interrupt handlers
+// and coalesce timers run as step processes, with no coroutine, and
+// the RX NAPI poll runs inline in the RX interrupt's step: that took
+// XDMA irq from 2.005 to 0.005, net irq from 1.005 to 0.005, the
+// net-stream configuration from 6.456 to 0.005 and net poll under the
+// chaos plan from 0.009 to 0.005. What is left is one switch into the
+// application process per series.
 func TestSwitchesPerPacket(t *testing.T) {
 	chaos := fpgavirtio.Config{Seed: 3, PollMode: true, Faults: experiments.DefaultChaosPlan}
 	irq := fpgavirtio.Config{Seed: 3}
@@ -122,10 +175,10 @@ func TestSwitchesPerPacket(t *testing.T) {
 		exactly bool
 	}{
 		{"net poll", netCount(t, chaos, switches), switchPackets / 10, false},
-		{"net stream", netStreamCount(t, irq, switches), 15 * switchPackets / 2, false},
+		{"net stream", netStreamCount(t, irq, switches), switchPackets, false},
 		{"xdma poll", xdmaCount(t, chaos, switches), 1 * switchPackets, false},
-		{"net irq", netCount(t, irq, switches), 1005, true},
-		{"xdma irq", xdmaCount(t, irq, switches), 2005, true},
+		{"net irq", netCount(t, irq, switches), 5, true},
+		{"xdma irq", xdmaCount(t, irq, switches), 5, true},
 	} {
 		t.Logf("%s: %.3f switch-ins per packet", c.name, float64(c.got)/switchPackets)
 		if c.got > c.max || c.exactly && c.got != c.max {

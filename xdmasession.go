@@ -73,10 +73,13 @@ func OpenXDMA(cfg XDMAConfig) (*XDMASession, error) {
 			// data-ready handler the stock example design lacks.
 			xs.readyWQ = h.NewWaitQueue("xdma.ready")
 			h.RC.MMIOWrite(p, info.BAR[1]+xdmaip.IRQBlockBase+xdmaip.RegIRQUserEnable, 4, 1)
-			h.RegisterIRQ(info.EP, xdmaip.VecUserBase, func(ip *sim.Proc) {
-				h.CPUWork(ip, 300*sim.Nanosecond)
+			h.RegisterIRQSteps(info.EP, xdmaip.VecUserBase, func(irq *hostos.IRQ) sim.Duration {
+				if st := h.StepWork(&irq.Work, 300*sim.Nanosecond); st != 0 {
+					return st
+				}
 				xs.dataReady = true
 				xs.readyWQ.Wake()
+				return 0
 			})
 		}
 		return nil
