@@ -2,6 +2,7 @@ package fpgavirtio_test
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	fpgavirtio "fpgavirtio"
@@ -87,6 +88,20 @@ func xdmaCount(t *testing.T, cfg fpgavirtio.Config, read func(hostCounters) int6
 	})
 }
 
+// coroutines counts the goroutines that back live iter.Pull
+// coroutines: the only goroutines a session starts. Counting them,
+// rather than every goroutine, keeps the count steady while goroutines
+// of earlier tests exit.
+func coroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return strings.Count(string(buf[:n]), "\ncreated by iter.Pull[")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
 // TestSessionGoroutines pins the goroutines an open session holds
 // after some traffic: 20 net and 20 XDMA sessions, none closed. The
 // device engines, the net user logic, the coalesce timers and the
@@ -118,7 +133,7 @@ func TestSessionGoroutines(t *testing.T) {
 			return xs, err
 		}},
 	} {
-		before := runtime.NumGoroutine()
+		before := coroutines()
 		for i := 0; i < sessions; i++ {
 			s, err := c.open()
 			if err != nil {
@@ -126,7 +141,7 @@ func TestSessionGoroutines(t *testing.T) {
 			}
 			open = append(open, s)
 		}
-		if got := runtime.NumGoroutine() - before; got != sessions {
+		if got := coroutines() - before; got != sessions {
 			t.Errorf("%d %s sessions hold %d goroutines, want %d", sessions, c.name, got, sessions)
 		}
 	}
