@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint vuln fuzzseed flake chaos ci smoke bench benchbase benchcmp benchsmoke simref tailcheck cover coverbase clean
+.PHONY: all build test race vet fmt lint vuln fuzzseed flake chaos ci smoke bench benchbase benchcmp benchsmoke simref docscheck tailcheck cover coverbase clean
 
 all: build
 
@@ -115,11 +115,19 @@ benchsmoke:
 
 # simref re-runs the determinism-sensitive suites with the event queue
 # swapped for the container/heap reference shim (-tags simrefqueue).
-# The root-package replay fingerprint and flight-dump goldens must
-# match under both builds, proving the calendar queue changes nothing
-# observable.
+# The root-package replay fingerprint, workload and flight-dump goldens
+# and the per-experiment digests must match under both builds, proving
+# the calendar queue changes nothing observable.
 simref:
 	$(GO) test -tags simrefqueue ./internal/sim .
+	$(GO) test -tags simrefqueue -run TestExperimentDigestGolden ./internal/experiments
+
+# docscheck reruns every `go run ./cmd/fvbench -n N <name>` section of
+# EXPERIMENTS.md through the experiment index at seed 1 and requires
+# the document's block to equal the render byte for byte (Table I and
+# Fig. 3 keep a paper-vs-measured table, checked cell by cell).
+docscheck:
+	$(GO) test -count=1 -tags docscheck -run TestDocsMatchRender ./internal/experiments
 
 # smoke runs a tiny fvbench sweep and writes the JSON bench artifact;
 # fvbench re-reads and validates the file against the exporter schema,
@@ -178,7 +186,7 @@ coverbase:
 chaos:
 	$(GO) test -race -tags fvinvariants -run '^TestChaos' -v ./internal/experiments
 
-ci: build fmt vet lint vuln fuzzseed flake chaos cover smoke benchsmoke simref tailcheck
+ci: build fmt vet lint vuln fuzzseed flake chaos cover smoke benchsmoke simref docscheck tailcheck
 	@echo "ci: all checks passed"
 
 clean:

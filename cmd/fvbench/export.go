@@ -2,155 +2,90 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"fpgavirtio/internal/experiments"
 	"fpgavirtio/internal/telemetry"
 )
 
-// exportSweep writes the sweep's machine-readable artifacts as requested
-// by the -json/-csv/-metrics flags. The JSON artifact is re-read and
-// validated against the exporter schema after writing, so a passing run
-// guarantees a loadable file.
-func exportSweep(sw *experiments.Sweep, experiment, jsonPath, csvPath string, metrics bool, fail func(error)) {
-	art := experiments.BuildArtifact(experiment, sw)
+// exportArtifact writes a latency-mode experiment's artifact as
+// requested by the -json/-csv flags.
+func exportArtifact(art *telemetry.BenchArtifact, jsonPath, csvPath string, fail func(error)) {
 	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
+		if err := writeArtifactJSON(jsonPath, art); err != nil {
 			fail(err)
-		}
-		if err := telemetry.WriteBenchJSON(f, art); err != nil {
-			f.Close()
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-		data, err := os.ReadFile(jsonPath)
-		if err != nil {
-			fail(err)
-		}
-		if err := telemetry.ValidateBenchJSON(data); err != nil {
-			fail(fmt.Errorf("artifact %s failed schema validation: %w", jsonPath, err))
 		}
 		fmt.Fprintf(os.Stderr, "fvbench: wrote %s (%d points, schema %s)\n", jsonPath, len(art.Points), art.Schema)
 	}
 	if csvPath != "" {
-		f, err := os.Create(csvPath)
-		if err != nil {
-			fail(err)
-		}
-		if err := telemetry.WriteBenchCSV(f, art); err != nil {
-			f.Close()
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(csvPath, func(w io.Writer) error { return telemetry.WriteBenchCSV(w, art) }); err != nil {
 			fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "fvbench: wrote %s (%d points)\n", csvPath, len(art.Points))
 	}
-	if metrics {
-		writeMetrics(sw, fail)
-	}
 }
 
-// exportThroughput writes the throughput run's artifacts. Like
-// exportSweep, the JSON file is re-read and schema-validated after
-// writing.
+// exportThroughput writes the throughput run's artifacts.
 func exportThroughput(m *experiments.ThroughputMode, jsonPath, csvPath string, fail func(error)) {
 	art := experiments.BuildThroughputArtifact(m)
 	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
+		if err := writeArtifactJSON(jsonPath, art); err != nil {
 			fail(err)
-		}
-		if err := telemetry.WriteBenchJSON(f, art); err != nil {
-			f.Close()
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-		data, err := os.ReadFile(jsonPath)
-		if err != nil {
-			fail(err)
-		}
-		if err := telemetry.ValidateBenchJSON(data); err != nil {
-			fail(fmt.Errorf("artifact %s failed schema validation: %w", jsonPath, err))
 		}
 		fmt.Fprintf(os.Stderr, "fvbench: wrote %s (%d throughput points, %d latency points, schema %s)\n",
 			jsonPath, len(art.Throughput), len(art.Points), art.Schema)
 	}
 	if csvPath != "" {
-		f, err := os.Create(csvPath)
-		if err != nil {
-			fail(err)
-		}
-		if err := telemetry.WriteThroughputCSV(f, art); err != nil {
-			f.Close()
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(csvPath, func(w io.Writer) error { return telemetry.WriteThroughputCSV(w, art) }); err != nil {
 			fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "fvbench: wrote %s (%d throughput points)\n", csvPath, len(art.Throughput))
 	}
 }
 
-// exportPollTrade writes the E13 four-way study's artifacts. The JSON
-// file is re-read and schema-validated after writing, like exportSweep.
-func exportPollTrade(r *experiments.PollTradeStudy, jsonPath, csvPath string, fail func(error)) {
-	art := experiments.BuildPollTradeArtifact(r)
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			fail(err)
-		}
-		if err := telemetry.WriteBenchJSON(f, art); err != nil {
-			f.Close()
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-		data, err := os.ReadFile(jsonPath)
-		if err != nil {
-			fail(err)
-		}
-		if err := telemetry.ValidateBenchJSON(data); err != nil {
-			fail(fmt.Errorf("artifact %s failed schema validation: %w", jsonPath, err))
-		}
-		fmt.Fprintf(os.Stderr, "fvbench: wrote %s (%d points, schema %s)\n", jsonPath, len(art.Points), art.Schema)
+// writeArtifactJSON writes art as JSON, then re-reads the file and
+// validates it against the exporter schema, so a passing run
+// guarantees a loadable file.
+func writeArtifactJSON(path string, art *telemetry.BenchArtifact) error {
+	if err := writeFile(path, func(w io.Writer) error { return telemetry.WriteBenchJSON(w, art) }); err != nil {
+		return err
 	}
-	if csvPath != "" {
-		f, err := os.Create(csvPath)
-		if err != nil {
-			fail(err)
-		}
-		if err := telemetry.WriteBenchCSV(f, art); err != nil {
-			f.Close()
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "fvbench: wrote %s (%d points)\n", csvPath, len(art.Points))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
 	}
+	if err := telemetry.ValidateBenchJSON(data); err != nil {
+		return fmt.Errorf("artifact %s failed schema validation: %w", path, err)
+	}
+	return nil
 }
 
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// writeMetrics dumps each sweep point's telemetry snapshot to stdout.
 func writeMetrics(sw *experiments.Sweep, fail func(error)) {
-	{
-		dump := func(pt *experiments.PointResult) {
-			fmt.Printf("== metrics: %s/%dB ==\n", pt.Driver, pt.Payload)
-			if err := telemetry.WriteMetricsCSV(os.Stdout, pt.Metrics); err != nil {
-				fail(err)
-			}
+	dump := func(pt *experiments.PointResult) {
+		fmt.Printf("== metrics: %s/%dB ==\n", pt.Driver, pt.Payload)
+		if err := telemetry.WriteMetricsCSV(os.Stdout, pt.Metrics); err != nil {
+			fail(err)
 		}
-		for i := range sw.VirtIO {
-			dump(sw.VirtIO[i])
-			if i < len(sw.XDMA) {
-				dump(sw.XDMA[i])
-			}
+	}
+	for i := range sw.VirtIO {
+		dump(sw.VirtIO[i])
+		if i < len(sw.XDMA) {
+			dump(sw.XDMA[i])
 		}
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -30,16 +31,10 @@ func writeFlightDumps(sw *experiments.Sweep, dir string, fail func(error)) {
 		}
 		for _, d := range pt.FlightDumps {
 			name := fmt.Sprintf("flight_%s_%dB_%s.json", pt.Driver, pt.Payload, sanitizeReason(d.Reason))
-			path := filepath.Join(dir, name)
-			f, err := os.Create(path)
+			err := writeFile(filepath.Join(dir, name), func(w io.Writer) error {
+				return telemetry.WriteChromeTrace(w, telemetry.DumpSpans(d), nil)
+			})
 			if err != nil {
-				fail(err)
-			}
-			if err := telemetry.WriteChromeTrace(f, telemetry.DumpSpans(d), nil); err != nil {
-				f.Close()
-				fail(err)
-			}
-			if err := f.Close(); err != nil {
 				fail(err)
 			}
 			count++

@@ -9,10 +9,10 @@
 //
 // Experiments (latency mode):
 //
-//	fig3      round-trip latency distribution (VirtIO vs XDMA)
-//	fig4      VirtIO latency breakdown (software vs hardware)
-//	fig5      XDMA latency breakdown
-//	table1    tail latencies (95/99/99.9%)
+//	fig3      E1: round-trip latency distribution (VirtIO vs XDMA)
+//	fig4      E2: VirtIO latency breakdown (software vs hardware)
+//	fig5      E3: XDMA latency breakdown
+//	table1    E4: tail latencies (95/99/99.9%)
 //	all       fig3+fig4+fig5+table1 from one sweep
 //	offload   E5: checksum-offload ablation
 //	ablate-irq E6: interrupt/notification ablation
@@ -103,7 +103,7 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	blockprofile := flag.String("blockprofile", "", "write a goroutine-blocking profile to this file on exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: fvbench [flags] fig3|fig4|fig5|table1|all|offload|ablate-irq|bypass|porta|eventidx|osprofiles|throughput|ringformat|polltrade\n")
+		fmt.Fprintf(os.Stderr, "usage: fvbench [flags] %s\n", namesWhere(func(experiments.Entry) bool { return true }))
 		fmt.Fprintf(os.Stderr, "       fvbench -mode=throughput [flags]\n")
 		flag.PrintDefaults()
 	}
@@ -209,53 +209,41 @@ func payloadCount(p experiments.Params) int {
 	return len(experiments.DefaultPayloads)
 }
 
-// runLatency dispatches the default-mode experiments.
+// runLatency runs the default-mode experiment named by the argument.
 func runLatency(p experiments.Params, parallel int, hist bool, jsonPath, csvPath string, metrics bool,
 	flightDir, serveAddr string, usageErr func(string, ...any), fail func(error)) {
 	if flag.NArg() != 1 {
 		flag.Usage()
 		os.Exit(2)
 	}
-	experiment := flag.Arg(0)
-	isSweep := map[string]bool{"fig3": true, "fig4": true, "fig5": true, "table1": true, "all": true}[experiment]
-	if (jsonPath != "" || csvPath != "") && !isSweep && experiment != "polltrade" {
-		usageErr("-json/-csv apply to the sweep experiments (fig3|fig4|fig5|table1|all) and polltrade, not %q", experiment)
+	// An unknown name meets the flag checks first, as a study with no
+	// sweep and no artifact, and then the usage text.
+	e, known := experiments.Lookup(flag.Arg(0))
+	used := map[string]bool{"json": jsonPath != "", "csv": csvPath != "", "metrics": metrics,
+		"flightdir": flightDir != "", "serve": serveAddr != "", "faults": p.Faults != ""}
+	if err := validateExperimentFlags(e, used); err != nil {
+		usageErr("%v", err)
 	}
-	if metrics && !isSweep {
-		usageErr("-metrics applies to the sweep experiments (fig3|fig4|fig5|table1|all), not %q", experiment)
-	}
-	if (flightDir != "" || serveAddr != "") && !isSweep {
-		usageErr("-flightdir/-serve apply to the sweep experiments (fig3|fig4|fig5|table1|all), not %q", experiment)
-	}
-	if p.Faults != "" && !isSweep {
-		usageErr("-faults applies to the sweep experiments (fig3|fig4|fig5|table1|all), not %q", experiment)
+	if !known {
+		flag.Usage()
+		os.Exit(2)
 	}
 
-	needSweep := func() *experiments.Sweep {
-		fmt.Fprintf(os.Stderr, "fvbench: sweeping %d packets x %d payloads x 2 drivers (%d workers)...\n",
-			p.Packets, payloadCount(p), parallel)
-		var progress func(experiments.SweepProgress)
-		var srv *metricsServer
-		if serveAddr != "" {
-			var err error
-			srv, err = startMetricsServer(serveAddr, 2*payloadCount(p))
-			if err != nil {
-				fail(err)
-			}
-			defer srv.stop()
-			progress = srv.observe
+	var sw *experiments.Sweep
+	if e.Sweep {
+		sw = runSweep(p, parallel, serveAddr, fail)
+	}
+	r, art, err := e.Run(p, sw)
+	if err != nil {
+		fail(err)
+	}
+	if art != nil {
+		exportArtifact(art, jsonPath, csvPath, fail)
+	}
+	if sw != nil {
+		if metrics {
+			writeMetrics(sw, fail)
 		}
-		sw, err := experiments.RunSweepParallelWithProgress(p, parallel, progress)
-		if err != nil {
-			fail(err)
-		}
-		// Attribute tail samples before the export, so the JSON artifact
-		// carries the tail_attribution block. The replay runs outside
-		// every timed section and cannot perturb the measurements above.
-		if err := experiments.AttributeTails(sw); err != nil {
-			fail(err)
-		}
-		exportSweep(sw, experiment, jsonPath, csvPath, metrics, fail)
 		if flightDir != "" {
 			writeFlightDumps(sw, flightDir, fail)
 		}
@@ -263,85 +251,39 @@ func runLatency(p experiments.Params, parallel int, hist bool, jsonPath, csvPath
 			fmt.Fprint(os.Stderr, report)
 		}
 		fmt.Fprint(os.Stderr, experiments.RenderTailReport(sw))
-		return sw
 	}
+	fmt.Print(r.Render())
+	if _, fig3 := r.(*experiments.Fig3); fig3 && hist {
+		for i := range sw.VirtIO {
+			fmt.Printf("\n%d B VirtIO:\n%s", sw.VirtIO[i].Payload, sw.VirtIO[i].Total.Histogram(16, 50))
+			fmt.Printf("\n%d B XDMA:\n%s", sw.XDMA[i].Payload, sw.XDMA[i].Total.Histogram(16, 50))
+		}
+	}
+}
 
-	switch experiment {
-	case "fig3":
-		sw := needSweep()
-		f := experiments.RunFig3(sw)
-		fmt.Print(f.Render(hist))
-		if hist {
-			for i := range sw.VirtIO {
-				fmt.Printf("\n%d B VirtIO:\n%s", sw.VirtIO[i].Payload, sw.VirtIO[i].Total.Histogram(16, 50))
-				fmt.Printf("\n%d B XDMA:\n%s", sw.XDMA[i].Payload, sw.XDMA[i].Total.Histogram(16, 50))
-			}
-		}
-	case "fig4":
-		fmt.Print(experiments.RunFig4(needSweep()).Render())
-	case "fig5":
-		fmt.Print(experiments.RunFig5(needSweep()).Render())
-	case "table1":
-		fmt.Print(experiments.RunTable1(needSweep()).Render())
-	case "all":
-		fmt.Print(experiments.RenderAll(needSweep()))
-	case "offload":
-		r, err := experiments.RunOffload(p, 1024)
+// runSweep measures the shared sweep, serving live metrics while it
+// runs when serveAddr is set, and attributes its tail samples. The
+// replay runs outside every timed section and cannot perturb the
+// measurements; it comes before the export, so the JSON artifact
+// carries the tail_attribution block.
+func runSweep(p experiments.Params, parallel int, serveAddr string, fail func(error)) *experiments.Sweep {
+	fmt.Fprintf(os.Stderr, "fvbench: sweeping %d packets x %d payloads x 2 drivers (%d workers)...\n",
+		p.Packets, payloadCount(p), parallel)
+	var progress func(experiments.SweepProgress)
+	if serveAddr != "" {
+		srv, err := startMetricsServer(serveAddr, 2*payloadCount(p))
 		if err != nil {
 			fail(err)
 		}
-		fmt.Print(r.Render())
-	case "ablate-irq":
-		r, err := experiments.RunIRQAblation(p, 256)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(r.Render())
-	case "bypass":
-		r, err := experiments.RunBypass(p)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(r.Render())
-	case "porta":
-		r, err := experiments.RunPortability(p)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(r.Render())
-	case "eventidx":
-		r, err := experiments.RunEventIdx(p, 32)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(r.Render())
-	case "osprofiles":
-		r, err := experiments.RunOSProfiles(p, 256)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(r.Render())
-	case "throughput":
-		r, err := experiments.RunThroughput(p)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(r.Render())
-	case "ringformat":
-		r, err := experiments.RunRingFormat(p, 256)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(r.Render())
-	case "polltrade":
-		r, err := experiments.RunPollTrade(p)
-		if err != nil {
-			fail(err)
-		}
-		exportPollTrade(r, jsonPath, csvPath, fail)
-		fmt.Print(r.Render())
-	default:
-		flag.Usage()
-		os.Exit(2)
+		defer srv.stop()
+		progress = srv.observe
 	}
+	sw, err := experiments.RunSweepParallelWithProgress(p, parallel, progress)
+	if err != nil {
+		fail(err)
+	}
+	if err := experiments.AttributeTails(sw); err != nil {
+		fail(err)
+	}
+	return sw
 }

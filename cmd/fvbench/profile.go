@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -56,12 +57,7 @@ func startProfiles(cpu, heap, block string) (func(), error) {
 
 // writeProfile dumps one named pprof profile to path.
 func writeProfile(name, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("%sprofile: %w", name, err)
-	}
-	defer f.Close()
-	if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
+	if err := writeFile(path, func(w io.Writer) error { return pprof.Lookup(name).WriteTo(w, 0) }); err != nil {
 		return fmt.Errorf("%sprofile: %w", name, err)
 	}
 	return nil

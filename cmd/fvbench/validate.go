@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"fpgavirtio/internal/experiments"
 )
 
 const (
@@ -65,4 +67,35 @@ func validateStreamFlags(window, qpairs int, rate float64) error {
 		return fmt.Errorf("rate %g out of range: want >= 0 packets/s", rate)
 	}
 	return nil
+}
+
+// validateExperimentFlags rejects latency-mode flags that do not apply
+// to experiment e: -json/-csv need an artifact, and -metrics,
+// -flightdir, -serve and -faults need a sweep entry. used holds each
+// of those flags given a non-empty value.
+func validateExperimentFlags(e experiments.Entry, used map[string]bool) error {
+	sweeps := "the sweep experiments (" + namesWhere(func(e experiments.Entry) bool { return e.Sweep }) + ")"
+	switch {
+	case (used["json"] || used["csv"]) && !e.Artifact:
+		others := namesWhere(func(e experiments.Entry) bool { return e.Artifact && !e.Sweep })
+		return fmt.Errorf("-json/-csv apply to %s and %s, not %q", sweeps, others, e.Name)
+	case used["metrics"] && !e.Sweep:
+		return fmt.Errorf("-metrics applies to %s, not %q", sweeps, e.Name)
+	case (used["flightdir"] || used["serve"]) && !e.Sweep:
+		return fmt.Errorf("-flightdir/-serve apply to %s, not %q", sweeps, e.Name)
+	case used["faults"] && !e.Sweep:
+		return fmt.Errorf("-faults applies to %s, not %q", sweeps, e.Name)
+	}
+	return nil
+}
+
+// namesWhere joins the names of the index entries that keep accepts.
+func namesWhere(keep func(experiments.Entry) bool) string {
+	var names []string
+	for _, e := range experiments.Index {
+		if keep(e) {
+			names = append(names, e.Name)
+		}
+	}
+	return strings.Join(names, "|")
 }

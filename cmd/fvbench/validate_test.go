@@ -1,9 +1,12 @@
 package main
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+
+	"fpgavirtio/internal/experiments"
 )
 
 func TestParseSizesAccepts(t *testing.T) {
@@ -100,6 +103,82 @@ func TestValidateStreamFlags(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error %q, want mention of %q", err, tc.want)
+			}
+		})
+	}
+}
+
+func TestValidateExperimentFlags(t *testing.T) {
+	const sweeps = "the sweep experiments (fig3|fig4|fig5|table1|all)"
+	messages := map[string]string{
+		"json":      "-json/-csv apply to " + sweeps + " and polltrade, not %q",
+		"csv":       "-json/-csv apply to " + sweeps + " and polltrade, not %q",
+		"metrics":   "-metrics applies to " + sweeps + ", not %q",
+		"flightdir": "-flightdir/-serve apply to " + sweeps + ", not %q",
+		"serve":     "-flightdir/-serve apply to " + sweeps + ", not %q",
+		"faults":    "-faults applies to " + sweeps + ", not %q",
+	}
+	cases := []struct {
+		name            string
+		sweep, artifact bool
+	}{
+		{"fig3", true, true},
+		{"fig4", true, true},
+		{"fig5", true, true},
+		{"table1", true, true},
+		{"all", true, true},
+		{"offload", false, false},
+		{"ablate-irq", false, false},
+		{"bypass", false, false},
+		{"porta", false, false},
+		{"eventidx", false, false},
+		{"osprofiles", false, false},
+		{"throughput", false, false},
+		{"ringformat", false, false},
+		{"polltrade", false, true},
+		{"bogus", false, false},
+	}
+	if len(cases) != len(experiments.Index)+1 {
+		t.Fatalf("%d cases for %d index entries plus one unknown name", len(cases), len(experiments.Index))
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e, known := experiments.Lookup(tc.name)
+			if known == (tc.name == "bogus") {
+				t.Fatalf("Lookup(%q) known = %v", tc.name, known)
+			}
+			if err := validateExperimentFlags(e, nil); err != nil {
+				t.Errorf("no flags: %v", err)
+			}
+			for flagName, msg := range messages {
+				allowed := tc.sweep
+				if flagName == "json" || flagName == "csv" {
+					allowed = tc.artifact
+				}
+				err := validateExperimentFlags(e, map[string]bool{flagName: true})
+				switch {
+				case allowed && err != nil:
+					t.Errorf("-%s rejected: %v", flagName, err)
+				case !allowed && err == nil:
+					t.Errorf("-%s accepted", flagName)
+				case !allowed && err.Error() != fmt.Sprintf(msg, tc.name):
+					t.Errorf("-%s: error %q, want %q", flagName, err, fmt.Sprintf(msg, tc.name))
+				}
+			}
+			// The checks run in a fixed order: the artifact check first,
+			// then -metrics, -flightdir/-serve and -faults.
+			err := validateExperimentFlags(e, map[string]bool{"json": true, "metrics": true, "faults": true})
+			want := ""
+			switch {
+			case !tc.artifact:
+				want = fmt.Sprintf(messages["json"], tc.name)
+			case !tc.sweep:
+				want = fmt.Sprintf(messages["metrics"], tc.name)
+			}
+			if got := fmt.Sprint(err); want != "" && got != want {
+				t.Errorf("three flags: error %q, want %q", got, want)
+			} else if want == "" && err != nil {
+				t.Errorf("three flags rejected: %v", err)
 			}
 		})
 	}

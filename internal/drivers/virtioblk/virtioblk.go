@@ -21,7 +21,6 @@ const queueReq = 0
 
 // Device is a bound virtio-blk disk.
 type Device struct {
-	tr   *virtiopci.Transport
 	host *hostos.Host
 
 	vq       *virtiopci.VQ
@@ -57,7 +56,6 @@ func Probe(p *sim.Proc, h *hostos.Host, info *pcie.DeviceInfo) (*Device, error) 
 		return nil, err
 	}
 	d := &Device{
-		tr:       tr,
 		host:     h,
 		wq:       h.NewWaitQueue("vblk"),
 		indirect: feats.Has(virtio.FRingIndirectDesc),

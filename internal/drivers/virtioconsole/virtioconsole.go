@@ -26,7 +26,6 @@ const (
 
 // Device is a bound virtio-console.
 type Device struct {
-	tr   *virtiopci.Transport
 	host *hostos.Host
 
 	rxq, txq *virtiopci.VQ
@@ -56,7 +55,6 @@ func Probe(p *sim.Proc, h *hostos.Host, info *pcie.DeviceInfo) (*Device, error) 
 		return nil, err
 	}
 	d := &Device{
-		tr:      tr,
 		host:    h,
 		rxWQ:    h.NewWaitQueue("console.rx"),
 		txWQ:    h.NewWaitQueue("console.tx"),

@@ -21,14 +21,11 @@ import (
 	"fpgavirtio/internal/virtio"
 )
 
-// Queue indices of a single-queue-pair virtio-net device. With
-// VIRTIO_NET_F_MQ the pairs interleave (receiveqN = 2(N-1),
-// transmitqN = 2N-1) and the control queue follows the last pair.
-const (
-	queueRX   = 0
-	queueTX   = 1
-	queueCtrl = 2
-)
+// queueCtrl is the control queue's index on a single-queue-pair
+// virtio-net device (receiveq 0, transmitq 1). With VIRTIO_NET_F_MQ the
+// pairs interleave (receiveqN = 2(N-1), transmitqN = 2N-1) and the
+// control queue follows the last pair.
+const queueCtrl = 2
 
 // Driver CPU costs specific to the net front-end.
 const (

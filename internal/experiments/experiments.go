@@ -253,8 +253,8 @@ func RunFig3(sw *Sweep) *Fig3 {
 	return f
 }
 
-// Render prints the distribution table plus per-point histograms.
-func (f *Fig3) Render(histograms bool) string {
+// Render prints the distribution table.
+func (f *Fig3) Render() string {
 	t := perf.Table{
 		Title:   "Fig. 3 — Round-trip latency distribution (us), VirtIO vs XDMA",
 		Headers: []string{"series", "n", "mean", "std", "min", "p25", "p50", "p75", "p95", "p99", "p99.9", "max"},
@@ -368,10 +368,10 @@ func (t *Table1) Render() string {
 	return tab.String()
 }
 
-// RenderAll renders the four paper artifacts from one sweep.
-func RenderAll(sw *Sweep) string {
+// Render renders the four paper artifacts from the sweep.
+func (sw *Sweep) Render() string {
 	var b strings.Builder
-	b.WriteString(RunFig3(sw).Render(false))
+	b.WriteString(RunFig3(sw).Render())
 	b.WriteString("\n")
 	b.WriteString(RunFig4(sw).Render())
 	b.WriteString("\n")

@@ -125,14 +125,14 @@ func TestShapeHardwareVarianceMinimal(t *testing.T) {
 
 func TestRendersContainExpectedStructure(t *testing.T) {
 	sw := getSweep(t)
-	all := RenderAll(sw)
+	all := sw.Render()
 	for _, want := range []string{
 		"Fig. 3", "Fig. 4", "Fig. 5", "Table I",
 		"virtio/64/total", "xdma/1024/total",
 		"95% VirtIO", "99.9% XDMA",
 	} {
 		if !strings.Contains(all, want) {
-			t.Errorf("RenderAll missing %q", want)
+			t.Errorf("Sweep.Render missing %q", want)
 		}
 	}
 	rows := RunTable1(sw).Rows

@@ -82,7 +82,7 @@ func TestParallelSweepArtifactBytesIdentical(t *testing.T) {
 	// agree too.
 	sw1, _ := RunSweepParallel(p, 1)
 	sw8, _ := RunSweepParallel(p, 8)
-	if RenderAll(sw1) != RenderAll(sw8) {
+	if sw1.Render() != sw8.Render() {
 		t.Fatal("rendered figure text differs between serial and parallel sweeps")
 	}
 }

@@ -192,7 +192,6 @@ const (
 // engine walk an XDMA descriptor list.
 type Port struct {
 	sim     *sim.Sim
-	clk     *fpga.Clock
 	movers  *movers
 	program sim.Duration // engine programming per transfer
 
@@ -204,7 +203,7 @@ type Port struct {
 func NewPort(s *sim.Sim, ep *pcie.Endpoint, clk *fpga.Clock) *Port {
 	reg := ep.Metrics()
 	return &Port{
-		sim: s, clk: clk,
+		sim:        s,
 		movers:     newMovers(ep, clk),
 		program:    clk.Cycles(programCycles),
 		readSpan:   s.SpanKind(telemetry.LayerDMAEngine, "", "port.read"),
